@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from itertools import repeat
+from math import prod
+from typing import Any, Iterable
 
 from . import dvo
 from .gaps import (
@@ -19,7 +21,7 @@ from .gaps import (
     classification_histogram,
     count_gaps_block_formula,
     count_gaps_formula,
-    is_gap,
+    count_gaps_oracle,
 )
 from .identities import ALL_IDENTITIES, IdentityResult
 from .objects import DigitalObject, census
@@ -30,7 +32,7 @@ EXIT_INPUT = 2
 EXIT_DISAGREEMENT = 3
 EXIT_CAP = 4
 
-#: full-census commands refuse larger inputs; coface fan-out is 2^n per cell
+#: full-census commands refuse larger inputs; face fan-out is 3^n per voxel
 MAX_VOXELS = 10**6
 MAX_CENSUS_DIM = 8
 
@@ -39,15 +41,23 @@ class ResourceCapError(RuntimeError):
     pass
 
 
-def _check_caps(obj: DigitalObject) -> DigitalObject:
-    if obj.n > MAX_CENSUS_DIM:
+def _check_caps(
+    n: int | None = None, voxels: int = 0, sites: Iterable[int] = ()
+) -> None:
+    """Refuse work beyond the caps; n goes first, so ``sites`` (the extents
+    whose product is the site count) may lazily repeat an extent n times."""
+    if n is not None and n > MAX_CENSUS_DIM:
         raise ResourceCapError(
-            f"n={obj.n} exceeds the full-census cap n <= {MAX_CENSUS_DIM}"
+            f"n={n} exceeds the full-census cap n <= {MAX_CENSUS_DIM}"
         )
-    if len(obj) > MAX_VOXELS:
-        raise ResourceCapError(
-            f"{len(obj)} voxels exceed the cap of {MAX_VOXELS}"
-        )
+    for count, what in ((voxels, "voxels"), (prod(sites), "sites")):
+        if count > MAX_VOXELS:
+            raise ResourceCapError(f"{count} {what} exceed the cap of {MAX_VOXELS}")
+
+
+def _load(path: str) -> DigitalObject:
+    obj = dvo.load(path)
+    _check_caps(n=obj.n, voxels=len(obj))
     return obj
 
 
@@ -72,9 +82,7 @@ def build_count_report(obj: DigitalObject, include_hubs: bool = False) -> dict[s
         },
     }
     if obj.n >= 2:
-        hubs = sorted(
-            e for e in cen.cells_by_dim[obj.n - 2] if is_gap(obj, e, obj.n - 2)
-        )
+        hubs = count_gaps_oracle(obj, obj.n - 2, cen).hubs
         counts = {
             "oracle": len(hubs),
             "formula": count_gaps_formula(obj, cen),
@@ -118,14 +126,14 @@ def _count_text(report: dict[str, Any]) -> str:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    obj = _check_caps(dvo.load(args.file))
+    obj = _load(args.file)
     report = build_count_report(obj, include_hubs=args.hubs)
     _emit(report, args.json, _count_text(report))
     return EXIT_OK if report["agreement"] else EXIT_DISAGREEMENT
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    obj = _check_caps(dvo.load(args.file))
+    obj = _load(args.file)
     hist = classification_histogram(obj)
     payload = {
         "n": obj.n,
@@ -156,12 +164,7 @@ def _verify_objects(args: argparse.Namespace) -> list[tuple[str, DigitalObject]]
             ) from None
         if trials < 1:
             raise ValueError("--random needs at least one trial")
-        if n > MAX_CENSUS_DIM:
-            raise ResourceCapError(f"n={n} exceeds the cap n <= {MAX_CENSUS_DIM}")
-        if extent**n > MAX_VOXELS:
-            raise ResourceCapError(
-                f"{extent}^{n} sites exceed the cap of {MAX_VOXELS}"
-            )
+        _check_caps(n=n, sites=repeat(extent, n))
         out = []
         for t in range(trials):
             spec = ShapeSpec(
@@ -175,7 +178,7 @@ def _verify_objects(args: argparse.Namespace) -> list[tuple[str, DigitalObject]]
         return out
     if args.file is None:
         raise ValueError("verify needs a FILE or --random")
-    return [(args.file, _check_caps(dvo.load(args.file)))]
+    return [(args.file, _load(args.file))]
 
 
 def _reject_both_sources(args: argparse.Namespace) -> None:
@@ -232,12 +235,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         density=args.density,
         seed=args.seed,
     )
-    if extents is not None:
-        sites = 1
-        for e in extents:
-            sites *= e
-        if sites > MAX_VOXELS:
-            raise ResourceCapError(f"{sites} sites exceed the cap of {MAX_VOXELS}")
+    _check_caps(sites=spec.extents or ())
     obj = generate(spec)
     text = dvo.dumps(obj, comments=[describe(spec)])
     if args.out is None:
@@ -300,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory; try a smaller object", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,18 @@
 
 Line 1 (after any leading comments/blanks): ``dvo <n>``. Every following
 significant line holds one voxel center as n space-separated signed
-integers. Lines starting with ``#`` and blank lines are ignored anywhere.
-Duplicate voxels are a parse error, reported with their line number.
+integers within +-2**59. Lines starting with ``#`` and blank lines are
+ignored anywhere. Duplicate voxels and out-of-range centers are parse
+errors, reported with their line number.
 """
 
 from __future__ import annotations
 
+from .cells import COORD_LIMIT
 from .objects import DigitalObject
+
+#: voxel centers are doubled into cell coordinates, which stay within +-2**60
+CENTER_LIMIT = COORD_LIMIT // 2
 
 
 class DvoError(ValueError):
@@ -46,6 +51,9 @@ def loads(text: str) -> DigitalObject:
             center = tuple(int(t) for t in tokens)
         except ValueError:
             raise DvoError(lineno, f"non-integer coordinate in {line!r}") from None
+        for x in center:
+            if not -CENTER_LIMIT <= x <= CENTER_LIMIT:
+                raise DvoError(lineno, f"center coordinate {x} outside the +-2**59 range")
         if center in seen:
             raise DvoError(lineno, f"duplicate voxel {center} (first on line {seen[center]})")
         seen[center] = lineno

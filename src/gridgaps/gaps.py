@@ -137,16 +137,22 @@ def is_gap_by_adjacency(obj: DigitalObject, e: Cell) -> bool:
     return False
 
 
-def count_gaps_oracle(obj: DigitalObject, i: int) -> GapReport:
+def count_gaps_oracle(
+    obj: DigitalObject, i: int, cen: CellCensus | None = None
+) -> GapReport:
     """Scan every i-cell of the object and collect the gap hubs.
 
     This is the reference counter: it works for every i in [0, n-2], the
-    dimensions below n-2 having no known closed form.
+    dimensions below n-2 having no known closed form. It is the one loop
+    over ``is_gap``; everything else that needs the hubs takes them from
+    here. The scan covers all i-cells, free or not, so its count never
+    relies on the census's freeness, which the formulas do.
     """
     n = obj.n
     if not 0 <= i <= n - 2:
         raise ValueError(f"gap dimension {i} outside [0, {n - 2}]")
-    cen = census(obj)
+    if cen is None:
+        cen = census(obj)
     hubs = tuple(
         sorted(e for e in cen.cells_by_dim[i] if is_gap(obj, e, i))
     )
@@ -201,9 +207,8 @@ def hub_nub_partition(
         raise ValueError("hub/nub partition needs ambient dimension n >= 2")
     if cen is None:
         cen = census(obj)
-    free = cen.free_by_dim[n - 2]
-    hubs = frozenset(e for e in free if is_gap(obj, e, n - 2))
-    return hubs, free - hubs
+    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
+    return hubs, cen.free_by_dim[n - 2] - hubs
 
 
 def classification_histogram(

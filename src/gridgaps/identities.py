@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 from .cells import faces
 from .counting import c_bounding
-from .gaps import (
-    HubTag,
-    classify_cell,
-    count_gaps_block_formula,
-    count_gaps_formula,
-    is_gap,
-    is_gap_by_adjacency,
-)
+from .gaps import HubTag, classify_cell, count_gaps_oracle, is_gap_by_adjacency
 from .objects import CellCensus, DigitalObject, census
 
 _TAG_ARITY = {
@@ -95,10 +88,11 @@ def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
     n = obj.n
     if n < 2:
         return IdentityResult("hub-nub-degree", True, 0)
+    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
     checked = 0
     for e in cen.free_by_dim[n - 2]:
         checked += 1
-        expected = 4 if is_gap(obj, e, n - 2) else 2
+        expected = 4 if e in hubs else 2
         got = cen.b_boundary(e, n - 1)
         if got != expected:
             return IdentityResult(
@@ -115,15 +109,17 @@ def gap_triple_agreement(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
     n = obj.n
     if n < 2:
         return IdentityResult("gap-triple-agreement", True, 0)
-    scanned = sum(1 for e in cen.cells_by_dim[n - 2] if is_gap(obj, e, n - 2))
-    by_formula = count_gaps_formula(obj, cen)
-    by_blocks = count_gaps_block_formula(obj, cen)
-    if not scanned == by_formula == by_blocks:
+    report = count_gaps_oracle(obj, n - 2, cen)
+    if not report.g == report.g_formula == report.g_block_formula:
         return IdentityResult(
             "gap-triple-agreement",
             False,
             1,
-            _witness(obj, f"scan={scanned} formula={by_formula} block-formula={by_blocks}"),
+            _witness(
+                obj,
+                f"scan={report.g} formula={report.g_formula}"
+                f" block-formula={report.g_block_formula}",
+            ),
         )
     return IdentityResult("gap-triple-agreement", True, 1)
 
@@ -133,10 +129,11 @@ def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
     n = obj.n
     if n < 2:
         return IdentityResult("detector-equivalence", True, 0)
+    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
     checked = 0
     for e in cen.cells_by_dim[n - 2]:
         checked += 1
-        if is_gap(obj, e, n - 2) != is_gap_by_adjacency(obj, e):
+        if (e in hubs) != is_gap_by_adjacency(obj, e):
             return IdentityResult(
                 "detector-equivalence",
                 False,
@@ -155,6 +152,7 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> IdentityResu
     n = obj.n
     if n < 2:
         return IdentityResult("classification-totality", True, 0)
+    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
     checked = 0
     free = cen.free_by_dim[n - 2]
     for e in cen.cells_by_dim[n - 2]:
@@ -165,7 +163,7 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> IdentityResu
             bad = f"tag {klass.tag.value} with {len(klass.voxels)} voxels"
         elif (klass.tag is HubTag.FULL_BLOCK) != (e not in free):
             bad = f"tag {klass.tag.value} vs free={e in free}"
-        elif (klass.tag is HubTag.GAP_TANDEM) != is_gap(obj, e, n - 2):
+        elif (klass.tag is HubTag.GAP_TANDEM) != (e in hubs):
             bad = f"tag {klass.tag.value} vs gap detector"
         if bad:
             return IdentityResult(

@@ -13,13 +13,14 @@ c = c* + c' stays total over 0..n.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .cells import Cell, _coface_offsets, _face_offsets, _mk, _parity, cofaces
+from .cells import Cell, _coface_offsets, _mk, _parity
 
 
 class DigitalObject:
@@ -150,19 +151,12 @@ class CellCensus:
 
 
 @lru_cache(maxsize=None)
-def _closure_offsets(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All 3^n offsets from a voxel to its faces, tagged with face dimension."""
-    return tuple(
-        (delta, delta.count(0)) for delta in product((-1, 0, 1), repeat=n)
-    )
-
-
-def _block_absent(e, vox: frozenset[Cell]) -> bool:
-    """True iff some voxel of e's block is missing from vox."""
-    for delta in _coface_offsets(_parity(e), len(e)):
-        if tuple(map(add, e, delta)) not in vox:
-            return True
-    return False
+def _closure_offsets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The 3^n offsets from a voxel to its faces, grouped by face dimension."""
+    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    for delta in product((-1, 0, 1), repeat=n):
+        by_dim[delta.count(0)].append(delta)
+    return tuple(map(tuple, by_dim))
 
 
 def cells(obj: DigitalObject, i: int) -> list[Cell]:
@@ -170,12 +164,7 @@ def cells(obj: DigitalObject, i: int) -> list[Cell]:
     n = obj.n
     if not 0 <= i <= n:
         raise ValueError(f"cell dimension {i} outside [0, {n}]")
-    out: set[Cell] = set()
-    deltas = _face_offsets((0,) * n, i)
-    for v in obj.voxels:
-        for delta in deltas:
-            out.add(_mk(Cell, map(add, v, delta)))
-    return sorted(out)
+    return sorted(census(obj).cells_by_dim[i])
 
 
 def is_free(obj: DigitalObject, e: Cell) -> bool:
@@ -187,47 +176,43 @@ def is_free(obj: DigitalObject, e: Cell) -> bool:
         raise ValueError("cell and object ambient dimensions differ")
     if e.dim >= obj.n:
         raise ValueError("free/non-free is defined for dimensions below n")
-    present = absent = False
-    for v in cofaces(e, obj.n):
-        if v in obj.voxels:
-            present = True
-        else:
-            absent = True
-    if not present:
-        raise ValueError(f"{e!r} is not a cell of the object")
-    return absent
+    return census(obj).is_free(e)
 
 
 def border(obj: DigitalObject, i: int) -> list[Cell]:
     """The free i-cells of the object, lexicographically sorted."""
     if not 0 <= i <= obj.n - 1:
         raise ValueError(f"border dimension {i} outside [0, {obj.n - 1}]")
-    vox = obj.voxels
-    return [e for e in cells(obj, i) if _block_absent(e, vox)]
+    return sorted(census(obj).border(i))
 
 
 def census(obj: DigitalObject) -> CellCensus:
-    """Full per-dimension census with free/non-free classification."""
+    """Full per-dimension census with free/non-free classification.
+
+    One pass over the closure of the object: for each dimension i, count how
+    many of the object's voxels have each i-cell as a face. Those voxels are
+    exactly the part of the cell's block inside the object, and the block
+    holds 2^(n-i) voxels, so an i-cell is free iff its count is below
+    2^(n-i). A voxel counts itself once (2^0), so n-cells are never free.
+    """
     n = obj.n
     vox = obj.voxels
-    by_dim: list[set[Cell]] = [set() for _ in range(n + 1)]
-    for v in vox:
-        for delta, d in _closure_offsets(n):
-            by_dim[d].add(_mk(Cell, map(add, v, delta)))
-    free_by_dim = []
-    for cells_i in by_dim:
-        free_by_dim.append(
-            frozenset(e for e in cells_i if _block_absent(e, vox))
+    cells_by_dim, free_by_dim = [], []
+    for i, deltas in enumerate(_closure_offsets(n)):
+        counts = Counter(
+            _mk(Cell, map(add, v, delta)) for v in vox for delta in deltas
         )
-    c = tuple(len(s) for s in by_dim)
-    c_star = tuple(len(s) for s in free_by_dim)
-    c_prime = tuple(a - b for a, b in zip(c, c_star))
+        full = 1 << (n - i)
+        cells_by_dim.append(frozenset(counts))
+        free_by_dim.append(frozenset(e for e, k in counts.items() if k < full))
+    c = tuple(map(len, cells_by_dim))
+    c_star = tuple(map(len, free_by_dim))
     return CellCensus(
         n=n,
         c=c,
         c_star=c_star,
-        c_prime=c_prime,
-        cells_by_dim=tuple(frozenset(s) for s in by_dim),
+        c_prime=tuple(a - b for a, b in zip(c, c_star)),
+        cells_by_dim=tuple(cells_by_dim),
         free_by_dim=tuple(free_by_dim),
     )
 
@@ -241,12 +226,4 @@ def b_boundary(obj: DigitalObject, e: Cell, j: int) -> int:
     i = e.dim
     if not i < j <= obj.n - 1:
         raise ValueError(f"need dim(e) < j <= n-1, got dim={i}, j={j}")
-    vox = obj.voxels
-    if not any(v in vox for v in cofaces(e, obj.n)):
-        raise ValueError(f"{e!r} is not a cell of the object")
-    free_j = frozenset(border(obj, j))
-    return sum(
-        1
-        for delta in _coface_offsets(_parity(e), j)
-        if tuple(map(add, e, delta)) in free_j
-    )
+    return census(obj).b_boundary(e, j)

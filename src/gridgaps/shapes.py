@@ -63,11 +63,17 @@ class ShapeSpec:
                 raise ValueError("extents length must equal n")
             if any(e < 1 for e in self.extents):
                 raise ValueError("extents must be positive")
+        elif self.extents is not None:
+            raise ValueError(f"{self.kind} takes no extents")
         if self.kind == "random":
             if self.density is None or not 0 <= self.density <= 1:
                 raise ValueError("random shape needs density in [0, 1]")
             if self.seed is None or not 0 <= self.seed < 1 << 64:
                 raise ValueError("random shape needs a 64-bit unsigned seed")
+        elif self.density is not None:
+            raise ValueError(f"{self.kind} takes no density")
+        elif self.seed is not None:
+            raise ValueError(f"{self.kind} takes no seed")
 
 
 def _axis_unit(n: int, axis: int) -> tuple[int, ...]:

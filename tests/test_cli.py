@@ -82,6 +82,18 @@ class TestCount:
         path.write_text("dvo 9\n" + " ".join(["0"] * 9) + "\n", encoding="utf-8")
         assert main(["count", str(path)]) == EXIT_CAP
 
+    def test_memory_error_exits_4(self, diag_file, monkeypatch, capsys):
+        from gridgaps import cli as cli_mod
+
+        def exhausted(obj):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_mod, "census", exhausted)
+        assert main(["count", diag_file]) == EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_json_bytes_stable(self, diag_file, capsys):
         main(["count", diag_file, "--json", "--hubs"])
         first = capsys.readouterr().out
@@ -228,6 +240,16 @@ class TestGen:
             ["gen", "--shape", "box", "--n", "2", "--extents", "2000,2000"]
         )
         assert code == EXIT_CAP
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--density", "0.3"], ["--seed", "5"], ["--extents", "2,2"]],
+    )
+    def test_fields_the_shape_ignores_are_rejected(self, extra, capsys):
+        assert main(["gen", "--shape", "single", "--n", "2"] + extra) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestUsageErrors:

@@ -57,6 +57,22 @@ class TestParse:
         assert err.value.lineno == 4
         assert "line 2" in str(err.value)
 
+    def test_out_of_range_center_cites_line_and_written_value(self):
+        big = (1 << 59) + 1
+        with pytest.raises(DvoError) as err:
+            loads(f"dvo 2\n0 0\n{big} 3\n")
+        assert err.value.lineno == 3
+        assert str(big) in str(err.value)
+        assert str(2 * big) not in str(err.value)
+        with pytest.raises(DvoError) as err:
+            loads(f"dvo 2\n# note\n0 {-big}\n")
+        assert err.value.lineno == 3 and str(-big) in str(err.value)
+
+    def test_centers_at_the_range_ends_load(self):
+        edge = 1 << 59
+        obj = loads(f"dvo 2\n{edge} {-edge}\n")
+        assert obj.centers() == [(edge, -edge)]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -199,6 +200,42 @@ class TestCounts:
         assert count_gaps_formula(obj.translate((5, -2, 1))) == base
         assert count_gaps_formula(obj.permute_axes((2, 0, 1))) == base
         assert count_gaps_oracle(obj.permute_axes((1, 0, 2)), 1).g == base
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_invariance_under_axis_reflection(self, n):
+        # negating one center coordinate maps i-cells to i-cells and blocks
+        # to blocks, so the census, all three gap counts and the mirrored
+        # hubs must be unchanged
+        def mirror(coords, axis):
+            return tuple(-x if k == axis else x for k, x in enumerate(coords))
+
+        for seed in range(4):
+            obj = random_object(n, 4, 0.5, 41 * n + seed)
+            cen = census(obj)
+            base = count_gaps_oracle(obj, n - 2, cen)
+            for axis in range(n):
+                flipped = DigitalObject.from_centers(
+                    n, [mirror(c, axis) for c in obj.centers()]
+                )
+                got_cen = census(flipped)
+                assert got_cen.c == cen.c and got_cen.c_star == cen.c_star
+                assert got_cen.c_prime == cen.c_prime
+                got = count_gaps_oracle(flipped, n - 2, got_cen)
+                assert (got.g, got.g_formula, got.g_block_formula) == (
+                    base.g, base.g_formula, base.g_block_formula
+                )
+                assert set(got.hubs) == {mirror(e, axis) for e in base.hubs}
+
+    def test_oracle_scan_takes_cells_not_freeness_from_the_census(self):
+        cen = census(DIAG3)
+        assert count_gaps_oracle(DIAG3, 1, cen) == count_gaps_oracle(DIAG3, 1)
+        # with every cell marked non-free the formulas move, the scan does not
+        doctored = replace(
+            cen, c_star=(0,) * 4, free_by_dim=(frozenset(),) * 4
+        )
+        report = count_gaps_oracle(DIAG3, 1, doctored)
+        assert report.hubs == (HUB_EDGE,) and report.g == 1
+        assert report.g_formula == 0
 
     def test_n1_rejected(self):
         line = DigitalObject.from_centers(1, [(0,), (2,)])

@@ -16,11 +16,12 @@ from gridgaps import (
     border,
     cells,
     census,
+    enumerate_all_objects,
     faces,
     is_free,
 )
 
-from oracles import o_census
+from oracles import o_cells, o_census, o_is_free
 
 SINGLE3 = DigitalObject.from_centers(3, [(0, 0, 0)])
 DOMINO3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 0, 0)])
@@ -203,6 +204,64 @@ class TestCensus:
         obj = DigitalObject.from_centers(2, centers)
         base, moved = census(obj), census(obj.translate(vec))
         assert (base.c, base.c_star) == (moved.c, moved.c_star)
+
+
+def assert_census_matches_oracle(obj: DigitalObject) -> None:
+    """Counts and cached cell sets against the interval oracles."""
+    n = obj.n
+    vox = frozenset(tuple(v) for v in obj.voxels)
+    cen = census(obj)
+    assert (cen.c, cen.c_star, cen.c_prime) == o_census(n, vox)
+    for i in range(n + 1):
+        cells_i = o_cells(vox, i)
+        assert cen.cells_by_dim[i] == cells_i
+        assert cen.free_by_dim[i] == {e for e in cells_i if o_is_free(vox, e)}
+
+
+class TestCensusDifferential:
+    """The face-multiplicity census against the interval oracles."""
+
+    @pytest.mark.parametrize("n, extents", [(3, (2, 2, 2)), (2, (3, 3))])
+    def test_every_object_of_small_boxes(self, n, extents):
+        for obj in enumerate_all_objects(n, extents):
+            assert_census_matches_oracle(obj)
+
+    @given(
+        st.sampled_from([2, 3]).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(*[st.integers(-(1 << 59) + 2, (1 << 59) - 2)] * n),
+                    min_size=1,
+                    max_size=3,
+                ),
+                st.lists(
+                    st.tuples(*[st.integers(-1, 1)] * n), min_size=1, max_size=4
+                ),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_negative_and_far_apart_centers(self, drawn):
+        # small clusters around anchors anywhere in the +-2**59 center range
+        n, anchors, offsets = drawn
+        centers = {
+            tuple(a + d for a, d in zip(anchor, offset))
+            for anchor in anchors
+            for offset in offsets
+        }
+        assert_census_matches_oracle(DigitalObject.from_centers(n, centers))
+
+    def test_extreme_centers(self):
+        edge = 1 << 59
+        obj = DigitalObject.from_centers(
+            2, [(edge, edge), (-edge, -edge), (edge - 1, edge - 1), (-edge, edge)]
+        )
+        assert_census_matches_oracle(obj)
+
+    def test_line_and_empty(self):
+        assert_census_matches_oracle(DigitalObject.from_centers(1, [(0,), (1,), (5,)]))
+        assert_census_matches_oracle(EMPTY3)
 
 
 class TestBBoundary:

@@ -113,6 +113,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ShapeSpec("diagonal_pair", 1)
 
+    @pytest.mark.parametrize("kind", ["single", "box", "l_block", "checkerboard"])
+    def test_density_only_for_random(self, kind):
+        extents = (2, 2) if kind in ("box", "checkerboard") else None
+        with pytest.raises(ValueError, match="density"):
+            ShapeSpec(kind, 2, extents=extents, density=0.3)
+
+    @pytest.mark.parametrize("kind", ["single", "box", "diagonal_pair", "checkerboard"])
+    def test_seed_only_for_random(self, kind):
+        extents = (2, 2) if kind in ("box", "checkerboard") else None
+        with pytest.raises(ValueError, match="seed"):
+            ShapeSpec(kind, 2, extents=extents, seed=5)
+
+    @pytest.mark.parametrize("kind", ["single", "diagonal_pair", "l_block", "facet_block"])
+    def test_extents_only_for_extent_kinds(self, kind):
+        with pytest.raises(ValueError, match="extents"):
+            ShapeSpec(kind, 2, extents=(2, 2))
+
 
 class TestEnumeration:
     def test_counts(self):
