@@ -26,6 +26,8 @@ from typing import Iterable, NamedTuple
 #: Construction rejects components beyond this magnitude. Face/coface offsets
 #: are +-1, so valid inputs can never collide with the guard band.
 COORD_LIMIT = 1 << 60
+#: Voxel centers are doubled into cell coordinates, so they stay within half.
+CENTER_LIMIT = COORD_LIMIT // 2
 
 _mk = tuple.__new__  # internal fast path: build cells from trusted coords
 
@@ -105,8 +107,25 @@ def dimension(cell: Cell) -> int:
 
 
 def voxel(center: Iterable[int]) -> Cell:
-    """The n-voxel centered at an integer point, in doubled coordinates."""
-    return Cell(2 * x for x in center)
+    """The n-voxel centered at an integer point, in doubled coordinates.
+
+    The one place a center becomes a voxel. Center coordinates must be
+    integers (``bool`` is rejected, as in :class:`Cell`) within +-2**59;
+    errors name the center as written, not its doubled value.
+    """
+    center = tuple(center)
+    if not center:
+        raise ValueError("a voxel center needs at least one coordinate")
+    for x in center:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(
+                f"center coordinates must be integers, got {x!r} in {center!r}"
+            )
+        if x > CENTER_LIMIT or x < -CENTER_LIMIT:
+            raise ValueError(
+                f"center coordinate {x} outside the +-2**59 range in {center!r}"
+            )
+    return _mk(Cell, [2 * x for x in center])
 
 
 def from_point_direction(point: Iterable[int], direction: Iterable[int]) -> Cell:
@@ -194,30 +213,19 @@ def dual_bounds(a: DualCell, b: DualCell) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _face_offsets(parity: tuple[int, ...], i: int) -> tuple[tuple[int, ...], ...]:
-    """Offsets from a cell of this parity pattern to its i-faces."""
-    extend_axes = tuple(k for k, p in enumerate(parity) if not p)
-    out = []
-    for axes in combinations(extend_axes, len(extend_axes) - i):
-        for signs in product((-1, 1), repeat=len(axes)):
-            delta = [0] * len(parity)
-            for k, s in zip(axes, signs):
-                delta[k] = s
-            out.append(tuple(delta))
-    return tuple(out)
+def _offsets(parity: tuple[int, ...], flat: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every +-1 step along k of the axes whose parity bit equals ``flat``.
 
-
-@lru_cache(maxsize=None)
-def _coface_offsets(parity: tuple[int, ...], j: int) -> tuple[tuple[int, ...], ...]:
-    """Offsets from a cell of this parity pattern to its j-cofaces."""
-    flat_axes = tuple(k for k, p in enumerate(parity) if p)
-    i = len(parity) - len(flat_axes)
+    Steps along flat axes (``flat=1``) reach the cofaces k dimensions up;
+    steps along extending axes (``flat=0``) reach the faces k dimensions down.
+    """
+    pool = [a for a, p in enumerate(parity) if p == flat]
     out = []
-    for axes in combinations(flat_axes, j - i):
-        for signs in product((-1, 1), repeat=len(axes)):
+    for axes in combinations(pool, k):
+        for signs in product((-1, 1), repeat=k):
             delta = [0] * len(parity)
-            for k, s in zip(axes, signs):
-                delta[k] = s
+            for a, s in zip(axes, signs):
+                delta[a] = s
             out.append(tuple(delta))
     return tuple(out)
 
@@ -235,7 +243,7 @@ def faces(f: Cell, i: int) -> frozenset[Cell]:
     if not 0 <= i <= j:
         raise ValueError(f"face dimension {i} outside [0, {j}]")
     return frozenset(
-        _mk(Cell, map(add, f, delta)) for delta in _face_offsets(_parity(f), i)
+        _mk(Cell, map(add, f, delta)) for delta in _offsets(_parity(f), 0, j - i)
     )
 
 
@@ -244,10 +252,11 @@ def cofaces(e: Cell, j: int) -> frozenset[Cell]:
 
     Size is 2^(j-i) * C(n-i, j-i) with i = dim(e).
     """
-    if not e.dim <= j <= len(e):
-        raise ValueError(f"coface dimension {j} outside [{e.dim}, {len(e)}]")
+    i = e.dim
+    if not i <= j <= len(e):
+        raise ValueError(f"coface dimension {j} outside [{i}, {len(e)}]")
     return frozenset(
-        _mk(Cell, map(add, e, delta)) for delta in _coface_offsets(_parity(e), j)
+        _mk(Cell, map(add, e, delta)) for delta in _offsets(_parity(e), 1, j - i)
     )
 
 

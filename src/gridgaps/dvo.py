@@ -3,17 +3,15 @@
 Line 1 (after any leading comments/blanks): ``dvo <n>``. Every following
 significant line holds one voxel center as n space-separated signed
 integers within +-2**59. Lines starting with ``#`` and blank lines are
-ignored anywhere. Duplicate voxels and out-of-range centers are parse
-errors, reported with their line number.
+ignored anywhere. Each center is checked by :func:`gridgaps.cells.voxel`;
+duplicate voxels and out-of-range centers are parse errors, reported with
+their line number and the center as written.
 """
 
 from __future__ import annotations
 
-from .cells import COORD_LIMIT
+from .cells import Cell, voxel
 from .objects import DigitalObject
-
-#: voxel centers are doubled into cell coordinates, which stay within +-2**60
-CENTER_LIMIT = COORD_LIMIT // 2
 
 
 class DvoError(ValueError):
@@ -27,8 +25,7 @@ class DvoError(ValueError):
 def loads(text: str) -> DigitalObject:
     """Parse .dvo text into an object."""
     n: int | None = None
-    centers: list[tuple[int, ...]] = []
-    seen: dict[tuple[int, ...], int] = {}
+    seen: dict[Cell, int] = {}  # voxel -> line, in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -51,16 +48,16 @@ def loads(text: str) -> DigitalObject:
             center = tuple(int(t) for t in tokens)
         except ValueError:
             raise DvoError(lineno, f"non-integer coordinate in {line!r}") from None
-        for x in center:
-            if not -CENTER_LIMIT <= x <= CENTER_LIMIT:
-                raise DvoError(lineno, f"center coordinate {x} outside the +-2**59 range")
-        if center in seen:
-            raise DvoError(lineno, f"duplicate voxel {center} (first on line {seen[center]})")
-        seen[center] = lineno
-        centers.append(center)
+        try:
+            v = voxel(center)
+        except ValueError as err:
+            raise DvoError(lineno, str(err)) from None
+        if v in seen:
+            raise DvoError(lineno, f"duplicate voxel {center} (first on line {seen[v]})")
+        seen[v] = lineno
     if n is None:
         raise DvoError(1, "missing 'dvo <n>' header")
-    return DigitalObject.from_centers(n, centers)
+    return DigitalObject(n, seen)
 
 
 def load(path: str) -> DigitalObject:

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import product
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .cells import Cell, _coface_offsets, _mk, _parity
+from .cells import Cell, _mk, _offsets, _parity, _require_voxel, voxel
 
 
 class DigitalObject:
@@ -40,8 +38,7 @@ class DigitalObject:
         for v in listed:
             if len(v) != n:
                 raise ValueError(f"voxel {v!r} does not have {n} coordinates")
-            if any(x & 1 for x in v):
-                raise ValueError(f"{v!r} is not a voxel (odd component present)")
+            _require_voxel(v)
         vox = frozenset(listed)
         if len(vox) != len(listed):
             raise ValueError("duplicate voxels in input")
@@ -53,7 +50,7 @@ class DigitalObject:
         cls, n: int, centers: Iterable[Sequence[int]]
     ) -> "DigitalObject":
         """Build from integer voxel centers (the usual user-facing form)."""
-        return cls(n, (Cell(2 * x for x in c) for c in centers))
+        return cls(n, map(voxel, centers))
 
     @property
     def n(self) -> int:
@@ -68,12 +65,16 @@ class DigitalObject:
         return sorted(tuple(x // 2 for x in v) for v in self._voxels)
 
     def translate(self, vector: Sequence[int]) -> "DigitalObject":
+        """Shift every voxel center by an integer vector.
+
+        The shifted centers pass the same check as :meth:`from_centers`, so a
+        center pushed outside +-2**59 is a ``ValueError`` naming it.
+        """
         vec = tuple(vector)
         if len(vec) != self._n:
             raise ValueError("translation vector has wrong length")
-        return DigitalObject(
-            self._n,
-            (_mk(Cell, (x + 2 * t for x, t in zip(v, vec))) for v in self._voxels),
+        return DigitalObject.from_centers(
+            self._n, ([x // 2 + t for x, t in zip(v, vec)] for v in self._voxels)
         )
 
     def permute_axes(self, perm: Sequence[int]) -> "DigitalObject":
@@ -145,18 +146,9 @@ class CellCensus:
         free_j = self.free_by_dim[j]
         return sum(
             1
-            for delta in _coface_offsets(_parity(e), j)
+            for delta in _offsets(_parity(e), 1, j - i)
             if tuple(map(add, e, delta)) in free_j
         )
-
-
-@lru_cache(maxsize=None)
-def _closure_offsets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The 3^n offsets from a voxel to its faces, grouped by face dimension."""
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    for delta in product((-1, 0, 1), repeat=n):
-        by_dim[delta.count(0)].append(delta)
-    return tuple(map(tuple, by_dim))
 
 
 def cells(obj: DigitalObject, i: int) -> list[Cell]:
@@ -198,7 +190,8 @@ def census(obj: DigitalObject) -> CellCensus:
     n = obj.n
     vox = obj.voxels
     cells_by_dim, free_by_dim = [], []
-    for i, deltas in enumerate(_closure_offsets(n)):
+    for i in range(n + 1):
+        deltas = _offsets((0,) * n, 0, n - i)
         counts = Counter(
             _mk(Cell, map(add, v, delta)) for v in vox for delta in deltas
         )

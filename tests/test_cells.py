@@ -64,6 +64,22 @@ class TestEncoding:
             Cell((1 << 61,))
         Cell((1 << 60,))  # the boundary itself is fine
 
+    def test_voxel_checks_the_center_as_written(self):
+        big = (1 << 59) + 1
+        with pytest.raises(ValueError) as err:
+            voxel((big, 0))
+        assert str(big) in str(err.value) and str(2 * big) not in str(err.value)
+        with pytest.raises(ValueError, match=str(-big)):
+            voxel((0, -big))
+        edge = 1 << 59
+        assert voxel((edge, -edge)) == Cell((2 * edge, -2 * edge))
+        with pytest.raises(TypeError, match="0.5"):
+            voxel((0.5, 0))
+        with pytest.raises(TypeError):
+            voxel((True, 0))
+        with pytest.raises(ValueError):
+            voxel(())
+
     @given(small_n.flatmap(lambda n: cell_coords(n)))
     def test_point_direction_representations_collapse(self, coords):
         # any valid (point, direction) pair for the cell maps back to it

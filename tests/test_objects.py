@@ -20,6 +20,7 @@ from gridgaps import (
     faces,
     is_free,
 )
+from gridgaps.dvo import dumps, loads
 
 from oracles import o_cells, o_census, o_is_free
 
@@ -62,6 +63,51 @@ class TestConstruction:
     def test_centers_round_trip(self):
         pts = [(0, -2, 5), (1, 1, 0)]
         assert DigitalObject.from_centers(3, pts).centers() == sorted(pts)
+
+    def test_out_of_range_center_named_as_written(self):
+        big = (1 << 59) + 1
+        with pytest.raises(ValueError) as err:
+            DigitalObject.from_centers(2, [(0, 0), (big, 0)])
+        assert str(big) in str(err.value) and str(2 * big) not in str(err.value)
+
+    def test_non_integer_center_named_as_written(self):
+        with pytest.raises(TypeError, match="0.5"):
+            DigitalObject.from_centers(2, [(0.5, 0)])
+
+    def test_bool_center_rejected(self):
+        with pytest.raises(TypeError):
+            DigitalObject.from_centers(2, [(True, 0)])
+
+    def test_translate_out_of_range_raises(self):
+        obj = DigitalObject.from_centers(2, [(0, 0), (1, 1)])
+        with pytest.raises(ValueError) as err:
+            obj.translate((1 << 60, 0))
+        # either shifted center may be checked first; both are out of range
+        big = 1 << 60
+        assert f"({big}, 0)" in str(err.value) or f"({big + 1}, 1)" in str(err.value)
+        edge = 1 << 59
+        assert obj.translate((edge - 1, -edge)).centers() == [
+            (edge - 1, -edge),
+            (edge, 1 - edge),
+        ]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        ),
+        st.tuples(st.integers(-(1 << 60), 1 << 60), st.integers(-(1 << 60), 1 << 60)),
+    )
+    @settings(max_examples=80)
+    def test_translate_result_round_trips_or_raises(self, centers, vec):
+        obj = DigitalObject.from_centers(2, centers)
+        try:
+            moved = obj.translate(vec)
+        except ValueError:
+            return
+        assert loads(dumps(moved)) == moved
 
     def test_value_semantics(self):
         a = DigitalObject.from_centers(2, [(0, 0), (1, 1)])
