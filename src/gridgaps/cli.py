@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import repeat
+from dataclasses import replace
 from math import prod
 from typing import Any, Iterable
 
@@ -44,8 +44,8 @@ class ResourceCapError(RuntimeError):
 def _check_caps(
     n: int | None = None, voxels: int = 0, sites: Iterable[int] = ()
 ) -> None:
-    """Refuse work beyond the caps; n goes first, so ``sites`` (the extents
-    whose product is the site count) may lazily repeat an extent n times."""
+    """Refuse work beyond the caps; ``sites`` holds the extents whose product
+    is the site count."""
     if n is not None and n > MAX_CENSUS_DIM:
         raise ResourceCapError(
             f"n={n} exceeds the full-census cap n <= {MAX_CENSUS_DIM}"
@@ -164,17 +164,13 @@ def _verify_objects(args: argparse.Namespace) -> list[tuple[str, DigitalObject]]
             ) from None
         if trials < 1:
             raise ValueError("--random needs at least one trial")
-        _check_caps(n=n, sites=repeat(extent, n))
+        _check_caps(n=n)
+        first = ShapeSpec("random", n, extents=(extent,) * n, density=density, seed=seed)
+        _check_caps(sites=first.extents)
         out = []
         for t in range(trials):
-            spec = ShapeSpec(
-                kind="random",
-                n=n,
-                extents=(extent,) * n,
-                density=density,
-                seed=seed + t,
-            )
-            out.append((f"random trial {t} (seed {seed + t})", generate(spec)))
+            obj = generate(replace(first, seed=seed + t))
+            out.append((f"random trial {t} (seed {seed + t})", obj))
         return out
     if args.file is None:
         raise ValueError("verify needs a FILE or --random")

@@ -1,17 +1,21 @@
 """The .dvo text format for digital objects.
 
 Line 1 (after any leading comments/blanks): ``dvo <n>``. Every following
-significant line holds one voxel center as n space-separated signed
-integers within +-2**59. Lines starting with ``#`` and blank lines are
-ignored anywhere. Each center is checked by :func:`gridgaps.cells.voxel`;
-duplicate voxels and out-of-range centers are parse errors, reported with
-their line number and the center as written.
+significant line holds one voxel center as n space-separated integers
+within +-2**59. Integers are ASCII decimal, optional sign. Lines starting
+with ``#`` and blank lines are ignored anywhere. Each center is checked by
+:func:`gridgaps.cells.voxel`; duplicate voxels and out-of-range centers are
+parse errors, reported with their line number and the center as written.
 """
 
 from __future__ import annotations
 
+import re
+
 from .cells import Cell, voxel
 from .objects import DigitalObject
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class DvoError(ValueError):
@@ -20,6 +24,12 @@ class DvoError(ValueError):
     def __init__(self, lineno: int, message: str) -> None:
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+def _integer(token: str) -> int:
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(token)
+    return int(token)
 
 
 def loads(text: str) -> DigitalObject:
@@ -35,7 +45,7 @@ def loads(text: str) -> DigitalObject:
             if len(tokens) != 2 or tokens[0] != "dvo":
                 raise DvoError(lineno, f"expected header 'dvo <n>', got {line!r}")
             try:
-                n = int(tokens[1])
+                n = _integer(tokens[1])
             except ValueError:
                 raise DvoError(lineno, f"dimension {tokens[1]!r} is not an integer") from None
             if n < 1:
@@ -45,7 +55,7 @@ def loads(text: str) -> DigitalObject:
         if len(tokens) != n:
             raise DvoError(lineno, f"expected {n} coordinates, got {len(tokens)}")
         try:
-            center = tuple(int(t) for t in tokens)
+            center = tuple(map(_integer, tokens))
         except ValueError:
             raise DvoError(lineno, f"non-integer coordinate in {line!r}") from None
         try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 
 from .cells import (
@@ -137,6 +138,11 @@ def is_gap_by_adjacency(obj: DigitalObject, e: Cell) -> bool:
     return False
 
 
+@lru_cache(maxsize=1)
+def _scan(obj: DigitalObject, i: int, cells: frozenset[Cell]) -> tuple[Cell, ...]:
+    return tuple(sorted(e for e in cells if is_gap(obj, e, i)))
+
+
 def count_gaps_oracle(
     obj: DigitalObject, i: int, cen: CellCensus | None = None
 ) -> GapReport:
@@ -147,15 +153,18 @@ def count_gaps_oracle(
     over ``is_gap``; everything else that needs the hubs takes them from
     here. The scan covers all i-cells, free or not, so its count never
     relies on the census's freeness, which the formulas do.
+
+    The most recent object's scan is kept, keyed by what it reads (the
+    object, i and the census's i-cells), so the identities and the hub/nub
+    partition on one object share one scan; the formulas still come from
+    ``cen`` on every call. ``lru_cache`` keeps this thread-safe.
     """
     n = obj.n
     if not 0 <= i <= n - 2:
         raise ValueError(f"gap dimension {i} outside [0, {n - 2}]")
     if cen is None:
         cen = census(obj)
-    hubs = tuple(
-        sorted(e for e in cen.cells_by_dim[i] if is_gap(obj, e, i))
-    )
+    hubs = _scan(obj, i, cen.cells_by_dim[i])
     if i == n - 2:
         return GapReport(
             i=i,

@@ -10,6 +10,8 @@ callers can verify that a corrupted census is caught.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
+from typing import Callable
 
 from .cells import faces
 from .counting import c_bounding
@@ -33,38 +35,58 @@ class IdentityResult:
     witness: str = ""
 
 
-def _witness(obj: DigitalObject, detail: str) -> str:
-    centers = obj.centers()
-    shown = centers if len(centers) <= 24 else centers[:24] + ["..."]
-    return f"object n={obj.n} centers={shown}; {detail}"
+#: a check returns how many cases it checked, and what it saw on failure
+_Outcome = tuple[int, str | None]
+_Check = Callable[[DigitalObject, CellCensus], _Outcome]
+_Identity = Callable[[DigitalObject, CellCensus], IdentityResult]
 
 
-def census_partition(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
+def _identity(name: str, codim2: bool = False) -> Callable[[_Check], _Identity]:
+    """Make a check into the identity ``name``, building its result here.
+
+    A ``codim2`` check is over (n-2)-cells, so it holds with 0 checked below
+    n = 2. A failure's witness is the object (at most 24 centers), then the
+    check's detail.
+    """
+
+    def wrap(check: _Check) -> _Identity:
+        @wraps(check)
+        def identity(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
+            checked, detail = (0, None) if codim2 and obj.n < 2 else check(obj, cen)
+            witness = ""
+            if detail is not None:
+                centers = obj.centers()
+                shown = centers if len(centers) <= 24 else centers[:24] + ["..."]
+                witness = f"object n={obj.n} centers={shown}; {detail}"
+            return IdentityResult(name, detail is None, checked, witness)
+
+        return identity
+
+    return wrap
+
+
+@_identity("census-partition")
+def census_partition(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """c_i = c*_i + c'_i for every dimension."""
     for i in range(obj.n + 1):
         if cen.c[i] != cen.c_star[i] + cen.c_prime[i]:
-            return IdentityResult(
-                "census-partition",
-                False,
-                obj.n + 1,
-                _witness(obj, f"dim {i}: c={cen.c[i]} c*={cen.c_star[i]} c'={cen.c_prime[i]}"),
-            )
-    return IdentityResult("census-partition", True, obj.n + 1)
+            return obj.n + 1, f"dim {i}: c={cen.c[i]} c*={cen.c_star[i]} c'={cen.c_prime[i]}"
+    return obj.n + 1, None
 
 
-def facet_count(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
+@_identity("facet-count")
+def facet_count(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """c_{n-1} = 2n * c_n - c'_{n-1}."""
     n = obj.n
     lhs = cen.c[n - 1]
     rhs = 2 * n * cen.c[n] - cen.c_prime[n - 1]
     if lhs != rhs:
-        return IdentityResult(
-            "facet-count", False, 1, _witness(obj, f"c_(n-1)={lhs} but 2n*c_n - c'_(n-1)={rhs}")
-        )
-    return IdentityResult("facet-count", True, 1)
+        return 1, f"c_(n-1)={lhs} but 2n*c_n - c'_(n-1)={rhs}"
+    return 1, None
 
 
-def border_sum(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
+@_identity("border-sum")
+def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """sum of b_j(e) over the i-border equals c_bounding(i,j) * c*_j."""
     n = obj.n
     checked = 0
@@ -74,89 +96,60 @@ def border_sum(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
             lhs = sum(cen.b_boundary(e, j) for e in cen.free_by_dim[i])
             rhs = c_bounding(i, j) * cen.c_star[j]
             if lhs != rhs:
-                return IdentityResult(
-                    "border-sum",
-                    False,
-                    checked,
-                    _witness(obj, f"(i={i}, j={j}): sum={lhs} formula={rhs}"),
-                )
-    return IdentityResult("border-sum", True, checked)
+                return checked, f"(i={i}, j={j}): sum={lhs} formula={rhs}"
+    return checked, None
 
 
-def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
+@_identity("hub-nub-degree", codim2=True)
+def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Every free (n-2)-cell bounds 4 free facets if a hub, else 2."""
     n = obj.n
-    if n < 2:
-        return IdentityResult("hub-nub-degree", True, 0)
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    checked = 0
-    for e in cen.free_by_dim[n - 2]:
-        checked += 1
+    free = cen.free_by_dim[n - 2]
+    for checked, e in enumerate(free, 1):
         expected = 4 if e in hubs else 2
         got = cen.b_boundary(e, n - 1)
         if got != expected:
-            return IdentityResult(
-                "hub-nub-degree",
-                False,
-                checked,
-                _witness(obj, f"cell={tuple(e)}: b_(n-1)={got}, expected {expected}"),
-            )
-    return IdentityResult("hub-nub-degree", True, checked)
+            return checked, f"cell={tuple(e)}: b_(n-1)={got}, expected {expected}"
+    return len(free), None
 
 
-def gap_triple_agreement(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
+@_identity("gap-triple-agreement", codim2=True)
+def gap_triple_agreement(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Direct scan, free-cell formula and block formula count the same gaps."""
     n = obj.n
-    if n < 2:
-        return IdentityResult("gap-triple-agreement", True, 0)
     report = count_gaps_oracle(obj, n - 2, cen)
     if not report.g == report.g_formula == report.g_block_formula:
-        return IdentityResult(
-            "gap-triple-agreement",
-            False,
-            1,
-            _witness(
-                obj,
-                f"scan={report.g} formula={report.g_formula}"
-                f" block-formula={report.g_block_formula}",
-            ),
+        return 1, (
+            f"scan={report.g} formula={report.g_formula}"
+            f" block-formula={report.g_block_formula}"
         )
-    return IdentityResult("gap-triple-agreement", True, 1)
+    return 1, None
 
 
-def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
+@_identity("detector-equivalence", codim2=True)
+def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Block inspection and the adjacency conditions find the same hubs."""
     n = obj.n
-    if n < 2:
-        return IdentityResult("detector-equivalence", True, 0)
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    checked = 0
-    for e in cen.cells_by_dim[n - 2]:
-        checked += 1
+    cells = cen.cells_by_dim[n - 2]
+    for checked, e in enumerate(cells, 1):
         if (e in hubs) != is_gap_by_adjacency(obj, e):
-            return IdentityResult(
-                "detector-equivalence",
-                False,
-                checked,
-                _witness(obj, f"cell={tuple(e)}: detectors disagree"),
-            )
-    return IdentityResult("detector-equivalence", True, checked)
+            return checked, f"cell={tuple(e)}: detectors disagree"
+    return len(cells), None
 
 
-def classification_totality(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
+@_identity("classification-totality", codim2=True)
+def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Each (n-2)-cell gets exactly one consistent tag.
 
     Consistency: witness arity matches the tag, the full block is exactly
     the non-free case, and the tandem tag is exactly the gap detector's yes.
     """
     n = obj.n
-    if n < 2:
-        return IdentityResult("classification-totality", True, 0)
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    checked = 0
-    free = cen.free_by_dim[n - 2]
-    for e in cen.cells_by_dim[n - 2]:
-        checked += 1
+    free, cells = cen.free_by_dim[n - 2], cen.cells_by_dim[n - 2]
+    for checked, e in enumerate(cells, 1):
         klass = classify_cell(obj, e)
         bad = None
         if len(klass.voxels) != _TAG_ARITY[klass.tag]:
@@ -166,16 +159,12 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> IdentityResu
         elif (klass.tag is HubTag.GAP_TANDEM) != (e in hubs):
             bad = f"tag {klass.tag.value} vs gap detector"
         if bad:
-            return IdentityResult(
-                "classification-totality",
-                False,
-                checked,
-                _witness(obj, f"cell={tuple(e)}: {bad}"),
-            )
-    return IdentityResult("classification-totality", True, checked)
+            return checked, f"cell={tuple(e)}: {bad}"
+    return len(cells), None
 
 
-def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
+@_identity("free-face-heredity")
+def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Every (j-1)-face of a free j-cell is itself free (hence every face is)."""
     checked = 0
     for j in range(1, obj.n):
@@ -185,13 +174,8 @@ def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> IdentityResult:
             checked += 1
             for e in faces(f, j - 1):
                 if e not in free_below:
-                    return IdentityResult(
-                        "free-face-heredity",
-                        False,
-                        checked,
-                        _witness(obj, f"free cell {tuple(f)} has non-free face {tuple(e)}"),
-                    )
-    return IdentityResult("free-face-heredity", True, checked)
+                    return checked, f"free cell {tuple(f)} has non-free face {tuple(e)}"
+    return checked, None
 
 
 ALL_IDENTITIES = (

@@ -165,6 +165,21 @@ class TestVerify:
     def test_random_extent_cap(self, capsys):
         assert main(["verify", "--random", "3", "1000", "0.5", "1", "1"]) == EXIT_CAP
 
+    @pytest.mark.parametrize("n, extent", [("2", "-2000"), ("4", "-1000"), ("3", "0")])
+    def test_random_non_positive_extent_is_an_input_error(self, n, extent, capsys):
+        assert main(["verify", "--random", n, extent, "0.5", "1", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: extents must be positive\n"
+
+    def test_random_dimension_cap_exits_4(self, capsys):
+        assert main(["verify", "--random", "9", "-2", "0.5", "1", "1"]) == EXIT_CAP
+
+    def test_dvo_integer_format_is_an_input_error(self, tmp_path, capsys):
+        for token in ("1_0", "\u0663"):
+            path = tmp_path / "bad.dvo"
+            path.write_text(f"dvo 2\n10 0\n{token} 0\n", encoding="utf-8")
+            assert main(["count", str(path)]) == EXIT_INPUT
+            assert capsys.readouterr().err.startswith("error: line 3: non-integer")
+
     def test_file_and_random_conflict(self, diag_file, capsys):
         code = main(["verify", diag_file, "--random", "2", "3", "0.5", "1", "2"])
         assert code == EXIT_INPUT

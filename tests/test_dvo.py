@@ -73,6 +73,24 @@ class TestParse:
         obj = loads(f"dvo 2\n{edge} {-edge}\n")
         assert obj.centers() == [(edge, -edge)]
 
+    @pytest.mark.parametrize(
+        "token", ["1_0", "\u0663", "1_152_921_504_606_846_977", "0x1", "+-1", "\uff11"]
+    )
+    def test_only_ascii_decimal_coordinates(self, token):
+        with pytest.raises(DvoError) as err:
+            loads(f"dvo 2\n10 0\n{token} 0\n")
+        assert err.value.lineno == 3
+        assert str(err.value) == f"line 3: non-integer coordinate in {token + ' 0'!r}"
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "+\u0662"])
+    def test_only_ascii_decimal_dimension(self, token):
+        with pytest.raises(DvoError) as err:
+            loads(f"# header next\ndvo {token}\n0 0\n")
+        assert str(err.value) == f"line 2: dimension {token!r} is not an integer"
+
+    def test_signed_ascii_integers_load(self):
+        assert loads("dvo +2\n+3 -007\n").centers() == [(3, -7)]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
