@@ -56,8 +56,8 @@ def _check_caps(
 
 
 def _load(path: str) -> DigitalObject:
-    obj = dvo.load(path)
-    _check_caps(n=obj.n, voxels=len(obj))
+    obj = dvo.load(path, check_n=_check_caps)  # n is refused at the header
+    _check_caps(voxels=len(obj))
     return obj
 
 

@@ -9,17 +9,27 @@ of every (n-2)-cell, by the free-cell formula (n-1)*c*_{n-1} - c*_{n-2}, and
 by an equivalent formula over total cell counts and contained blocks. The
 three must agree on every object; a disagreement is an engine bug, never
 valid output.
+
+``classify_cell`` tags one (n-2)-cell by probing its block.
+``classification_histogram`` counts the tags of all of them without a
+census: one pass over the voxels' (n-2)-faces builds each cell's 4-bit
+block trace, one bit per block voxel present, and a 15-entry table maps
+each trace to its tag.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .cells import (
     Cell,
+    _mk,
+    _offsets,
     adjacency,
     adjacent_voxels,
     block,
@@ -220,15 +230,53 @@ def hub_nub_partition(
     return hubs, cen.free_by_dim[n - 2] - hubs
 
 
-def classification_histogram(
-    obj: DigitalObject, cen: CellCensus | None = None
-) -> dict[HubTag, int]:
-    """Tag counts over all (n-2)-cells of the object; totals to c_{n-2}."""
-    if obj.n < 2:
+#: tag of each block trace, a 4-bit mask with one bit per block voxel
+#: present: bit 2*ha + hb for the voxel on the + side (h = 1) or the - side
+#: (h = 0) of the cell's first and second flat axis. The bit count is the
+#: arity, and the diagonal pairs 0b0110 and 0b1001 are the gap tandems.
+_TRACE_TAG = tuple(
+    HubTag.GAP_TANDEM
+    if mask in (0b0110, 0b1001)
+    else (None, HubTag.SIMPLE, HubTag.FACET_PAIR_BLOCK, HubTag.L_BLOCK,
+          HubTag.FULL_BLOCK)[bin(mask).count("1")]
+    for mask in range(16)
+)
+
+
+@lru_cache(maxsize=None)
+def _face_corners(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each (n-2)-face offset d of a voxel v, with v's bit in the trace of
+    the block of v + d: v sits on the - side of that block along an axis
+    where d steps +1, and on the + side where d steps -1.
+    """
+    out = []
+    for d in _offsets((0,) * n, 0, 2):
+        sa, sb = (s for s in d if s)
+        out.append((d, 1 << (2 * (sa < 0) + (sb < 0))))
+    return tuple(out)
+
+
+def classification_histogram(obj: DigitalObject) -> dict[HubTag, int]:
+    """Tag counts over all (n-2)-cells of the object; totals to c_{n-2}.
+
+    One pass over the (n-2)-faces of every voxel, with no census and no
+    per-cell block probe: each voxel sets its corner's bit in the 4-bit
+    trace of that face's 2x2 block, and each trace names its tag (the bit
+    count is the arity; 0b0110 and 0b1001 are the diagonal pairs, the gap
+    tandems). ``classify_cell`` is the independent per-cell route that the
+    tests and the classification-totality identity compare this against.
+    """
+    n = obj.n
+    if n < 2:
         raise ValueError("classification needs ambient dimension n >= 2")
-    if cen is None:
-        cen = census(obj)
+    corners = _face_corners(n)
+    masks: dict[Cell, int] = {}
+    get = masks.get
+    for v in obj.voxels:
+        for d, bit in corners:
+            e = _mk(Cell, map(add, v, d))
+            masks[e] = get(e, 0) | bit
     hist = {tag: 0 for tag in HubTag}
-    for e in cen.cells_by_dim[obj.n - 2]:
-        hist[classify_cell(obj, e).tag] += 1
+    for mask, k in Counter(masks.values()).items():
+        hist[_TRACE_TAG[mask]] += k
     return hist

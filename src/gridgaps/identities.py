@@ -15,7 +15,13 @@ from typing import Callable
 
 from .cells import faces
 from .counting import c_bounding
-from .gaps import HubTag, classify_cell, count_gaps_oracle, is_gap_by_adjacency
+from .gaps import (
+    HubTag,
+    classification_histogram,
+    classify_cell,
+    count_gaps_oracle,
+    is_gap_by_adjacency,
+)
 from .objects import CellCensus, DigitalObject, census
 
 _TAG_ARITY = {
@@ -145,12 +151,16 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 
     Consistency: witness arity matches the tag, the full block is exactly
     the non-free case, and the tandem tag is exactly the gap detector's yes.
+    Then the tally of these tags must equal ``classification_histogram``,
+    the one-pass block-trace route behind ``classify``.
     """
     n = obj.n
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
     free, cells = cen.free_by_dim[n - 2], cen.cells_by_dim[n - 2]
+    tally = {tag: 0 for tag in HubTag}
     for checked, e in enumerate(cells, 1):
         klass = classify_cell(obj, e)
+        tally[klass.tag] += 1
         bad = None
         if len(klass.voxels) != _TAG_ARITY[klass.tag]:
             bad = f"tag {klass.tag.value} with {len(klass.voxels)} voxels"
@@ -160,6 +170,10 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
             bad = f"tag {klass.tag.value} vs gap detector"
         if bad:
             return checked, f"cell={tuple(e)}: {bad}"
+    hist = classification_histogram(obj)
+    if hist != tally:
+        shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
+        return len(cells), "histogram {} but classify_cell tally {}".format(*shown)
     return len(cells), None
 
 

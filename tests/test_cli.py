@@ -82,6 +82,26 @@ class TestCount:
         path.write_text("dvo 9\n" + " ".join(["0"] * 9) + "\n", encoding="utf-8")
         assert main(["count", str(path)]) == EXIT_CAP
 
+    def test_dimension_cap_is_checked_at_the_header(self, tmp_path, monkeypatch, capsys):
+        from gridgaps import dvo
+
+        calls = []
+        real = dvo.voxel
+
+        def counted(center):
+            calls.append(center)
+            return real(center)
+
+        monkeypatch.setattr(dvo, "voxel", counted)
+        path = tmp_path / "big.dvo"
+        path.write_text(
+            "dvo 9\n" + "".join(f"{k} 0 0 0 0 0 0 0 0\n" for k in range(3)),
+            encoding="utf-8",
+        )
+        assert main(["count", str(path)]) == EXIT_CAP
+        assert calls == []
+        assert capsys.readouterr().err == "error: n=9 exceeds the full-census cap n <= 8\n"
+
     def test_memory_error_exits_4(self, diag_file, monkeypatch, capsys):
         from gridgaps import cli as cli_mod
 

@@ -91,6 +91,35 @@ class TestParse:
     def test_signed_ascii_integers_load(self):
         assert loads("dvo +2\n+3 -007\n").centers() == [(3, -7)]
 
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_integer_past_the_int_digit_limit_is_out_of_range(self, sign):
+        # int() refuses strings of more than 4,300 digits; such a token is an
+        # integer far outside +-2**59, named shortened, never the whole line
+        token = sign + "12345678901234567890" + "7" * 4281
+        with pytest.raises(DvoError) as err:
+            loads(f"dvo 2\n0 0\n5 {token}\n")
+        assert err.value.lineno == 3
+        assert str(err.value) == (
+            f"line 3: center coordinate {sign}12345678901234567890..."
+            " (4301 digits) outside the +-2**59 range"
+        )
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        assert loads("dvo 0002\n" + "0" * 5000 + "3 -" + "0" * 5000 + "\n").centers() == [
+            (3, 0)
+        ]
+
+    def test_dimension_past_the_int_digit_limit(self):
+        digits = "9" * 4400
+        with pytest.raises(DvoError) as err:
+            loads(f"# big\ndvo {digits}\n")
+        assert str(err.value) == f"line 2: dimension {digits[:20]}... (4400 digits) is too large"
+        with pytest.raises(DvoError) as err:
+            loads(f"dvo -{digits}\n")
+        assert str(err.value) == (
+            f"line 1: dimension must be >= 1, got -{digits[:20]}... (4400 digits)"
+        )
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

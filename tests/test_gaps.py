@@ -7,6 +7,8 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridgaps import (
     Cell,
@@ -19,10 +21,12 @@ from gridgaps import (
     count_gaps_block_formula,
     count_gaps_formula,
     count_gaps_oracle,
+    enumerate_all_objects,
     hub_nub_partition,
     is_gap,
     is_gap_by_adjacency,
 )
+from gridgaps.cli import main
 
 from oracles import o_gap_count
 
@@ -98,6 +102,69 @@ class TestClassify:
                 klass = classify_cell(obj, e)
                 assert (klass.tag is HubTag.FULL_BLOCK) == (e not in free)
                 assert (klass.tag is HubTag.GAP_TANDEM) == is_gap(obj, e, n - 2)
+
+
+def classify_cell_tally(obj: DigitalObject) -> dict[HubTag, int]:
+    hist = {tag: 0 for tag in HubTag}
+    for e in census(obj).cells_by_dim[obj.n - 2]:
+        hist[classify_cell(obj, e).tag] += 1
+    return hist
+
+
+class TestHistogramDifferential:
+    """The one-pass block-trace histogram against per-cell classify_cell."""
+
+    @pytest.mark.parametrize("n, extents", [(3, (2, 2, 2)), (2, (3, 3))])
+    def test_every_object_of_small_boxes(self, n, extents):
+        for obj in enumerate_all_objects(n, extents):
+            assert classification_histogram(obj) == classify_cell_tally(obj)
+
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(*[st.integers(-(1 << 59) + 1, (1 << 59) - 1)] * n),
+                    min_size=1,
+                    max_size=3,
+                ),
+                st.lists(
+                    st.tuples(*[st.integers(-1, 1)] * n), min_size=1, max_size=8
+                ),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_negative_and_far_apart_centers(self, drawn):
+        # small clusters around anchors anywhere in the +-2**59 center range,
+        # so blocks across every axis pair meet voxels on both sides
+        n, anchors, offsets = drawn
+        centers = {
+            tuple(a + d for a, d in zip(anchor, offset))
+            for anchor in anchors
+            for offset in offsets
+        }
+        obj = DigitalObject.from_centers(n, centers)
+        assert classification_histogram(obj) == classify_cell_tally(obj)
+
+    def test_classify_runs_no_census(self, tmp_path, monkeypatch, capsys):
+        from gridgaps import cli, gaps, objects
+
+        path = tmp_path / "obj.dvo"
+        path.write_text("dvo 3\n0 0 0\n1 1 0\n1 0 0\n2 2 1\n", encoding="utf-8")
+        expected = []
+        for flags in ([], ["--json"]):
+            assert main(["classify", str(path), *flags]) == 0
+            expected.append(capsys.readouterr().out)
+
+        def refused(obj):
+            raise AssertionError("classify ran a census")
+
+        for module in (gaps, cli, objects):
+            monkeypatch.setattr(module, "census", refused)
+        for flags, out in zip(([], ["--json"]), expected):
+            assert main(["classify", str(path), *flags]) == 0
+            assert capsys.readouterr().out == out
 
 
 class TestIsGap:

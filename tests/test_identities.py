@@ -8,7 +8,7 @@ import pytest
 
 from gridgaps import DigitalObject, census, gaps, identities
 from gridgaps.cells import Cell
-from gridgaps.gaps import count_gaps_oracle, is_gap
+from gridgaps.gaps import HubTag, count_gaps_oracle, is_gap
 from gridgaps.identities import (
     IdentityResult,
     border_sum,
@@ -87,6 +87,22 @@ class TestFailureResults:
         result = detector_equivalence(DIAG3, census(DIAG3))
         assert result == IdentityResult(
             "detector-equivalence", False, 7, PREFIX + "cell=(1, 1, 0): detectors disagree"
+        )
+
+    def test_histogram_disagreement(self, monkeypatch):
+        wrong = {tag: 0 for tag in HubTag}
+        wrong[HubTag.SIMPLE] = 23
+        monkeypatch.setattr(identities, "classification_histogram", lambda obj: wrong)
+        result = classification_totality(DIAG3, census(DIAG3))
+        assert result == IdentityResult(
+            "classification-totality",
+            False,
+            23,
+            PREFIX
+            + "histogram {'simple': 23, 'facet_pair_block': 0, 'gap_tandem': 0,"
+            " 'l_block': 0, 'full_block': 0} but classify_cell tally"
+            " {'simple': 22, 'facet_pair_block': 0, 'gap_tandem': 1,"
+            " 'l_block': 0, 'full_block': 0}",
         )
 
     def test_long_object_witness_is_cut_at_24_centers(self):
