@@ -51,7 +51,7 @@ from .gaps import (
     is_gap_by_adjacency,
 )
 from .identities import IdentityResult, check_object
-from .objects import CellCensus, DigitalObject, b_boundary, border, cells, census, is_free
+from .objects import CellCensus, DigitalObject, census
 from .shapes import ShapeSpec, enumerate_all_objects, generate
 
 __version__ = "0.1.0"
@@ -69,16 +69,13 @@ __all__ = [
     "ShapeSpec",
     "adjacency",
     "adjacent_voxels",
-    "b_boundary",
     "b_in_voxel",
     "block",
     "block_cell_count",
     "block_free_facets",
-    "border",
     "bounds",
     "c_bounded",
     "c_bounding",
-    "cells",
     "census",
     "check_object",
     "classification_histogram",
@@ -99,7 +96,6 @@ __all__ = [
     "hub_nub_partition",
     "incidence_sum_check",
     "incident",
-    "is_free",
     "is_gap",
     "is_gap_by_adjacency",
     "lblock_cell_count",

@@ -12,7 +12,7 @@ parse errors, reported with their line number and the center as written.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cells import Cell, voxel
 from .objects import DigitalObject
@@ -47,9 +47,14 @@ def _integer(token: str) -> int:
     return int(token)
 
 
-def _significant(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) of each line not blank or a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _significant(chunks: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line not blank or a comment.
+
+    Each chunk (a file's line, or a whole text) is split as by ``str.splitlines``,
+    which breaks at more characters (``\x0c``, ``\x85`` ...) than a file does.
+    """
+    lines = (line for chunk in chunks for line in chunk.splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -75,13 +80,8 @@ def _header(lines: Iterator[tuple[int, str]]) -> int:
     raise DvoError(1, "missing 'dvo <n>' header")
 
 
-def loads(text: str, check_n: Callable[[int], None] | None = None) -> DigitalObject:
-    """Parse .dvo text into an object.
-
-    ``check_n``, when given, is called with the header's dimension before
-    any voxel line is parsed, so a caller can refuse the input there.
-    """
-    lines = _significant(text)
+def _parse(chunks: Iterable[str], check_n: Callable[[int], None] | None) -> DigitalObject:
+    lines = _significant(chunks)
     n = _header(lines)
     if check_n is not None:
         check_n(n)
@@ -108,10 +108,19 @@ def loads(text: str, check_n: Callable[[int], None] | None = None) -> DigitalObj
     return DigitalObject(n, seen)
 
 
+def loads(text: str, check_n: Callable[[int], None] | None = None) -> DigitalObject:
+    """Parse .dvo text into an object.
+
+    ``check_n``, when given, is called with the header's dimension before
+    any voxel line is parsed, so a caller can refuse the input there.
+    """
+    return _parse((text,), check_n)
+
+
 def load(path: str, check_n: Callable[[int], None] | None = None) -> DigitalObject:
-    """Parse a .dvo file; ``check_n`` as in :func:`loads`."""
+    """Parse a .dvo file line by line; ``check_n`` as in :func:`loads`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), check_n)
+        return _parse(fh, check_n)
 
 
 def dumps(obj: DigitalObject, comments: list[str] | None = None) -> str:

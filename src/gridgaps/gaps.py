@@ -36,7 +36,7 @@ from .cells import (
     cofaces,
     voxel_intersection,
 )
-from .objects import CellCensus, DigitalObject, census
+from .objects import CellCensus, DigitalObject, _census_of
 
 
 class HubTag(Enum):
@@ -59,17 +59,11 @@ class HubClass:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Gap census at one dimension, hubs included as witnesses.
-
-    The formula fields are filled only at dimension n-2, the one dimension
-    for which closed forms exist.
-    """
+    """The i-gaps found by the scan: their hubs, sorted, and their count."""
 
     i: int
     hubs: tuple[Cell, ...]
     g: int
-    g_formula: int | None = None
-    g_block_formula: int | None = None
 
 
 def _require_codim2(obj: DigitalObject, e: Cell) -> None:
@@ -162,27 +156,16 @@ def count_gaps_oracle(
     dimensions below n-2 having no known closed form. It is the one loop
     over ``is_gap``; everything else that needs the hubs takes them from
     here. The scan covers all i-cells, free or not, so its count never
-    relies on the census's freeness, which the formulas do.
+    relies on the census's freeness; only the i-cells are read from ``cen``.
 
     The most recent object's scan is kept, keyed by what it reads (the
     object, i and the census's i-cells), so the identities and the hub/nub
-    partition on one object share one scan; the formulas still come from
-    ``cen`` on every call. ``lru_cache`` keeps this thread-safe.
+    partition on one object share one scan; ``lru_cache`` is thread-safe.
     """
     n = obj.n
     if not 0 <= i <= n - 2:
         raise ValueError(f"gap dimension {i} outside [0, {n - 2}]")
-    if cen is None:
-        cen = census(obj)
-    hubs = _scan(obj, i, cen.cells_by_dim[i])
-    if i == n - 2:
-        return GapReport(
-            i=i,
-            hubs=hubs,
-            g=len(hubs),
-            g_formula=count_gaps_formula(obj, cen),
-            g_block_formula=count_gaps_block_formula(obj, cen),
-        )
+    hubs = _scan(obj, i, _census_of(obj, cen).cells_by_dim[i])
     return GapReport(i=i, hubs=hubs, g=len(hubs))
 
 
@@ -191,8 +174,7 @@ def count_gaps_formula(obj: DigitalObject, cen: CellCensus | None = None) -> int
     n = obj.n
     if n < 2:
         raise ValueError("gap formulas need ambient dimension n >= 2")
-    if cen is None:
-        cen = census(obj)
+    cen = _census_of(obj, cen)
     return (n - 1) * cen.c_star[n - 1] - cen.c_star[n - 2]
 
 
@@ -207,8 +189,7 @@ def count_gaps_block_formula(
     n = obj.n
     if n < 2:
         raise ValueError("gap formulas need ambient dimension n >= 2")
-    if cen is None:
-        cen = census(obj)
+    cen = _census_of(obj, cen)
     return (
         -2 * n * (n - 1) * cen.c[n]
         + 2 * (n - 1) * cen.c[n - 1]
@@ -224,8 +205,7 @@ def hub_nub_partition(
     n = obj.n
     if n < 2:
         raise ValueError("hub/nub partition needs ambient dimension n >= 2")
-    if cen is None:
-        cen = census(obj)
+    cen = _census_of(obj, cen)
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
     return hubs, cen.free_by_dim[n - 2] - hubs
 

@@ -131,13 +131,18 @@ class CellCensus:
         return self.free_by_dim[i]
 
     def is_free(self, e: Cell) -> bool:
+        """True iff e's block is not inside the object; e is an i-cell of it, i < n."""
+        if len(e) != self.n:
+            raise ValueError("cell and object ambient dimensions differ")
         i = e.dim
+        if i >= self.n:
+            raise ValueError("free/non-free is defined for dimensions below n")
         if e not in self.cells_by_dim[i]:
             raise ValueError(f"{e!r} is not a cell of the object")
         return e in self.free_by_dim[i]
 
     def b_boundary(self, e: Cell, j: int) -> int:
-        """Free j-cells of the object bounded by its cell e."""
+        """Free j-cells of the object bounded by its cell e; 0 if e is non-free."""
         i = e.dim
         if not i < j <= self.n - 1:
             raise ValueError(f"need dim(e) < j <= n-1, got dim={i}, j={j}")
@@ -149,33 +154,6 @@ class CellCensus:
             for delta in _offsets(_parity(e), 1, j - i)
             if tuple(map(add, e, delta)) in free_j
         )
-
-
-def cells(obj: DigitalObject, i: int) -> list[Cell]:
-    """All distinct i-cells of the object, lexicographically sorted."""
-    n = obj.n
-    if not 0 <= i <= n:
-        raise ValueError(f"cell dimension {i} outside [0, {n}]")
-    return sorted(census(obj).cells_by_dim[i])
-
-
-def is_free(obj: DigitalObject, e: Cell) -> bool:
-    """True iff e's block is not entirely contained in the object.
-
-    e must be a cell of the object of dimension < n.
-    """
-    if len(e) != obj.n:
-        raise ValueError("cell and object ambient dimensions differ")
-    if e.dim >= obj.n:
-        raise ValueError("free/non-free is defined for dimensions below n")
-    return census(obj).is_free(e)
-
-
-def border(obj: DigitalObject, i: int) -> list[Cell]:
-    """The free i-cells of the object, lexicographically sorted."""
-    if not 0 <= i <= obj.n - 1:
-        raise ValueError(f"border dimension {i} outside [0, {obj.n - 1}]")
-    return sorted(census(obj).border(i))
 
 
 def census(obj: DigitalObject) -> CellCensus:
@@ -210,13 +188,10 @@ def census(obj: DigitalObject) -> CellCensus:
     )
 
 
-def b_boundary(obj: DigitalObject, e: Cell, j: int) -> int:
-    """Free j-cells of the object bounded by its cell e.
-
-    Zero whenever e itself is non-free: every coface of a non-free cell has
-    its block inside the object's blocks, hence is non-free too.
-    """
-    i = e.dim
-    if not i < j <= obj.n - 1:
-        raise ValueError(f"need dim(e) < j <= n-1, got dim={i}, j={j}")
-    return census(obj).b_boundary(e, j)
+def _census_of(obj: DigitalObject, cen: CellCensus | None) -> CellCensus:
+    """``cen``, or the object's census if None; a census of another n is refused."""
+    if cen is None:
+        return census(obj)
+    if cen.n != obj.n:
+        raise ValueError(f"census of dimension {cen.n} given for a {obj.n}-object")
+    return cen

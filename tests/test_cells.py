@@ -296,3 +296,13 @@ class TestDuality:
             for f in closure:
                 assert bounds(e, f) == dual_bounds(dual(f), dual(e))
                 assert incident(e, f) == dual_incident(dual(e), dual(f))
+
+
+def test_package_attribute_cells_is_the_submodule():
+    import sys
+
+    import gridgaps
+
+    assert gridgaps.cells is sys.modules["gridgaps.cells"]
+    assert gridgaps.cells.faces is faces
+    assert not {"cells", "border", "is_free", "b_boundary"} & set(gridgaps.__all__)

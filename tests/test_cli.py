@@ -314,6 +314,21 @@ class TestReportBuilder:
         assert main(["count", diag_file]) == EXIT_DISAGREEMENT
         assert "agreement=NO" in capsys.readouterr().out
 
+    def test_count_evaluates_each_formula_once(self, diag_file, monkeypatch):
+        from gridgaps import cli as cli_mod
+        from gridgaps import gaps as gaps_mod
+
+        calls = []
+        for name in ("count_gaps_formula", "count_gaps_block_formula"):
+            def counted(obj, cen=None, real=getattr(gaps_mod, name), name=name):
+                calls.append(name)
+                return real(obj, cen)
+
+            for module in (cli_mod, gaps_mod):
+                monkeypatch.setattr(module, name, counted)
+        assert main(["count", diag_file, "--json", "--hubs"]) == EXIT_OK
+        assert sorted(calls) == ["count_gaps_block_formula", "count_gaps_formula"]
+
     def test_disagreement_is_impossible_on_valid_engine(self):
         # the agreement flag reflects the three counters; on a healthy build
         # it is always true, and the CLI would exit 3 otherwise

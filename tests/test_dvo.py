@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridgaps import DigitalObject
 from gridgaps.dvo import DvoError, dumps, load, loads
@@ -150,3 +152,73 @@ class TestRoundTrip:
         path = tmp_path / "obj.dvo"
         path.write_text("dvo 2\n0 1\n", encoding="utf-8")
         assert load(str(path)).centers() == [(0, 1)]
+
+
+#: every line break of ``str.splitlines``; a text file's iteration breaks
+#: only at the first three
+BREAKS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+LINES = ["dvo 2", "dvo 3", "0 0", "1 1", "-2 7", "0 0 0", "x 1", "# c", "", "  "]
+PIECES = st.tuples(st.sampled_from(LINES), st.sampled_from(BREAKS))
+
+
+def _parsed(parse, source):
+    """The object, or the error's message and line number."""
+    try:
+        return parse(source)
+    except DvoError as err:
+        return str(err), err.lineno
+
+
+class TestLoadMatchesLoads:
+    """``load(path)`` streams the file; it must read it as ``loads`` reads the text."""
+
+    def check(self, path, text):
+        path.write_bytes(text.encode("utf-8"))
+        assert _parsed(load, str(path)) == _parsed(loads, text)
+
+    @pytest.mark.parametrize("brk", BREAKS)
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["# head", "", "dvo 2", "0 0", "", "1 1"],
+            ["", "dvo 2", "0 0", "0 0"],  # duplicate: both line numbers
+            ["dvo 2", "0 0", "1", "1 1"],  # wrong count on line 3
+            ["", "", ""],  # no header
+        ],
+    )
+    def test_each_line_break(self, tmp_path, lines, brk):
+        text = brk.join(lines)
+        self.check(tmp_path / "obj.dvo", text)
+        self.check(tmp_path / "obj.dvo", text + brk)
+
+    def test_break_inside_a_line_splits_it(self, tmp_path):
+        # one file line holding "0 0\x0c1 1" is two voxel lines, as in loads
+        self.check(tmp_path / "obj.dvo", "dvo 2\n0 0\x0c1 1\n1 1\n")
+        assert _parsed(loads, "dvo 2\n0 0\x0c1 1\n1 1\n") == (
+            "line 4: duplicate voxel (1, 1) (first on line 3)", 4
+        )
+
+    @settings(
+        max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.lists(PIECES, max_size=8))
+    def test_mixed_breaks(self, tmp_path, pieces):
+        self.check(tmp_path / "obj.dvo", "".join(line + brk for line, brk in pieces))
+
+    def test_refused_header_stops_reading(self, tmp_path):
+        # bytes that are not UTF-8, far past the header, are never decoded
+        path = tmp_path / "big.dvo"
+        path.write_bytes(b"dvo 9\n" + b"0 0 0 0 0 0 0 0 0\n" * 10_000 + b"\xff\n")
+
+        class Refused(Exception):
+            pass
+
+        def refuse(n):
+            raise Refused(n)
+
+        with pytest.raises(UnicodeDecodeError):
+            path.read_text(encoding="utf-8")
+        with pytest.raises(Refused):
+            load(str(path), check_n=refuse)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from gridgaps import (
     Cell,
     DigitalObject,
+    GapReport,
     HubTag,
-    cells,
     census,
     classification_histogram,
     classify_cell,
@@ -90,7 +90,7 @@ class TestClassify:
         hist = classification_histogram(obj)
         got = {tag.value: k for tag, k in hist.items() if k}
         assert got == expected
-        assert sum(hist.values()) == total == len(cells(obj, obj.n - 2))
+        assert sum(hist.values()) == total == census(obj).c[obj.n - 2]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exactly_one_tag_consistent_with_freeness(self, n):
@@ -148,7 +148,7 @@ class TestHistogramDifferential:
         assert classification_histogram(obj) == classify_cell_tally(obj)
 
     def test_classify_runs_no_census(self, tmp_path, monkeypatch, capsys):
-        from gridgaps import cli, gaps, objects
+        from gridgaps import cli, objects
 
         path = tmp_path / "obj.dvo"
         path.write_text("dvo 3\n0 0 0\n1 1 0\n1 0 0\n2 2 1\n", encoding="utf-8")
@@ -160,7 +160,8 @@ class TestHistogramDifferential:
         def refused(obj):
             raise AssertionError("classify ran a census")
 
-        for module in (gaps, cli, objects):
+        # gaps reaches the census only through objects (``_census_of``)
+        for module in (cli, objects):
             monkeypatch.setattr(module, "census", refused)
         for flags, out in zip(([], ["--json"]), expected):
             assert main(["classify", str(path), *flags]) == 0
@@ -172,12 +173,12 @@ class TestIsGap:
         assert is_gap(DIAG2, Cell((1, 1)), 0)
 
     def test_domino_has_no_edge_gap(self):
-        for e in cells(DOMINO3, 1):
+        for e in census(DOMINO3).cells_by_dim[1]:
             assert not is_gap(DOMINO3, e, 1)
 
     def test_single_voxel_never_gaps(self):
         for i in (0, 1):
-            for e in cells(SINGLE3, i):
+            for e in census(SINGLE3).cells_by_dim[i]:
                 assert not is_gap(SINGLE3, e, i)
 
     def test_lower_dimensional_gap(self):
@@ -203,14 +204,14 @@ class TestAdjacencyDetector:
         assert not is_gap_by_adjacency(LBLOCK3, Cell((1, 1, 0)))
 
     def test_domino_edges_rejected(self):
-        for e in cells(DOMINO3, 1):
+        for e in census(DOMINO3).cells_by_dim[1]:
             assert not is_gap_by_adjacency(DOMINO3, e)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_equivalence_with_block_inspection(self, n):
         for seed in range(25):
             obj = random_object(n, 3, 0.5, 77 * n + seed)
-            for e in cells(obj, n - 2):
+            for e in census(obj).cells_by_dim[n - 2]:
                 assert is_gap(obj, e, n - 2) == is_gap_by_adjacency(obj, e)
 
 
@@ -228,20 +229,17 @@ GAP_FIXTURES = [
 class TestCounts:
     @pytest.mark.parametrize("obj, expected", GAP_FIXTURES)
     def test_all_three_methods(self, obj, expected):
-        report = count_gaps_oracle(obj, obj.n - 2)
-        assert report.g == expected
+        assert count_gaps_oracle(obj, obj.n - 2).g == expected
         assert count_gaps_formula(obj) == expected
         assert count_gaps_block_formula(obj) == expected
-        assert report.g_formula == expected
-        assert report.g_block_formula == expected
 
     def test_report_shape(self):
         report = count_gaps_oracle(DIAG3, 1)
         assert report.i == 1
         assert report.hubs == (HUB_EDGE,)
         assert report.g == len(report.hubs)
-        low = count_gaps_oracle(DIAG3, 0)
-        assert low.g == 0 and low.g_formula is None and low.g_block_formula is None
+        assert count_gaps_oracle(DIAG3, 0) == GapReport(i=0, hubs=(), g=0)
+        assert [f.name for f in fields(GapReport)] == ["i", "hubs", "g"]
 
     def test_checkerboard_matches_oracle(self):
         obj = DigitalObject.from_centers(
@@ -280,6 +278,7 @@ class TestCounts:
             obj = random_object(n, 4, 0.5, 41 * n + seed)
             cen = census(obj)
             base = count_gaps_oracle(obj, n - 2, cen)
+            formulas = count_gaps_formula(obj, cen), count_gaps_block_formula(obj, cen)
             for axis in range(n):
                 flipped = DigitalObject.from_centers(
                     n, [mirror(c, axis) for c in obj.centers()]
@@ -288,9 +287,11 @@ class TestCounts:
                 assert got_cen.c == cen.c and got_cen.c_star == cen.c_star
                 assert got_cen.c_prime == cen.c_prime
                 got = count_gaps_oracle(flipped, n - 2, got_cen)
-                assert (got.g, got.g_formula, got.g_block_formula) == (
-                    base.g, base.g_formula, base.g_block_formula
-                )
+                assert got.g == base.g
+                assert (
+                    count_gaps_formula(flipped, got_cen),
+                    count_gaps_block_formula(flipped, got_cen),
+                ) == formulas
                 assert set(got.hubs) == {mirror(e, axis) for e in base.hubs}
 
     def test_oracle_scan_takes_cells_not_freeness_from_the_census(self):
@@ -302,7 +303,23 @@ class TestCounts:
         )
         report = count_gaps_oracle(DIAG3, 1, doctored)
         assert report.hubs == (HUB_EDGE,) and report.g == 1
-        assert report.g_formula == 0
+        assert count_gaps_formula(DIAG3, doctored) == 0
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda obj, cen: count_gaps_oracle(obj, obj.n - 2, cen),
+            count_gaps_formula,
+            count_gaps_block_formula,
+            hub_nub_partition,
+        ],
+        ids=["oracle", "formula", "block_formula", "hub_nub_partition"],
+    )
+    def test_census_of_another_dimension_rejected(self, count):
+        # a 2-D census once gave count_gaps_formula -8 on a 3-D object
+        for obj, other in ((DIAG3, DIAG2), (DIAG2, DIAG3)):
+            with pytest.raises(ValueError, match="census of dimension"):
+                count(obj, census(other))
 
     def test_n1_rejected(self):
         line = DigitalObject.from_centers(1, [(0,), (2,)])

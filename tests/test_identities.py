@@ -17,6 +17,7 @@ from gridgaps.identities import (
     detector_equivalence,
     facet_count,
     free_face_heredity,
+    gap_triple_agreement,
     hub_nub_degree,
 )
 from gridgaps.objects import CellCensus
@@ -54,6 +55,13 @@ class TestFailureResults:
                 "border-sum",
                 2,
                 "(i=0, j=2): sum=48 formula=52",
+            ),
+            (
+                gap_triple_agreement,
+                lambda cen: replace(cen, c_star=_bump(cen.c_star, 2)),
+                "gap-triple-agreement",
+                1,
+                "scan=1 formula=3 block-formula=1",
             ),
             (
                 hub_nub_degree,
@@ -168,3 +176,9 @@ class TestOneScan:
         report = count_gaps_oracle(DIAG3, 1, fewer)
         assert report.hubs == () and report.g == 0
         assert count_gaps_oracle(DIAG3, 1, cen).hubs == (Cell((1, 1, 0)),)
+
+
+def test_check_object_rejects_a_census_of_another_dimension():
+    other = DigitalObject.from_centers(2, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="census of dimension 2 given for a 3-object"):
+        check_object(DIAG3, census(other))

@@ -12,17 +12,13 @@ from hypothesis import strategies as st
 from gridgaps import (
     Cell,
     DigitalObject,
-    b_boundary,
-    border,
-    cells,
     census,
     enumerate_all_objects,
     faces,
-    is_free,
 )
 from gridgaps.dvo import dumps, loads
 
-from oracles import o_cells, o_census, o_is_free
+from oracles import o_b_boundary, o_cells, o_census, o_is_free
 
 SINGLE3 = DigitalObject.from_centers(3, [(0, 0, 0)])
 DOMINO3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 0, 0)])
@@ -118,65 +114,63 @@ class TestConstruction:
 
 class TestCellEnumeration:
     def test_single_voxel_edges(self):
-        assert len(cells(SINGLE3, 1)) == 12
+        assert len(census(SINGLE3).cells_by_dim[1]) == 12
 
     def test_empty_object(self):
-        assert cells(EMPTY3, 1) == []
+        assert census(EMPTY3).cells_by_dim[1] == frozenset()
 
     def test_diagonal_pair_edges(self):
         # frozen by oracle: 12 + 12 minus the one shared hub edge
-        assert len(cells(DIAG3, 1)) == 23
-
-    def test_sorted_and_deterministic(self):
-        got = cells(DIAG3, 2)
-        assert got == sorted(got)
-        assert got == cells(DIAG3, 2)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            cells(SINGLE3, 4)
-        with pytest.raises(ValueError):
-            cells(SINGLE3, -1)
+        assert len(census(DIAG3).cells_by_dim[1]) == 23
 
 
 class TestFreeCells:
     def test_single_voxel_cells_all_free(self):
+        cen = census(SINGLE3)
         for i in range(3):
-            for e in cells(SINGLE3, i):
-                assert is_free(SINGLE3, e)
+            for e in cen.cells_by_dim[i]:
+                assert cen.is_free(e)
 
     def test_domino_shared_face_not_free(self):
-        assert not is_free(DOMINO3, Cell((1, 0, 0)))
+        assert not census(DOMINO3).is_free(Cell((1, 0, 0)))
 
     def test_square_center_vertex_not_free(self):
-        assert not is_free(SQUARE22, Cell((1, 1)))
+        assert not census(SQUARE22).is_free(Cell((1, 1)))
 
     def test_not_a_cell_rejected(self):
         with pytest.raises(ValueError):
-            is_free(SINGLE3, Cell((7, 7, 7)))
+            census(SINGLE3).is_free(Cell((7, 7, 7)))
 
     def test_voxel_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            is_free(SINGLE3, Cell((0, 0, 0)))
+        with pytest.raises(ValueError, match="below n"):
+            census(SINGLE3).is_free(Cell((0, 0, 0)))
+
+    def test_wrong_ambient_dimension_rejected(self):
+        # a 4-coordinate cell is no cell of a 3-object, whatever its dimension
+        cen = census(SINGLE3)
+        for e in (Cell((0, 0, 0, 0)), Cell((1, 0, 0, 0)), Cell((1, 1)), Cell((0, 0))):
+            with pytest.raises(ValueError, match="ambient dimensions differ"):
+                cen.is_free(e)
 
 
 class TestBorder:
     def test_single_voxel_faces(self):
-        assert len(border(SINGLE3, 2)) == 6
+        assert len(census(SINGLE3).border(2)) == 6
 
     def test_domino_faces(self):
-        assert len(border(DOMINO3, 2)) == 10
+        assert len(census(DOMINO3).border(2)) == 10
 
     def test_lblock_faces(self):
-        assert len(border(LBLOCK3, 2)) == 14
+        assert len(census(LBLOCK3).border(2)) == 14
 
     def test_border_at_dimension_zero_exists(self):
         # 0-cells are classifiable as free like any other dimension
-        assert len(border(SQUARE22, 0)) == 8
+        assert len(census(SQUARE22).border(0)) == 8
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            border(SINGLE3, 3)
+        for i in (3, -1):
+            with pytest.raises(ValueError):
+                census(SINGLE3).border(i)
 
 
 CENSUS_FIXTURES = [
@@ -312,31 +306,35 @@ class TestCensusDifferential:
 
 class TestBBoundary:
     def test_hub_edge_of_diagonal_pair(self):
-        assert b_boundary(DIAG3, Cell((1, 1, 0)), 2) == 4
+        assert census(DIAG3).b_boundary(Cell((1, 1, 0)), 2) == 4
 
     def test_edge_of_single_voxel(self):
-        assert b_boundary(SINGLE3, Cell((1, 1, 0)), 2) == 2
+        assert census(SINGLE3).b_boundary(Cell((1, 1, 0)), 2) == 2
 
     def test_non_free_cell_gives_zero(self):
-        assert b_boundary(SQUARE22, Cell((1, 1)), 1) == 0
+        assert census(SQUARE22).b_boundary(Cell((1, 1)), 1) == 0
 
-    def test_matches_census_method(self):
+    def test_matches_oracle(self):
         cen = census(LBLOCK3)
-        for e in cells(LBLOCK3, 1):
-            assert b_boundary(LBLOCK3, e, 2) == cen.b_boundary(e, 2)
+        vox = frozenset(tuple(v) for v in LBLOCK3.voxels)
+        for i in range(2):
+            for j in range(i + 1, 3):
+                for e in cen.cells_by_dim[i]:
+                    assert cen.b_boundary(e, j) == o_b_boundary(3, vox, tuple(e), j)
 
     def test_range_validation(self):
+        cen = census(SINGLE3)
         with pytest.raises(ValueError):
-            b_boundary(SINGLE3, Cell((1, 1, 0)), 3)  # j must stay below n
+            cen.b_boundary(Cell((1, 1, 0)), 3)  # j must stay below n
         with pytest.raises(ValueError):
-            b_boundary(SINGLE3, Cell((1, 1, 0)), 1)  # j must exceed dim(e)
+            cen.b_boundary(Cell((1, 1, 0)), 1)  # j must exceed dim(e)
         with pytest.raises(ValueError):
-            b_boundary(SINGLE3, Cell((7, 7, 1)), 2)  # not a cell of the object
+            cen.b_boundary(Cell((7, 7, 1)), 2)  # not a cell of the object
 
     def test_border_sum_identity_on_domino(self):
         # frozen by oracle: sum of b_2 over the free edges is 4 * 10
-        total = sum(b_boundary(DOMINO3, e, 2) for e in border(DOMINO3, 1))
-        assert total == 40
+        cen = census(DOMINO3)
+        assert sum(cen.b_boundary(e, 2) for e in cen.border(1)) == 40
 
 
 class TestFreeFaceHeredity:
