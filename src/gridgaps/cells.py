@@ -234,6 +234,41 @@ def _parity(cell) -> tuple[int, ...]:
     return tuple(x & 1 for x in cell)
 
 
+# The window of a lattice vertex w (all doubled coordinates odd) is its 2^n
+# voxels w + s, s in {-1, 1}^n, and its mask has bit sum((s_k > 0) << k)
+# set for each one in the object. Every cell incident to w has its block
+# inside that window, so the mask says which of them the object has.
+
+
+@lru_cache(maxsize=None)
+def _corner_bits(n: int) -> tuple[int, ...]:
+    """A voxel v's bit in the window mask of each of its corner vertices, in
+    the order ``product(*((x - 1, x + 1) for x in v))`` lists them: corner
+    w = v + d holds v = w - d, so the bit index has axis k set where d
+    steps -1.
+    """
+    return tuple(
+        1 << sum(1 << k for k, x in enumerate(d) if x < 0)
+        for d in product((-1, 1), repeat=n)
+    )
+
+
+@lru_cache(maxsize=None)
+def _window_codim2(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each (n-2)-cell at its lowest vertex w, one per pair a < b of flat
+    axes: its offset from w (+1 on every other axis), and the window mask
+    bits of its four block voxels in trace order 2*ha + hb, h = 1 for the
+    + side of flat axis a or b.
+    """
+    full = (1 << n) - 1
+    out = []
+    for a, b in combinations(range(n), 2):
+        t = tuple(0 if k in (a, b) else 1 for k in range(n))
+        base = full ^ (1 << a) ^ (1 << b)
+        out.append((t, tuple(1 << (base | ha << a | hb << b) for ha in (0, 1) for hb in (0, 1))))
+    return tuple(out)
+
+
 def faces(f: Cell, i: int) -> frozenset[Cell]:
     """All i-cells bounding f, plus f itself when i = dim(f).
 

@@ -18,10 +18,10 @@ from typing import Any, Iterable
 from . import dvo
 from .gaps import (
     HubTag,
+    _window_counts,
     classification_histogram,
     count_gaps_block_formula,
     count_gaps_formula,
-    count_gaps_oracle,
 )
 from .identities import ALL_IDENTITIES, IdentityResult
 from .objects import DigitalObject, census
@@ -32,7 +32,8 @@ EXIT_INPUT = 2
 EXIT_DISAGREEMENT = 3
 EXIT_CAP = 4
 
-#: full-census commands refuse larger inputs; face fan-out is 3^n per voxel
+#: the commands refuse larger inputs: per voxel, verify's census visits 3^n
+#: faces, classify C(n,2)*4 and count's window pass 2^n vertices
 MAX_VOXELS = 10**6
 MAX_CENSUS_DIM = 8
 
@@ -55,10 +56,14 @@ def _check_caps(
             raise ResourceCapError(f"{count} {what} exceed the cap of {MAX_VOXELS}")
 
 
+def _check_voxel_count(count: int) -> None:
+    if count > MAX_VOXELS:
+        _check_caps(voxels=count)
+
+
 def _load(path: str) -> DigitalObject:
-    obj = dvo.load(path, check_n=_check_caps)  # n is refused at the header
-    _check_caps(voxels=len(obj))
-    return obj
+    # n is refused at the header, the voxel count at voxel line MAX_VOXELS + 1
+    return dvo.load(path, check_n=_check_caps, _check_count=_check_voxel_count)
 
 
 def _emit(payload: dict[str, Any], as_json: bool, text: str) -> None:
@@ -69,29 +74,33 @@ def _emit(payload: dict[str, Any], as_json: bool, text: str) -> None:
 
 
 def build_count_report(obj: DigitalObject, include_hubs: bool = False) -> dict[str, Any]:
-    """The count report as plain data; keys are part of the format."""
-    cen = census(obj)
+    """The count report as plain data; keys are part of the format.
+
+    Every number comes from one pass over vertex windows: "oracle" is its
+    count of (n-2)-hubs, each read off the cell's own block trace, and the
+    two formulas are evaluated on its c, c* and beta.
+    """
+    win = _window_counts(obj)
     report: dict[str, Any] = {
         "n": obj.n,
         "voxels": len(obj),
         "census": {
-            "c": list(cen.c),
-            "c_star": list(cen.c_star),
-            "c_prime": list(cen.c_prime),
-            "beta": list(cen.beta),
+            "c": list(win.c),
+            "c_star": list(win.c_star),
+            "c_prime": list(win.c_prime),
+            "beta": list(win.beta),
         },
     }
     if obj.n >= 2:
-        hubs = count_gaps_oracle(obj, obj.n - 2, cen).hubs
         counts = {
-            "oracle": len(hubs),
-            "formula": count_gaps_formula(obj, cen),
-            "block_formula": count_gaps_block_formula(obj, cen),
+            "oracle": len(win.hubs),
+            "formula": count_gaps_formula(obj, win),
+            "block_formula": count_gaps_block_formula(obj, win),
         }
         report["gaps"] = counts
         report["agreement"] = len(set(counts.values())) == 1
         if include_hubs:
-            report["hubs"] = [list(e) for e in hubs]
+            report["hubs"] = [list(e) for e in win.hubs]
     else:
         report["gaps"] = None
         report["agreement"] = True

@@ -80,13 +80,19 @@ def _header(lines: Iterator[tuple[int, str]]) -> int:
     raise DvoError(1, "missing 'dvo <n>' header")
 
 
-def _parse(chunks: Iterable[str], check_n: Callable[[int], None] | None) -> DigitalObject:
+def _parse(
+    chunks: Iterable[str],
+    check_n: Callable[[int], None] | None,
+    check_count: Callable[[int], None] | None = None,
+) -> DigitalObject:
     lines = _significant(chunks)
     n = _header(lines)
     if check_n is not None:
         check_n(n)
     seen: dict[Cell, int] = {}  # voxel -> line, in file order
     for lineno, line in lines:
+        if check_count is not None:
+            check_count(len(seen) + 1)
         tokens = line.split()
         if len(tokens) != n:
             raise DvoError(lineno, f"expected {n} coordinates, got {len(tokens)}")
@@ -117,10 +123,20 @@ def loads(text: str, check_n: Callable[[int], None] | None = None) -> DigitalObj
     return _parse((text,), check_n)
 
 
-def load(path: str, check_n: Callable[[int], None] | None = None) -> DigitalObject:
-    """Parse a .dvo file line by line; ``check_n`` as in :func:`loads`."""
+def load(
+    path: str,
+    check_n: Callable[[int], None] | None = None,
+    *,
+    _check_count: Callable[[int], None] | None = None,
+) -> DigitalObject:
+    """Parse a .dvo file line by line; ``check_n`` as in :func:`loads`.
+
+    ``_check_count`` is the commands' voxel cap: it is called with k before
+    the k-th voxel line is parsed, so an oversize file is refused while it
+    streams.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse(fh, check_n)
+        return _parse(fh, check_n, _check_count)
 
 
 def dumps(obj: DigitalObject, comments: list[str] | None = None) -> str:

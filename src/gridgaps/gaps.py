@@ -15,6 +15,10 @@ valid output.
 census: one pass over the voxels' (n-2)-faces builds each cell's 4-bit
 block trace, one bit per block voxel present, and a 15-entry table maps
 each trace to its tag.
+
+``_window_counts``, the route behind the ``count`` command, reads the census
+counts and the (n-2)-hubs off the masks of the lattice vertices' 2^n-voxel
+windows, with no census and no ``is_gap`` scan.
 """
 
 from __future__ import annotations
@@ -23,13 +27,16 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
-from operator import add
+from itertools import combinations, product
+from operator import add, and_, or_, sub
+from typing import NamedTuple
 
 from .cells import (
     Cell,
+    _corner_bits,
     _mk,
     _offsets,
+    _window_codim2,
     adjacency,
     adjacent_voxels,
     block,
@@ -169,8 +176,13 @@ def count_gaps_oracle(
     return GapReport(i=i, hubs=hubs, g=len(hubs))
 
 
-def count_gaps_formula(obj: DigitalObject, cen: CellCensus | None = None) -> int:
-    """(n-2)-gap count from free-cell totals: (n-1)*c*_{n-1} - c*_{n-2}."""
+def count_gaps_formula(
+    obj: DigitalObject, cen: CellCensus | _WindowCounts | None = None
+) -> int:
+    """(n-2)-gap count from free-cell totals: (n-1)*c*_{n-1} - c*_{n-2}.
+
+    Only the counts are read, so the window pass's counts serve as ``cen``.
+    """
     n = obj.n
     if n < 2:
         raise ValueError("gap formulas need ambient dimension n >= 2")
@@ -179,12 +191,13 @@ def count_gaps_formula(obj: DigitalObject, cen: CellCensus | None = None) -> int
 
 
 def count_gaps_block_formula(
-    obj: DigitalObject, cen: CellCensus | None = None
+    obj: DigitalObject, cen: CellCensus | _WindowCounts | None = None
 ) -> int:
     """(n-2)-gap count from total cell counts and contained blocks.
 
     Evaluates -2n(n-1)c_n + 2(n-1)c_{n-1} - c_{n-2} + beta_{n-2}, with
     beta_{n-2} the number of (n-2)-blocks inside the object, i.e. c'_{n-2}.
+    As in ``count_gaps_formula``, the window pass's counts serve as ``cen``.
     """
     n = obj.n
     if n < 2:
@@ -260,3 +273,83 @@ def classification_histogram(obj: DigitalObject) -> dict[HubTag, int]:
     for mask, k in Counter(masks.values()).items():
         hist[_TRACE_TAG[mask]] += k
     return hist
+
+
+class _WindowCounts(NamedTuple):
+    """What one pass over vertex windows gives: the census counts and the
+    sorted (n-2)-hubs (none below n = 2). The formulas read it as a census."""
+
+    n: int
+    c: tuple[int, ...]
+    c_star: tuple[int, ...]
+    c_prime: tuple[int, ...]
+    hubs: tuple[Cell, ...]
+
+    @property
+    def beta(self) -> tuple[int, ...]:
+        return self.c_prime
+
+
+def _window_counts(obj: DigitalObject) -> _WindowCounts:
+    """c, c*, c' and the (n-2)-hubs from one pass over vertex windows.
+
+    Each voxel sets its bit in the window mask of each of its 2^n corner
+    vertices. A cell incident to a vertex is present when the vertex's mask
+    meets the cell's block, and non-free when the mask covers it. Halving a
+    mask along its top axis gives two masks one axis down: each half holds
+    the blocks of the cells that extend along that axis (one dimension up),
+    their union the blocks of the flat cells present and their intersection
+    those of the flat cells covered. The pass halves the histogram of
+    distinct masks down to single voxels, so each distinct sub-mask is read
+    once per dimension. An i-cell is seen from its 2^i vertices, so each
+    per-dimension sum is divided by 2^i.
+
+    Each (n-2)-cell is read once, at its lowest vertex, where its 4-bit
+    block trace is a hub exactly when ``_TRACE_TAG`` calls it a gap tandem.
+    This is the route behind ``count``; ``census`` and ``count_gaps_oracle``
+    are the references ``verify`` compares it with.
+    """
+    n = obj.n
+    windows: dict[tuple[int, ...], int] = {}
+    get = windows.get
+    bits = _corner_bits(n)
+    for v in obj.voxels:
+        for w, bit in zip(product(*[(x - 1, x + 1) for x in v]), bits):
+            windows[w] = get(w, 0) | bit
+    masks = Counter(windows.values())
+    sums = []
+    for flat in (or_, and_):  # present cells, then covered ones
+        hists = [masks]  # hists[j]: windows per mask, for cells j dimensions up
+        for k in range(n, 0, -1):
+            half = 1 << (k - 1)
+            low = (1 << half) - 1
+            halved: list[dict[int, int]] = [{} for _ in range(len(hists) + 1)]
+            for here, up, hist in zip(halved, halved[1:], hists):
+                for mask, count in hist.items():
+                    lo, hi = mask & low, mask >> half
+                    m = flat(lo, hi)
+                    here[m] = here.get(m, 0) + count
+                    up[lo] = up.get(lo, 0) + count
+                    up[hi] = up.get(hi, 0) + count
+            hists = halved
+        sums.append(tuple(hist.get(1, 0) >> i for i, hist in enumerate(hists)))
+    c, c_prime = sums
+    # per axis pair: the block's window bits, and the gap-tandem traces
+    # written in those bits
+    tandems = [trace for trace, tag in enumerate(_TRACE_TAG) if tag is HubTag.GAP_TANDEM]
+    pairs = []
+    for t, block in _window_codim2(n):
+        spread = [sum(b for j, b in enumerate(block) if trace >> j & 1) for trace in range(16)]
+        pairs.append((t, spread[15], {spread[trace] for trace in tandems}))
+    hub_offsets: dict[int, list[tuple[int, ...]]] = {}
+    for mask in masks:
+        for t, block_bits, hub_bits in pairs:
+            if mask & block_bits in hub_bits:
+                hub_offsets.setdefault(mask, []).append(t)
+    hubs = sorted(
+        _mk(Cell, map(add, w, t))
+        for w, mask in windows.items()
+        if mask in hub_offsets
+        for t in hub_offsets[mask]
+    )
+    return _WindowCounts(n, c, tuple(map(sub, c, c_prime)), c_prime, tuple(hubs))

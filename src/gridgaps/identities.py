@@ -17,6 +17,7 @@ from .cells import faces
 from .counting import c_bounding
 from .gaps import (
     HubTag,
+    _window_counts,
     classification_histogram,
     classify_cell,
     count_gaps_block_formula,
@@ -76,10 +77,19 @@ def _identity(name: str, codim2: bool = False) -> Callable[[_Check], _Identity]:
 
 @_identity("census-partition")
 def census_partition(obj: DigitalObject, cen: CellCensus) -> _Outcome:
-    """c_i = c*_i + c'_i for every dimension."""
+    """c_i = c*_i + c'_i for every dimension, and the vertex-window pass
+    behind ``count`` finds the same c, c* and c' as the census."""
     for i in range(obj.n + 1):
         if cen.c[i] != cen.c_star[i] + cen.c_prime[i]:
             return obj.n + 1, f"dim {i}: c={cen.c[i]} c*={cen.c_star[i]} c'={cen.c_prime[i]}"
+    win = _window_counts(obj)
+    for name, got, want in (
+        ("c", win.c, cen.c),
+        ("c*", win.c_star, cen.c_star),
+        ("c'", win.c_prime, cen.c_prime),
+    ):
+        if got != want:
+            return obj.n + 1, f"window {name}={list(got)} but census {name}={list(want)}"
     return obj.n + 1, None
 
 
@@ -125,12 +135,20 @@ def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 
 @_identity("gap-triple-agreement", codim2=True)
 def gap_triple_agreement(obj: DigitalObject, cen: CellCensus) -> _Outcome:
-    """Direct scan, free-cell formula and block formula count the same gaps."""
-    g = count_gaps_oracle(obj, obj.n - 2, cen).g
+    """Direct scan, free-cell formula and block formula count the same gaps,
+    and the vertex-window pass behind ``count`` finds the scan's hubs."""
+    scan = count_gaps_oracle(obj, obj.n - 2, cen).hubs
+    g = len(scan)
     formula = count_gaps_formula(obj, cen)
     block_formula = count_gaps_block_formula(obj, cen)
     if not g == formula == block_formula:
         return 1, f"scan={g} formula={formula} block-formula={block_formula}"
+    hubs = _window_counts(obj).hubs
+    if hubs != scan:
+        win_only, scan_only = (
+            sorted(map(tuple, set(a) - set(b)))[:3] for a, b in ((hubs, scan), (scan, hubs))
+        )
+        return 1, f"window hubs={len(hubs)} scan={g}; only window {win_only} only scan {scan_only}"
     return 1, None
 
 

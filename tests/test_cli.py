@@ -102,14 +102,69 @@ class TestCount:
         assert calls == []
         assert capsys.readouterr().err == "error: n=9 exceeds the full-census cap n <= 8\n"
 
+    def test_voxel_cap_is_checked_while_streaming(self, tmp_path, monkeypatch, capsys):
+        from gridgaps import cli as cli_mod
+        from gridgaps import dvo
+
+        calls = []
+        real = dvo.voxel
+
+        def counted(center):
+            calls.append(center)
+            return real(center)
+
+        monkeypatch.setattr(dvo, "voxel", counted)
+        monkeypatch.setattr(cli_mod, "MAX_VOXELS", 3)
+        path = tmp_path / "four.dvo"
+        path.write_text("dvo 2\n0 0\n# a comment\n1 0\n\n2 0\n", encoding="utf-8")
+        assert main(["count", str(path)]) == EXIT_OK  # the cap itself is allowed
+        capsys.readouterr()
+        calls.clear()
+        path.write_text("dvo 2\n0 0\n1 0\n2 0\n3 0\nnot a voxel\n", encoding="utf-8")
+        assert main(["count", str(path)]) == EXIT_CAP
+        assert len(calls) <= 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 4 voxels exceed the cap of 3\n"
+
+    def test_count_runs_no_census_and_no_scan(self, tmp_path, monkeypatch, capsys):
+        from gridgaps import cli as cli_mod
+        from gridgaps import gaps, objects
+
+        path = tmp_path / "obj.dvo"
+        path.write_text("dvo 3\n0 0 0\n1 1 0\n1 0 0\n5 5 5\n6 6 5\n", encoding="utf-8")
+        runs = ([], ["--json", "--hubs"])
+        expected = []
+        for flags in runs:
+            assert main(["count", str(path), *flags]) == EXIT_OK
+            expected.append(capsys.readouterr().out)
+        assert json.loads(expected[1])["hubs"] == [[11, 11, 10]]
+
+        def refused(*args):
+            raise AssertionError("count ran a census or an is_gap scan")
+
+        for module in (cli_mod, objects):
+            monkeypatch.setattr(module, "census", refused)
+        monkeypatch.setattr(gaps, "is_gap", refused)
+        for flags, out in zip(runs, expected):
+            assert main(["count", str(path), *flags]) == EXIT_OK
+            assert capsys.readouterr().out == out
+
     def test_memory_error_exits_4(self, diag_file, monkeypatch, capsys):
+        self.assert_out_of_memory("count", "_window_counts", diag_file, monkeypatch, capsys)
+
+    def test_verify_memory_error_exits_4(self, diag_file, monkeypatch, capsys):
+        self.assert_out_of_memory("verify", "census", diag_file, monkeypatch, capsys)
+
+    @staticmethod
+    def assert_out_of_memory(command, route, path, monkeypatch, capsys):
         from gridgaps import cli as cli_mod
 
         def exhausted(obj):
             raise MemoryError
 
-        monkeypatch.setattr(cli_mod, "census", exhausted)
-        assert main(["count", diag_file]) == EXIT_CAP
+        monkeypatch.setattr(cli_mod, route, exhausted)
+        assert main([command, path]) == EXIT_CAP
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

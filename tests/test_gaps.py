@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import fields, replace
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from gridgaps import (
     is_gap_by_adjacency,
 )
 from gridgaps.cli import main
+from gridgaps.gaps import _window_counts
 
 from oracles import o_gap_count
 
@@ -166,6 +168,76 @@ class TestHistogramDifferential:
         for flags, out in zip(([], ["--json"]), expected):
             assert main(["classify", str(path), *flags]) == 0
             assert capsys.readouterr().out == out
+
+
+def assert_window_pass_matches_references(obj: DigitalObject) -> None:
+    win = _window_counts(obj)
+    cen = census(obj)
+    assert (win.n, win.c, win.c_star, win.c_prime) == (cen.n, cen.c, cen.c_star, cen.c_prime)
+    assert win.beta == cen.beta
+    scan = count_gaps_oracle(obj, obj.n - 2, cen).hubs if obj.n >= 2 else ()
+    assert win.hubs == scan
+
+
+#: cluster anchors far apart; with +-2 jitter and +-1 offsets the clusters
+#: near the first one reach the -2**59 end of the center range
+FAR_ANCHORS = (-(1 << 59) + 3, 0, 1 << 40)
+EDGE = 1 << 59
+
+
+class TestWindowPass:
+    """The vertex-window pass behind ``count`` against ``census`` and the scan."""
+
+    @pytest.mark.parametrize("n, extents", [(3, (2, 2, 2)), (2, (3, 3))])
+    def test_every_object_of_small_boxes(self, n, extents):
+        for obj in enumerate_all_objects(n, extents):
+            assert_window_pass_matches_references(obj)
+
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        *[st.builds(add, st.sampled_from(FAR_ANCHORS), st.integers(-2, 2))]
+                        * n
+                    ),
+                    min_size=1,
+                    max_size=3,
+                ),
+                st.lists(
+                    st.tuples(*[st.integers(-1, 1)] * n), min_size=1, max_size=8
+                ),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_far_apart_and_negative_clusters(self, drawn):
+        n, anchors, offsets = drawn
+        centers = {
+            tuple(a + d for a, d in zip(anchor, offset))
+            for anchor in anchors
+            for offset in offsets
+        }
+        assert_window_pass_matches_references(DigitalObject.from_centers(n, centers))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            DigitalObject.from_centers(2, list(product((-EDGE, EDGE), repeat=2))),
+            DigitalObject.from_centers(
+                3,
+                list(product((-EDGE, EDGE), repeat=3))
+                + [(EDGE - 1, EDGE - 1, EDGE), (1 - EDGE, -EDGE, 1 - EDGE)],
+            ),
+            DigitalObject.from_centers(1, [(0,), (1,), (5,), (-EDGE,), (EDGE,)]),
+            DigitalObject(1),
+            EMPTY3,
+        ],
+        ids=["corners-n2", "corners-n3-with-hubs", "line-n1", "empty-n1", "empty-n3"],
+    )
+    def test_range_corners_line_and_empty(self, obj):
+        assert_window_pass_matches_references(obj)
 
 
 class TestIsGap:

@@ -12,6 +12,7 @@ from gridgaps.gaps import HubTag, count_gaps_oracle, is_gap
 from gridgaps.identities import (
     IdentityResult,
     border_sum,
+    census_partition,
     check_object,
     classification_totality,
     detector_equivalence,
@@ -89,6 +90,37 @@ class TestFailureResults:
     def test_doctored_census(self, identity, doctor, name, checked, detail):
         result = identity(DIAG3, doctor(census(DIAG3)))
         assert result == IdentityResult(name, False, checked, PREFIX + detail)
+
+    @pytest.mark.parametrize(
+        "field, detail",
+        [
+            ("c", "window c=[14, 24, 12, 2] but census c=[14, 23, 12, 2]"),
+            ("c_star", "window c*=[14, 24, 12, 0] but census c*=[14, 23, 12, 0]"),
+            ("c_prime", "window c'=[0, 1, 0, 2] but census c'=[0, 0, 0, 2]"),
+        ],
+    )
+    def test_window_counts_disagree(self, monkeypatch, field, detail):
+        real = gaps._window_counts(DIAG3)
+        doctored = real._replace(**{field: _bump(getattr(real, field), 1)})
+        monkeypatch.setattr(identities, "_window_counts", lambda obj: doctored)
+        result = census_partition(DIAG3, census(DIAG3))
+        assert result == IdentityResult("census-partition", False, 4, PREFIX + detail)
+
+    @pytest.mark.parametrize(
+        "hubs, detail",
+        [
+            ((), "window hubs=0 scan=1; only window [] only scan [(1, 1, 0)]"),
+            (
+                (Cell((-1, 1, 0)), Cell((1, 1, 0))),
+                "window hubs=2 scan=1; only window [(-1, 1, 0)] only scan []",
+            ),
+        ],
+    )
+    def test_window_hubs_disagree(self, monkeypatch, hubs, detail):
+        doctored = gaps._window_counts(DIAG3)._replace(hubs=hubs)
+        monkeypatch.setattr(identities, "_window_counts", lambda obj: doctored)
+        result = gap_triple_agreement(DIAG3, census(DIAG3))
+        assert result == IdentityResult("gap-triple-agreement", False, 1, PREFIX + detail)
 
     def test_detector_disagreement(self, monkeypatch):
         monkeypatch.setattr(identities, "is_gap_by_adjacency", lambda obj, e: False)
