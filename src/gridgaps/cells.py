@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from operator import add
+from itertools import chain, combinations, product
+from operator import add, mul
 from typing import Iterable, NamedTuple
 
 #: Construction rejects components beyond this magnitude. Face/coface offsets
@@ -232,6 +232,66 @@ def _offsets(parity: tuple[int, ...], flat: int, k: int) -> tuple[tuple[int, ...
 
 def _parity(cell) -> tuple[int, ...]:
     return tuple(x & 1 for x in cell)
+
+
+# Packed cells, for probes that step from a cell to its faces or cofaces.
+# One origin lo and one field width w serve a whole set of cells: axis k of
+# a cell is stored in bits [w*k, w*k + w) as x_k - lo + 1. With lo and hi
+# the least and greatest coordinate in the set and w the bit length of
+# hi - lo + 2, every field of a listed cell lies in [1, hi - lo + 1], so a
+# +-1 step on any axes stays in [0, 2^w): one int add, never carrying into
+# a neighbouring field, and still exact at +-2^60.
+
+
+@lru_cache(maxsize=None)
+def _lanes(n: int, w: int) -> tuple[int, ...]:
+    """The weight 2^(w*k) of each axis k."""
+    return tuple(1 << w * k for k in range(n))
+
+
+@lru_cache(maxsize=None)
+def _packed_steps(n: int, w: int, parity: int, flat: int, k: int) -> tuple[int, ...]:
+    """``_offsets`` as packed ints, in its order, for the cells whose
+    parity bits (bit w*a set where axis a is odd) are ``parity``."""
+    lanes = _lanes(n, w)
+    bits = tuple(parity >> w * a & 1 for a in range(n))
+    return tuple(sum(map(mul, d, lanes)) for d in _offsets(bits, flat, k))
+
+
+class _Packing:
+    """The packed format of one set of cells: n axes, origin lo, width w."""
+
+    __slots__ = ("n", "lo", "w", "_lanes", "_base", "_mask", "_flip")
+
+    def __init__(self, n: int, lo: int, w: int) -> None:
+        self.n, self.lo, self.w = n, lo, w
+        self._lanes = _lanes(n, w)
+        self._mask = sum(self._lanes)  # the low bit of every field
+        self._base = (lo - 1) * self._mask
+        # field k holds x_k - lo + 1, so its low bit is x_k's parity unless
+        # lo - 1 is odd
+        self._flip = self._mask if (lo - 1) & 1 else 0
+
+    @classmethod
+    def spanning(cls, n: int, cell_sets: Iterable[Iterable[Cell]]) -> "_Packing":
+        """The format that fits every coordinate of the cells in
+        ``cell_sets`` and one step beyond it."""
+        sets = [cells for cells in cell_sets if cells]
+        lo = min((min(chain.from_iterable(cells)) for cells in sets), default=0)
+        hi = max((max(chain.from_iterable(cells)) for cells in sets), default=0)
+        return cls(n, lo, (hi - lo + 2).bit_length())
+
+    def pack(self, cell: Iterable[int]) -> int:
+        return sum(map(mul, cell, self._lanes)) - self._base
+
+    def unpack(self, p: int) -> Cell:
+        w, field, off = self.w, (1 << self.w) - 1, self.lo - 1
+        return _mk(Cell, ((p >> w * k & field) + off for k in range(self.n)))
+
+    def steps(self, p: int, flat: int, k: int) -> tuple[int, ...]:
+        """The packed +-1 steps from cell p along k of its axes of parity
+        ``flat``: its cofaces k dimensions up (1) or faces k down (0)."""
+        return _packed_steps(self.n, self.w, (p & self._mask) ^ self._flip, flat, k)
 
 
 # The window of a lattice vertex w (all doubled coordinates odd) is its 2^n

@@ -206,6 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if not result.passed and agg["passed"]:
                 agg["passed"] = False
                 agg["witness"] = f"{label}: {result.witness}"
+        del cen  # so no two censuses are ever alive at once
     all_passed = all(agg["passed"] for agg in summary.values())
     payload = {
         "objects": len(labeled),

@@ -10,10 +10,9 @@ callers can verify that a corrupted census is caught.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache, wraps
 from typing import Callable
 
-from .cells import faces
 from .counting import c_bounding
 from .gaps import (
     HubTag,
@@ -27,6 +26,11 @@ from .gaps import (
 )
 # census stays bound here: perfbench's tracer wraps it and checks it is restored
 from .objects import CellCensus, DigitalObject, _census_of, census  # noqa: F401
+
+#: census-partition and gap-triple-agreement both check the vertex-window
+#: pass, so the most recent object's pass is kept for the second of them;
+#: ``count`` calls the pass in ``gaps`` directly and keeps nothing
+_window_counts = lru_cache(maxsize=1)(_window_counts)
 
 _TAG_ARITY = {
     HubTag.SIMPLE: 1,
@@ -106,13 +110,19 @@ def facet_count(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 
 @_identity("border-sum")
 def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
-    """sum of b_j(e) over the i-border equals c_bounding(i,j) * c*_j."""
+    """sum of b_j(e) over the i-border equals c_bounding(i,j) * c*_j.
+
+    b_j(e) is counted as ``CellCensus.b_boundary`` counts it, on the
+    census's packed free cells.
+    """
     n = obj.n
+    fmt, free, free_sets = cen._packed
     checked = 0
     for j in range(1, n):
+        free_j = free_sets[j]
         for i in range(j):
             checked += 1
-            lhs = sum(cen.b_boundary(e, j) for e in cen.free_by_dim[i])
+            lhs = sum(p + d in free_j for p in free[i] for d in fmt.steps(p, 1, j - i))
             rhs = c_bounding(i, j) * cen.c_star[j]
             if lhs != rhs:
                 return checked, f"(i={i}, j={j}): sum={lhs} formula={rhs}"
@@ -123,14 +133,15 @@ def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Every free (n-2)-cell bounds 4 free facets if a hub, else 2."""
     n = obj.n
-    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    free = cen.free_by_dim[n - 2]
-    for checked, e in enumerate(free, 1):
-        expected = 4 if e in hubs else 2
-        got = cen.b_boundary(e, n - 1)
+    fmt, free, free_sets = cen._packed
+    hubs = frozenset(map(fmt.pack, count_gaps_oracle(obj, n - 2, cen).hubs))
+    facets = free_sets[n - 1]
+    for checked, p in enumerate(free[n - 2], 1):
+        expected = 4 if p in hubs else 2
+        got = sum(p + d in facets for d in fmt.steps(p, 1, 1))
         if got != expected:
-            return checked, f"cell={tuple(e)}: b_(n-1)={got}, expected {expected}"
-    return len(free), None
+            return checked, f"cell={tuple(fmt.unpack(p))}: b_(n-1)={got}, expected {expected}"
+    return len(free[n - 2]), None
 
 
 @_identity("gap-triple-agreement", codim2=True)
@@ -198,16 +209,22 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 
 @_identity("free-face-heredity")
 def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> _Outcome:
-    """Every (j-1)-face of a free j-cell is itself free (hence every face is)."""
+    """Every (j-1)-face of a free j-cell is itself free (hence every face is).
+
+    The witness names the first such free cell and its least non-free face.
+    """
+    fmt, free, free_sets = cen._packed
     checked = 0
     for j in range(1, obj.n):
-        free_above = cen.free_by_dim[j]
-        free_below = cen.free_by_dim[j - 1]
-        for f in free_above:
+        free_below = free_sets[j - 1]
+        for f in free[j]:
             checked += 1
-            for e in faces(f, j - 1):
-                if e not in free_below:
-                    return checked, f"free cell {tuple(f)} has non-free face {tuple(e)}"
+            steps = fmt.steps(f, 0, 1)
+            for d in steps:
+                if f + d not in free_below:
+                    cell = tuple(fmt.unpack(f))
+                    face = tuple(min(fmt.unpack(f + d) for d in steps if f + d not in free_below))
+                    return checked, f"free cell {cell} has non-free face {face}"
     return checked, None
 
 

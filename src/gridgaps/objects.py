@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .cells import Cell, _mk, _offsets, _parity, _require_voxel, voxel
+from .cells import Cell, _mk, _offsets, _Packing, _require_voxel, voxel
 
 
 class DigitalObject:
@@ -148,12 +149,25 @@ class CellCensus:
             raise ValueError(f"need dim(e) < j <= n-1, got dim={i}, j={j}")
         if e not in self.cells_by_dim[i]:
             raise ValueError(f"{e!r} is not a cell of the object")
-        free_j = self.free_by_dim[j]
-        return sum(
-            1
-            for delta in _offsets(_parity(e), 1, j - i)
-            if tuple(map(add, e, delta)) in free_j
-        )
+        fmt, _, free_sets = self._packed
+        p = fmt.pack(e)
+        return sum(p + d in free_sets[j] for d in fmt.steps(p, 1, j - i))
+
+    @cached_property
+    def _packed(
+        self,
+    ) -> tuple[_Packing, tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]]:
+        """The free cells packed, for probes that step by +-1: the format
+        (``cells._Packing``), then per dimension a tuple of ints in
+        ``free_by_dim`` order and a frozenset of the same ints.
+
+        The format spans every cell listed, free or not, so a step from any
+        of them fits. The view holds nothing of the census, so no reference
+        cycle keeps a census alive.
+        """
+        fmt = _Packing.spanning(self.n, self.cells_by_dim + self.free_by_dim)
+        free = tuple(tuple(map(fmt.pack, cells)) for cells in self.free_by_dim)
+        return fmt, free, tuple(map(frozenset, free))
 
 
 def census(obj: DigitalObject) -> CellCensus:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -289,6 +291,26 @@ class TestVerify:
         assert not results["census-partition"].passed
         assert not results["gap-triple-agreement"].passed
         assert results["census-partition"].witness
+
+    def test_verify_never_holds_two_censuses(self, monkeypatch):
+        from gridgaps import cli as cli_mod
+
+        real = cli_mod.census
+        built, overlaps = [], []
+
+        def tracked(obj):
+            overlaps.append(sum(ref() is not None for ref in built))
+            cen = real(obj)
+            built.append(weakref.ref(cen))
+            return cen
+
+        monkeypatch.setattr(cli_mod, "census", tracked)
+        gc.disable()
+        try:
+            assert main(["verify", "--random", "3", "3", "0.5", "1", "3"]) == EXIT_OK
+        finally:
+            gc.enable()
+        assert overlaps == [0, 0, 0]
 
 
 class TestGen:

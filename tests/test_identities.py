@@ -25,6 +25,11 @@ from gridgaps.objects import CellCensus
 
 DIAG3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0)])
 PREFIX = "object n=3 centers=[(0, 0, 0), (1, 1, 0)]; "
+#: DIAG3 moved to the -2**59 corner; its cell coordinates lie near -2**60
+FAR_DIAG3 = DIAG3.translate((-(1 << 59),) * 3)
+F = 1 << 60
+H = 1 << 59
+FAR_PREFIX = f"object n=3 centers=[({-H}, {-H}, {-H}), ({1 - H}, {1 - H}, {-H})]; "
 
 
 def _bump(counts: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -90,6 +95,28 @@ class TestFailureResults:
     def test_doctored_census(self, identity, doctor, name, checked, detail):
         result = identity(DIAG3, doctor(census(DIAG3)))
         assert result == IdentityResult(name, False, checked, PREFIX + detail)
+
+    @pytest.mark.parametrize(
+        "identity, doctor, name, detail",
+        [
+            (
+                hub_nub_degree,
+                lambda cen: _drop_free(cen, 2),
+                "hub-nub-degree",
+                f"cell=({2 - F}, {3 - F}, {1 - F}): b_(n-1)=0, expected 2",
+            ),
+            (
+                free_face_heredity,
+                lambda cen: _drop_free(cen, 0),
+                "free-face-heredity",
+                f"free cell ({2 - F}, {3 - F}, {1 - F})"
+                f" has non-free face ({1 - F}, {3 - F}, {1 - F})",
+            ),
+        ],
+    )
+    def test_doctored_census_far_from_the_origin(self, identity, doctor, name, detail):
+        result = identity(FAR_DIAG3, doctor(census(FAR_DIAG3)))
+        assert result == IdentityResult(name, False, 1, FAR_PREFIX + detail)
 
     @pytest.mark.parametrize(
         "field, detail",
@@ -188,6 +215,20 @@ class TestOneScan:
         cen = census(obj)
         assert all(r.passed for r in check_object(obj, cen))
         assert len(calls) == cen.c[1]
+
+    def test_check_object_runs_one_window_pass(self, monkeypatch):
+        passes = []
+        real = gaps._corner_bits
+
+        def counted(n):  # read once per vertex-window pass
+            passes.append(n)
+            return real(n)
+
+        monkeypatch.setattr(gaps, "_corner_bits", counted)
+        # an object no other test builds, so no earlier pass is kept for it
+        obj = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (2, 2, 1)])
+        assert all(r.passed for r in check_object(obj))
+        assert len(passes) == 1
 
     def test_alternating_objects_get_their_own_hubs(self):
         a = DIAG3

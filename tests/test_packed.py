@@ -1,0 +1,205 @@
+"""The census's packed probes against the tuple routes they replace.
+
+``CellCensus.b_boundary`` and the border-sum, hub-nub-degree and
+free-face-heredity identities step through the census's free cells packed
+as ints. Each is compared here with a loop over the census's own tuple
+sets, and ``b_boundary`` also with the brute-force interval oracle, on real
+and doctored censuses.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+from dataclasses import replace
+from itertools import product
+
+import pytest
+
+from gridgaps import (
+    Cell,
+    DigitalObject,
+    c_bounding,
+    census,
+    cofaces,
+    enumerate_all_objects,
+    faces,
+)
+from gridgaps.cells import _mk
+from gridgaps.gaps import count_gaps_oracle
+from gridgaps.identities import border_sum, check_object, free_face_heredity, hub_nub_degree
+from gridgaps.objects import CellCensus
+
+from oracles import o_border, o_bounds
+
+EDGE = 1 << 59
+
+
+def tuple_b_boundary(cen: CellCensus, e: Cell, j: int) -> int:
+    return sum(1 for f in cofaces(e, j) if f in cen.free_by_dim[j])
+
+
+def tuple_border_sum(obj, cen):
+    checked = 0
+    for j in range(1, obj.n):
+        for i in range(j):
+            checked += 1
+            lhs = sum(tuple_b_boundary(cen, e, j) for e in cen.free_by_dim[i])
+            rhs = c_bounding(i, j) * cen.c_star[j]
+            if lhs != rhs:
+                return checked, f"(i={i}, j={j}): sum={lhs} formula={rhs}"
+    return checked, None
+
+
+def tuple_hub_nub_degree(obj, cen):
+    n = obj.n
+    if n < 2:
+        return 0, None
+    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
+    free = cen.free_by_dim[n - 2]
+    for checked, e in enumerate(free, 1):
+        expected = 4 if e in hubs else 2
+        got = tuple_b_boundary(cen, e, n - 1)
+        if got != expected:
+            return checked, f"cell={tuple(e)}: b_(n-1)={got}, expected {expected}"
+    return len(free), None
+
+
+def tuple_free_face_heredity(obj, cen):
+    checked = 0
+    for j in range(1, obj.n):
+        for f in cen.free_by_dim[j]:
+            checked += 1
+            missing = [e for e in faces(f, j - 1) if e not in cen.free_by_dim[j - 1]]
+            if missing:
+                return checked, f"free cell {tuple(f)} has non-free face {tuple(min(missing))}"
+    return checked, None
+
+
+REFERENCES = (
+    (border_sum, tuple_border_sum),
+    (hub_nub_degree, tuple_hub_nub_degree),
+    (free_face_heredity, tuple_free_face_heredity),
+)
+
+
+def assert_packed_matches_tuples(obj: DigitalObject, cen: CellCensus, oracle: bool) -> None:
+    """With ``oracle``, ``b_boundary`` is also checked against the interval
+    oracle: ``o_b_boundary`` with its border computed once per j."""
+    n = cen.n
+    vox = frozenset(map(tuple, obj.voxels))
+    for j in range(1, n):
+        border = o_border(n, vox, j) if oracle else ()
+        for i in range(j):
+            for e in cen.cells_by_dim[i]:
+                got = cen.b_boundary(e, j)
+                assert got == tuple_b_boundary(cen, e, j), (e, j)
+                if oracle:
+                    assert got == sum(1 for f in border if o_bounds(tuple(e), f)), (e, j)
+    for identity, reference in REFERENCES:
+        result = identity(obj, cen)
+        checked, detail = reference(obj, cen)
+        assert (result.passed, result.checked) == (detail is None, checked), result
+        assert result.witness.endswith(f"; {detail}") if detail else not result.witness
+
+
+def assert_steps_decode(cen: CellCensus) -> None:
+    """Every free cell and every +-1 step from it unpacks to its tuple."""
+    fmt, packed_free, packed_sets = cen._packed
+    for i, free in enumerate(cen.free_by_dim):
+        assert tuple(map(fmt.unpack, packed_free[i])) == tuple(free)
+        assert packed_sets[i] == frozenset(packed_free[i])
+        for p, e in zip(packed_free[i], free):
+            for k in range(1, cen.n - i + 1):
+                assert {fmt.unpack(p + d) for d in fmt.steps(p, 1, k)} == cofaces(e, i + k)
+            for k in range(1, i + 1):
+                assert {fmt.unpack(p + d) for d in fmt.steps(p, 0, k)} == faces(e, i - k)
+
+
+def reaching_past(cen: CellCensus) -> CellCensus:
+    """The census with a voxel listed one step below its least coordinate
+    and a vertex two steps above its greatest, neither of them free: the
+    least coordinate becomes even, so lo - 1 is odd."""
+    coords = [x for cells in cen.cells_by_dim for e in cells for x in e] or [1]
+    lo, hi = min(coords), max(coords)
+    cells = list(cen.cells_by_dim)
+    # built unchecked: at the range corners these lie past +-2**60
+    cells[cen.n] |= {_mk(Cell, (lo - 1,) * cen.n)}
+    cells[0] |= {_mk(Cell, (hi + 2,) * cen.n)}
+    return replace(cen, cells_by_dim=tuple(cells))
+
+
+def without_least_free(cen: CellCensus, i: int) -> CellCensus:
+    free = list(cen.free_by_dim)
+    free[i] = free[i] - {min(free[i])}
+    return replace(cen, free_by_dim=tuple(free))
+
+
+def assert_all_censuses_agree(
+    obj: DigitalObject, oracle: bool = True, drops: bool = True
+) -> set[int]:
+    """Check the census, the one reaching past it and, with ``drops``, the
+    census with its least free cell dropped in each dimension in turn;
+    return the parities of lo - 1 that were seen."""
+    cen = census(obj)
+    assert_packed_matches_tuples(obj, cen, oracle)
+    doctored = [reaching_past(cen)]
+    for c in (cen, doctored[0]):  # lo - 1 even, then odd
+        assert_steps_decode(c)
+    if drops:
+        doctored += [without_least_free(cen, i) for i in range(obj.n) if cen.free_by_dim[i]]
+    for d in doctored:
+        assert_packed_matches_tuples(obj, d, oracle=False)
+    return {(c._packed[0].lo - 1) & 1 for c in [cen, *doctored]}
+
+
+CORNERS = [
+    DigitalObject.from_centers(2, list(product((-EDGE, EDGE), repeat=2))),
+    DigitalObject.from_centers(
+        3,
+        list(product((-EDGE, EDGE), repeat=3))
+        + [(EDGE - 1, EDGE - 1, EDGE), (1 - EDGE, -EDGE, 1 - EDGE)],
+    ),
+    DigitalObject.from_centers(3, [(-EDGE, -EDGE, -EDGE), (1 - EDGE, 1 - EDGE, -EDGE)]),
+    DigitalObject.from_centers(1, [(0,), (1,), (5,), (-EDGE,), (EDGE,)]),
+]
+
+
+class TestPackedProbes:
+    def test_every_object_of_a_222_box(self):
+        parities = set()
+        for obj in enumerate_all_objects(3, (2, 2, 2)):
+            parities |= assert_all_censuses_agree(obj)
+        assert parities == {0, 1}
+
+    def test_every_object_of_a_222_box_translated(self):
+        # centers move by 1, cell coordinates by 2: lo - 1 keeps its parity,
+        # and only the census reaching past the object flips it
+        parities = set()
+        for obj in enumerate_all_objects(3, (2, 2, 2)):
+            moved = obj.translate((1, 1, 1))
+            parities |= assert_all_censuses_agree(moved, oracle=False, drops=False)
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize(
+        "obj, w",
+        list(zip(CORNERS, (62, 62, 3, 62))),
+        ids=["n2", "n3-with-hubs", "n3-diagonal", "n1-line"],
+    )
+    def test_range_corners(self, obj, w):
+        assert assert_all_censuses_agree(obj) == {0, 1}
+        assert census(obj)._packed[0].w == w
+
+
+def test_census_is_freed_without_the_cycle_collector():
+    obj = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (1, 1, 1)])
+    gc.disable()
+    try:
+        cen = census(obj)
+        assert cen.b_boundary(Cell((1, 1, 0)), 2) == 4
+        assert all(r.passed for r in check_object(obj, cen))
+        ref = weakref.ref(cen)
+        del cen
+        assert ref() is None
+    finally:
+        gc.enable()
