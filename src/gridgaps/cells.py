@@ -235,12 +235,15 @@ def _parity(cell) -> tuple[int, ...]:
 
 
 # Packed cells, for probes that step from a cell to its faces or cofaces.
-# One origin lo and one field width w serve a whole set of cells: axis k of
-# a cell is stored in bits [w*k, w*k + w) as x_k - lo + 1. With lo and hi
-# the least and greatest coordinate in the set and w the bit length of
-# hi - lo + 2, every field of a listed cell lies in [1, hi - lo + 1], so a
-# +-1 step on any axes stays in [0, 2^w): one int add, never carrying into
-# a neighbouring field, and still exact at +-2^60.
+# One origin lo, one reach r and one field width w serve a whole set of
+# cells: axis k of a cell is stored in bits [w*k, w*k + w) as x_k - lo + r.
+# With lo and hi the least and greatest coordinate in the set and w the bit
+# length of hi - lo + 2r, every field of a listed cell lies in
+# [r, hi - lo + r], so a step of up to +-r on any axes stays in [0, 2^w):
+# one int add, never carrying into a neighbouring field, and still exact at
+# +-2^60. The difference of two listed cells, less such a step, has every
+# field below 2^w in magnitude, so it is 0 only where the difference is
+# that step.
 
 
 @lru_cache(maxsize=None)
@@ -258,40 +261,60 @@ def _packed_steps(n: int, w: int, parity: int, flat: int, k: int) -> tuple[int, 
     return tuple(sum(map(mul, d, lanes)) for d in _offsets(bits, flat, k))
 
 
+@lru_cache(maxsize=None)
+def _voxel_steps(n: int, w: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The packed differences of facet-adjacent voxels (+-2 on one axis)
+    and of strictly (n-2)-adjacent voxels (+-2 on two axes)."""
+    lanes = _lanes(n, w)
+    facet = frozenset(s * 2 * lane for lane in lanes for s in (-1, 1))
+    diagonal = frozenset(
+        a + b for a, b in combinations(facet, 2) if abs(a) != abs(b)
+    )
+    return facet, diagonal
+
+
 class _Packing:
-    """The packed format of one set of cells: n axes, origin lo, width w."""
+    """The packed format of one set of cells: n axes, origin lo, width w,
+    and the reach of the steps it fits."""
 
-    __slots__ = ("n", "lo", "w", "_lanes", "_base", "_mask", "_flip")
+    __slots__ = ("n", "lo", "w", "_off", "_lanes", "_base", "_mask", "_flip")
 
-    def __init__(self, n: int, lo: int, w: int) -> None:
+    def __init__(self, n: int, lo: int, w: int, reach: int = 1) -> None:
         self.n, self.lo, self.w = n, lo, w
+        self._off = lo - reach  # field k holds x_k - off
         self._lanes = _lanes(n, w)
         self._mask = sum(self._lanes)  # the low bit of every field
-        self._base = (lo - 1) * self._mask
-        # field k holds x_k - lo + 1, so its low bit is x_k's parity unless
-        # lo - 1 is odd
-        self._flip = self._mask if (lo - 1) & 1 else 0
+        self._base = self._off * self._mask
+        # a field's low bit is x_k's parity, flipped where off is odd
+        self._flip = self._mask if self._off & 1 else 0
 
     @classmethod
-    def spanning(cls, n: int, cell_sets: Iterable[Iterable[Cell]]) -> "_Packing":
+    def spanning(
+        cls, n: int, cell_sets: Iterable[Iterable[Cell]], reach: int = 1
+    ) -> "_Packing":
         """The format that fits every coordinate of the cells in
-        ``cell_sets`` and one step beyond it."""
+        ``cell_sets`` and ``reach`` steps beyond it."""
         sets = [cells for cells in cell_sets if cells]
         lo = min((min(chain.from_iterable(cells)) for cells in sets), default=0)
         hi = max((max(chain.from_iterable(cells)) for cells in sets), default=0)
-        return cls(n, lo, (hi - lo + 2).bit_length())
+        return cls(n, lo, (hi - lo + 2 * reach).bit_length(), reach)
 
     def pack(self, cell: Iterable[int]) -> int:
         return sum(map(mul, cell, self._lanes)) - self._base
 
     def unpack(self, p: int) -> Cell:
-        w, field, off = self.w, (1 << self.w) - 1, self.lo - 1
+        w, field, off = self.w, (1 << self.w) - 1, self._off
         return _mk(Cell, ((p >> w * k & field) + off for k in range(self.n)))
 
     def steps(self, p: int, flat: int, k: int) -> tuple[int, ...]:
         """The packed +-1 steps from cell p along k of its axes of parity
         ``flat``: its cofaces k dimensions up (1) or faces k down (0)."""
         return _packed_steps(self.n, self.w, (p & self._mask) ^ self._flip, flat, k)
+
+    def voxel_steps(self) -> tuple[frozenset[int], frozenset[int]]:
+        """``_voxel_steps`` in this format: the facet steps, then the
+        strictly (n-2)-adjacent ones."""
+        return _voxel_steps(self.n, self.w)
 
 
 # The window of a lattice vertex w (all doubled coordinates odd) is its 2^n

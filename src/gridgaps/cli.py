@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import replace
 from math import prod
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from . import dvo
 from .gaps import (
@@ -160,7 +160,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_objects(args: argparse.Namespace) -> list[tuple[str, DigitalObject]]:
+def _verify_objects(args: argparse.Namespace) -> Iterator[tuple[str, DigitalObject]]:
+    """The labelled objects to verify, each built only when it is wanted;
+    every argument is checked before the first is built."""
     if args.random is not None:
         raw_n, raw_extent, raw_density, raw_seed, raw_trials = args.random
         try:
@@ -176,14 +178,18 @@ def _verify_objects(args: argparse.Namespace) -> list[tuple[str, DigitalObject]]
         _check_caps(n=n)
         first = ShapeSpec("random", n, extents=(extent,) * n, density=density, seed=seed)
         _check_caps(sites=first.extents)
-        out = []
-        for t in range(trials):
-            obj = generate(replace(first, seed=seed + t))
-            out.append((f"random trial {t} (seed {seed + t})", obj))
-        return out
+        last = seed + trials - 1
+        if last >= 1 << 64:
+            raise ValueError(
+                f"--random's last trial would have seed {last}, past the 64-bit unsigned range"
+            )
+        return (
+            (f"random trial {t} (seed {seed + t})", generate(replace(first, seed=seed + t)))
+            for t in range(trials)
+        )
     if args.file is None:
         raise ValueError("verify needs a FILE or --random")
-    return [(args.file, _load(args.file))]
+    return iter([(args.file, _load(args.file))])
 
 
 def _reject_both_sources(args: argparse.Namespace) -> None:
@@ -193,9 +199,10 @@ def _reject_both_sources(args: argparse.Namespace) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _reject_both_sources(args)
-    labeled = _verify_objects(args)
     summary: dict[str, dict[str, Any]] = {}
-    for label, obj in labeled:
+    objects = 0
+    for label, obj in _verify_objects(args):
+        objects += 1
         cen = census(obj)
         for identity in ALL_IDENTITIES:
             result: IdentityResult = identity(obj, cen)
@@ -209,7 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         del cen  # so no two censuses are ever alive at once
     all_passed = all(agg["passed"] for agg in summary.values())
     payload = {
-        "objects": len(labeled),
+        "objects": objects,
         "identities": summary,
         "passed": all_passed,
     }
@@ -221,7 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"FAIL {name}: {agg['witness']}")
     lines.append(
         f"{'all identities hold' if all_passed else 'IDENTITY FAILURE'}"
-        f" on {len(labeled)} object(s)"
+        f" on {objects} object(s)"
     )
     _emit(payload, args.json, "\n".join(lines) + "\n")
     return EXIT_OK if all_passed else EXIT_DISAGREEMENT

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from itertools import combinations
 from typing import Callable
 
 from .counting import c_bounding
@@ -18,11 +19,9 @@ from .gaps import (
     HubTag,
     _window_counts,
     classification_histogram,
-    classify_cell,
     count_gaps_block_formula,
     count_gaps_formula,
     count_gaps_oracle,
-    is_gap_by_adjacency,
 )
 # census stays bound here: perfbench's tracer wraps it and checks it is restored
 from .objects import CellCensus, DigitalObject, _census_of, census  # noqa: F401
@@ -39,6 +38,9 @@ _TAG_ARITY = {
     HubTag.L_BLOCK: 3,
     HubTag.FULL_BLOCK: 4,
 }
+#: the tag of a block with 1, 3 or 4 voxels present; a pair is told apart
+#: by its difference
+_COUNT_TAG = {1: HubTag.SIMPLE, 3: HubTag.L_BLOCK, 4: HubTag.FULL_BLOCK}
 
 
 @dataclass(frozen=True)
@@ -165,12 +167,25 @@ def gap_triple_agreement(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 
 @_identity("detector-equivalence", codim2=True)
 def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
-    """Block inspection and the adjacency conditions find the same hubs."""
+    """Block inspection and the adjacency conditions find the same hubs.
+
+    The adjacency conditions of ``is_gap_by_adjacency`` are tested on the
+    census's packed block view: two voxels of e's block are strictly
+    (n-2)-adjacent, and no voxel is facet-adjacent to both.
+    """
     n = obj.n
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
+    fmt, packed, vox = cen._packed_blocks
+    facet, diagonal = fmt.voxel_steps()
     cells = cen.cells_by_dim[n - 2]
-    for checked, e in enumerate(cells, 1):
-        if (e in hubs) != is_gap_by_adjacency(obj, e):
+    for checked, (e, p) in enumerate(zip(cells, packed), 1):
+        members = [p + d for d in fmt.steps(p, 1, 2) if p + d in vox]
+        gap = any(
+            v2 - v1 in diagonal
+            and not any(v1 + f in vox and v2 - v1 - f in facet for f in facet)
+            for v1, v2 in combinations(members, 2)
+        )
+        if (e in hubs) != gap:
             return checked, f"cell={tuple(e)}: detectors disagree"
     return len(cells), None
 
@@ -179,6 +194,9 @@ def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Each (n-2)-cell gets exactly one consistent tag.
 
+    The tag is read off the census's packed block view, as ``classify_cell``
+    reads it: the number of block voxels present, and for a pair whether it
+    is facet-adjacent. A cell with no voxel in its block is reported.
     Consistency: witness arity matches the tag, the full block is exactly
     the non-free case, and the tandem tag is exactly the gap detector's yes.
     Then the tally of these tags must equal ``classification_histogram``,
@@ -186,18 +204,28 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """
     n = obj.n
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
+    fmt, packed, vox = cen._packed_blocks
+    facet = fmt.voxel_steps()[0]
     free, cells = cen.free_by_dim[n - 2], cen.cells_by_dim[n - 2]
     tally = {tag: 0 for tag in HubTag}
-    for checked, e in enumerate(cells, 1):
-        klass = classify_cell(obj, e)
-        tally[klass.tag] += 1
+    for checked, (e, p) in enumerate(zip(cells, packed), 1):
+        present = [p + d for d in fmt.steps(p, 1, 2) if p + d in vox]
+        k = len(present)
+        if k == 0:
+            return checked, f"cell={tuple(e)}: no voxel in its block"
+        if k == 2:
+            pair_facet = present[1] - present[0] in facet
+            tag = HubTag.FACET_PAIR_BLOCK if pair_facet else HubTag.GAP_TANDEM
+        else:
+            tag = _COUNT_TAG[k]
+        tally[tag] += 1
         bad = None
-        if len(klass.voxels) != _TAG_ARITY[klass.tag]:
-            bad = f"tag {klass.tag.value} with {len(klass.voxels)} voxels"
-        elif (klass.tag is HubTag.FULL_BLOCK) != (e not in free):
-            bad = f"tag {klass.tag.value} vs free={e in free}"
-        elif (klass.tag is HubTag.GAP_TANDEM) != (e in hubs):
-            bad = f"tag {klass.tag.value} vs gap detector"
+        if k != _TAG_ARITY[tag]:
+            bad = f"tag {tag.value} with {k} voxels"
+        elif (tag is HubTag.FULL_BLOCK) != (e not in free):
+            bad = f"tag {tag.value} vs free={e in free}"
+        elif (tag is HubTag.GAP_TANDEM) != (e in hubs):
+            bad = f"tag {tag.value} vs gap detector"
         if bad:
             return checked, f"cell={tuple(e)}: {bad}"
     hist = classification_histogram(obj)

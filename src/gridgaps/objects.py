@@ -169,6 +169,24 @@ class CellCensus:
         free = tuple(tuple(map(fmt.pack, cells)) for cells in self.free_by_dim)
         return fmt, free, tuple(map(frozenset, free))
 
+    @cached_property
+    def _packed_blocks(self) -> tuple[_Packing, tuple[int, ...], frozenset[int]]:
+        """The (n-2)-cells and voxels packed, for block probes (n >= 2): the
+        format, the (n-2)-cells in ``cells_by_dim[n-2]`` order and the set
+        of voxels.
+
+        The format reaches 2 past every listed (n-2)-cell and voxel, so a
+        +-1 step from a cell to its block and a +-2 step from a voxel to a
+        facet neighbour both fit. Like ``_packed``, the view is built from
+        the census's own fields and holds nothing of the census.
+        """
+        n = self.n
+        if n < 2:
+            raise ValueError("block view needs ambient dimension n >= 2")
+        cells, voxels = self.cells_by_dim[n - 2], self.cells_by_dim[n]
+        fmt = _Packing.spanning(n, (cells, voxels), reach=2)
+        return fmt, tuple(map(fmt.pack, cells)), frozenset(map(fmt.pack, voxels))
+
 
 def census(obj: DigitalObject) -> CellCensus:
     """Full per-dimension census with free/non-free classification.

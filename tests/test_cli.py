@@ -312,6 +312,40 @@ class TestVerify:
             gc.enable()
         assert overlaps == [0, 0, 0]
 
+    def test_random_builds_each_trial_just_before_its_census(self, monkeypatch):
+        from gridgaps import cli as cli_mod
+
+        events = []
+        real_generate, real_census = cli_mod.generate, cli_mod.census
+
+        def generate(spec):
+            events.append(f"generate {spec.seed}")
+            return real_generate(spec)
+
+        def tracked(obj):
+            events.append("census")
+            return real_census(obj)
+
+        monkeypatch.setattr(cli_mod, "generate", generate)
+        monkeypatch.setattr(cli_mod, "census", tracked)
+        assert main(["verify", "--random", "2", "3", "0.5", "5", "3"]) == EXIT_OK
+        assert events == ["generate 5", "census", "generate 6", "census", "generate 7", "census"]
+
+    def test_random_last_seed_is_checked_before_any_work(self, monkeypatch, capsys):
+        from gridgaps import cli as cli_mod
+
+        built = []
+        monkeypatch.setattr(cli_mod, "generate", lambda spec: built.append(spec))
+        top = (1 << 64) - 1
+        assert main(["verify", "--random", "2", "3", "0.5", str(top), "2"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: --random's last trial would have seed {top + 1},"
+            " past the 64-bit unsigned range\n"
+        )
+        assert built == []
+        monkeypatch.undo()
+        assert main(["verify", "--random", "2", "3", "0.5", str(top), "1"]) == EXIT_OK
+
 
 class TestGen:
     def test_round_trip_through_count(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from gridgaps import DigitalObject, census, gaps, identities
 from gridgaps.cells import Cell
-from gridgaps.gaps import HubTag, count_gaps_oracle, is_gap
+from gridgaps.gaps import GapReport, HubTag, count_gaps_oracle, is_gap
 from gridgaps.identities import (
     IdentityResult,
     border_sum,
@@ -150,7 +150,10 @@ class TestFailureResults:
         assert result == IdentityResult("gap-triple-agreement", False, 1, PREFIX + detail)
 
     def test_detector_disagreement(self, monkeypatch):
-        monkeypatch.setattr(identities, "is_gap_by_adjacency", lambda obj, e: False)
+        # the scan loses its one hub, which the adjacency conditions still find
+        monkeypatch.setattr(
+            identities, "count_gaps_oracle", lambda obj, i, cen=None: GapReport(i, (), 0)
+        )
         result = detector_equivalence(DIAG3, census(DIAG3))
         assert result == IdentityResult(
             "detector-equivalence", False, 7, PREFIX + "cell=(1, 1, 0): detectors disagree"
@@ -170,6 +173,16 @@ class TestFailureResults:
             " 'l_block': 0, 'full_block': 0} but classify_cell tally"
             " {'simple': 22, 'facet_pair_block': 0, 'gap_tandem': 1,"
             " 'l_block': 0, 'full_block': 0}",
+        )
+
+    def test_cell_with_no_voxel_in_its_block_is_reported(self):
+        cen = census(DIAG3)
+        cells = list(cen.cells_by_dim)
+        cells[1] = cells[1] | {Cell((9, 9, 0))}
+        stray = list(cells[1]).index(Cell((9, 9, 0))) + 1
+        results = {r.name: r for r in check_object(DIAG3, replace(cen, cells_by_dim=tuple(cells)))}
+        assert results["classification-totality"] == IdentityResult(
+            "classification-totality", False, stray, PREFIX + "cell=(9, 9, 0): no voxel in its block"
         )
 
     def test_long_object_witness_is_cut_at_24_centers(self):

@@ -2,9 +2,11 @@
 
 ``CellCensus.b_boundary`` and the border-sum, hub-nub-degree and
 free-face-heredity identities step through the census's free cells packed
-as ints. Each is compared here with a loop over the census's own tuple
-sets, and ``b_boundary`` also with the brute-force interval oracle, on real
-and doctored censuses.
+as ints; detector-equivalence and classification-totality probe blocks
+through its (n-2)-cells and voxels packed as ints. Each is compared here
+with a loop over the census's own tuple sets (``is_gap_by_adjacency`` and
+``classify_cell`` for the block probes), and ``b_boundary`` also with the
+brute-force interval oracle, on real and doctored censuses.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import pytest
 from gridgaps import (
     Cell,
     DigitalObject,
+    adjacent_voxels,
+    block,
     c_bounding,
     census,
     cofaces,
@@ -26,8 +30,22 @@ from gridgaps import (
     faces,
 )
 from gridgaps.cells import _mk
-from gridgaps.gaps import count_gaps_oracle
-from gridgaps.identities import border_sum, check_object, free_face_heredity, hub_nub_degree
+from gridgaps.gaps import (
+    HubTag,
+    classification_histogram,
+    classify_cell,
+    count_gaps_oracle,
+    is_gap_by_adjacency,
+)
+from gridgaps.identities import (
+    _TAG_ARITY,
+    border_sum,
+    check_object,
+    classification_totality,
+    detector_equivalence,
+    free_face_heredity,
+    hub_nub_degree,
+)
 from gridgaps.objects import CellCensus
 
 from oracles import o_border, o_bounds
@@ -76,10 +94,60 @@ def tuple_free_face_heredity(obj, cen):
     return checked, None
 
 
+def listed_voxels(cen: CellCensus) -> DigitalObject:
+    """The voxels the census lists, as an object: the block view probes
+    these, so a doctored census's extra voxels count for both routes."""
+    return DigitalObject(cen.n, cen.cells_by_dim[cen.n])
+
+
+def tuple_detector_equivalence(obj, cen):
+    n = obj.n
+    if n < 2:
+        return 0, None
+    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
+    listed = listed_voxels(cen)
+    cells = cen.cells_by_dim[n - 2]
+    for checked, e in enumerate(cells, 1):
+        if (e in hubs) != is_gap_by_adjacency(listed, e):
+            return checked, f"cell={tuple(e)}: detectors disagree"
+    return len(cells), None
+
+
+def tuple_classification_totality(obj, cen):
+    n = obj.n
+    if n < 2:
+        return 0, None
+    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
+    listed = listed_voxels(cen)
+    free, cells = cen.free_by_dim[n - 2], cen.cells_by_dim[n - 2]
+    tally = {tag: 0 for tag in HubTag}
+    for checked, e in enumerate(cells, 1):
+        if not block(e) & listed.voxels:
+            return checked, f"cell={tuple(e)}: no voxel in its block"
+        klass = classify_cell(listed, e)
+        tally[klass.tag] += 1
+        bad = None
+        if len(klass.voxels) != _TAG_ARITY[klass.tag]:
+            bad = f"tag {klass.tag.value} with {len(klass.voxels)} voxels"
+        elif (klass.tag is HubTag.FULL_BLOCK) != (e not in free):
+            bad = f"tag {klass.tag.value} vs free={e in free}"
+        elif (klass.tag is HubTag.GAP_TANDEM) != (e in hubs):
+            bad = f"tag {klass.tag.value} vs gap detector"
+        if bad:
+            return checked, f"cell={tuple(e)}: {bad}"
+    hist = classification_histogram(obj)
+    if hist != tally:
+        shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
+        return len(cells), "histogram {} but classify_cell tally {}".format(*shown)
+    return len(cells), None
+
+
 REFERENCES = (
     (border_sum, tuple_border_sum),
     (hub_nub_degree, tuple_hub_nub_degree),
     (free_face_heredity, tuple_free_face_heredity),
+    (detector_equivalence, tuple_detector_equivalence),
+    (classification_totality, tuple_classification_totality),
 )
 
 
@@ -116,6 +184,24 @@ def assert_steps_decode(cen: CellCensus) -> None:
                 assert {fmt.unpack(p + d) for d in fmt.steps(p, 0, k)} == faces(e, i - k)
 
 
+def assert_block_probes_decode(cen: CellCensus) -> None:
+    """Every listed (n-2)-cell and voxel, every +-1 step from such a cell
+    to its block and every +-2 step from such a voxel unpacks to its tuple."""
+    n = cen.n
+    fmt, packed, vox = cen._packed_blocks
+    cells, voxels = cen.cells_by_dim[n - 2], cen.cells_by_dim[n]
+    assert tuple(map(fmt.unpack, packed)) == tuple(cells)
+    assert {fmt.unpack(v) for v in vox} == voxels and len(vox) == len(voxels)
+    for p, e in zip(packed, cells):
+        assert {fmt.unpack(p + d) for d in fmt.steps(p, 1, 2)} == block(e)
+    facet, diagonal = fmt.voxel_steps()
+    for v in vox:
+        u = fmt.unpack(v)
+        near = adjacent_voxels(u, n - 1)
+        assert {fmt.unpack(v + f) for f in facet} == near
+        assert {fmt.unpack(v + d) for d in diagonal} == adjacent_voxels(u, n - 2) - near
+
+
 def reaching_past(cen: CellCensus) -> CellCensus:
     """The census with a voxel listed one step below its least coordinate
     and a vertex two steps above its greatest, neither of them free: the
@@ -135,19 +221,37 @@ def without_least_free(cen: CellCensus, i: int) -> CellCensus:
     return replace(cen, free_by_dim=tuple(free))
 
 
+def without_least_cell(cen: CellCensus, i: int) -> CellCensus:
+    cells = list(cen.cells_by_dim)
+    cells[i] = cells[i] - {min(cells[i])}
+    return replace(cen, cells_by_dim=tuple(cells))
+
+
 def assert_all_censuses_agree(
     obj: DigitalObject, oracle: bool = True, drops: bool = True
 ) -> set[int]:
     """Check the census, the one reaching past it and, with ``drops``, the
-    census with its least free cell dropped in each dimension in turn;
-    return the parities of lo - 1 that were seen."""
+    census with its least free cell dropped in each dimension in turn and
+    the one with its least (n-2)-cell dropped; return the parities of
+    lo - 1 that were seen.
+
+    The block view's origin is lo - 2 of its own lo; on a non-empty
+    object the real census and the one reaching past it give it both
+    parities."""
     cen = census(obj)
     assert_packed_matches_tuples(obj, cen, oracle)
     doctored = [reaching_past(cen)]
     for c in (cen, doctored[0]):  # lo - 1 even, then odd
         assert_steps_decode(c)
+    if obj.n >= 2:
+        for c in (cen, doctored[0]):
+            assert_block_probes_decode(c)
+        if len(obj):
+            assert {c._packed_blocks[0]._off & 1 for c in (cen, doctored[0])} == {0, 1}
     if drops:
         doctored += [without_least_free(cen, i) for i in range(obj.n) if cen.free_by_dim[i]]
+        if obj.n >= 2 and len(obj):
+            doctored.append(without_least_cell(cen, obj.n - 2))
     for d in doctored:
         assert_packed_matches_tuples(obj, d, oracle=False)
     return {(c._packed[0].lo - 1) & 1 for c in [cen, *doctored]}
