@@ -336,22 +336,6 @@ def _corner_bits(n: int) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _window_codim2(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Each (n-2)-cell at its lowest vertex w, one per pair a < b of flat
-    axes: its offset from w (+1 on every other axis), and the window mask
-    bits of its four block voxels in trace order 2*ha + hb, h = 1 for the
-    + side of flat axis a or b.
-    """
-    full = (1 << n) - 1
-    out = []
-    for a, b in combinations(range(n), 2):
-        t = tuple(0 if k in (a, b) else 1 for k in range(n))
-        base = full ^ (1 << a) ^ (1 << b)
-        out.append((t, tuple(1 << (base | ha << a | hb << b) for ha in (0, 1) for hb in (0, 1))))
-    return tuple(out)
-
-
 def faces(f: Cell, i: int) -> frozenset[Cell]:
     """All i-cells bounding f, plus f itself when i = dim(f).
 

@@ -11,14 +11,15 @@ three must agree on every object; a disagreement is an engine bug, never
 valid output.
 
 ``classify_cell`` tags one (n-2)-cell by probing its block.
-``classification_histogram`` counts the tags of all of them without a
-census: one pass over the voxels' (n-2)-faces builds each cell's 4-bit
-block trace, one bit per block voxel present, and a 15-entry table maps
-each trace to its tag.
 
 ``_window_counts``, the route behind the ``count`` command, reads the census
 counts and the (n-2)-hubs off the masks of the lattice vertices' 2^n-voxel
-windows, with no census and no ``is_gap`` scan.
+windows, with no census and no ``is_gap`` scan. Each (n-2)-cell's 4-bit
+block trace, one bit per block voxel present, sits in the mask of its
+lowest vertex: one table (``_block_traces``) reads it off the mask and
+``_TRACE_TAG`` names its tag. So the same masks give the tag histogram;
+``classification_histogram``, behind ``classify``, reads only that, with
+neither the census counts nor the hubs.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .cells import (
     Cell,
     _corner_bits,
     _mk,
-    _offsets,
-    _window_codim2,
     adjacency,
     adjacent_voxels,
     block,
@@ -237,52 +236,92 @@ _TRACE_TAG = tuple(
 
 
 @lru_cache(maxsize=None)
-def _face_corners(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each (n-2)-face offset d of a voxel v, with v's bit in the trace of
-    the block of v + d: v sits on the - side of that block along an axis
-    where d steps +1, and on the + side where d steps -1.
+def _block_traces(n: int) -> tuple[tuple[tuple[int, ...], int, dict[int, int]], ...]:
+    """Each (n-2)-cell at its lowest vertex w, one per pair a < b of flat
+    axes: its offset from w (+1 on every other axis), the window mask bits
+    of its block, and the 4-bit trace (``_TRACE_TAG``'s index) of each way
+    those bits can be set. Trace bit 2*ha + hb is the window bit of the
+    block voxel on the + side (h = 1) or - side (h = 0) of axis a and b.
     """
+    full = (1 << n) - 1
     out = []
-    for d in _offsets((0,) * n, 0, 2):
-        sa, sb = (s for s in d if s)
-        out.append((d, 1 << (2 * (sa < 0) + (sb < 0))))
+    for a, b in combinations(range(n), 2):
+        t = tuple(0 if k in (a, b) else 1 for k in range(n))
+        base = full ^ (1 << a) ^ (1 << b)
+        block = [1 << (base | ha << a | hb << b) for ha in (0, 1) for hb in (0, 1)]
+        traces = {
+            sum(bit for j, bit in enumerate(block) if trace >> j & 1): trace
+            for trace in range(16)
+        }
+        out.append((t, sum(block), traces))
     return tuple(out)
+
+
+def _windows(obj: DigitalObject) -> dict[tuple[int, ...], int]:
+    """The window mask of every lattice vertex that touches the object: each
+    voxel sets its bit in the mask of each of its 2^n corner vertices."""
+    windows: dict[tuple[int, ...], int] = {}
+    get = windows.get
+    bits = _corner_bits(obj.n)
+    for v in obj.voxels:
+        for w, bit in zip(product(*[(x - 1, x + 1) for x in v]), bits):
+            windows[w] = get(w, 0) | bit
+    return windows
+
+
+def _read_blocks(
+    n: int, masks: Counter[int]
+) -> tuple[dict[HubTag, int], dict[int, list[tuple[int, ...]]]]:
+    """The (n-2)-cells' tag histogram and the hub offsets at each mask, from
+    the windows per distinct mask: each cell is read at its lowest vertex,
+    and its trace is a hub when ``_TRACE_TAG`` calls it a gap tandem.
+
+    Traces are tallied by index and tagged once at the end, since hashing a
+    ``HubTag`` per window costs a Python call.
+    """
+    tallies = [0] * 16  # windows per trace; trace 0 is no cell
+    hub_offsets: dict[int, list[tuple[int, ...]]] = {}
+    table = _block_traces(n)
+    tandem = HubTag.GAP_TANDEM
+    for mask, count in masks.items():
+        for t, block_bits, traces in table:
+            trace = traces[mask & block_bits]
+            tallies[trace] += count
+            if _TRACE_TAG[trace] is tandem:
+                hub_offsets.setdefault(mask, []).append(t)
+    hist = {tag: 0 for tag in HubTag}
+    for trace in range(1, 16):
+        hist[_TRACE_TAG[trace]] += tallies[trace]
+    return hist, hub_offsets
 
 
 def classification_histogram(obj: DigitalObject) -> dict[HubTag, int]:
     """Tag counts over all (n-2)-cells of the object; totals to c_{n-2}.
 
-    One pass over the (n-2)-faces of every voxel, with no census and no
-    per-cell block probe: each voxel sets its corner's bit in the 4-bit
-    trace of that face's 2x2 block, and each trace names its tag (the bit
-    count is the arity; 0b0110 and 0b1001 are the diagonal pairs, the gap
-    tandems). ``classify_cell`` is the independent per-cell route that the
-    tests and the classification-totality identity compare this against.
+    Read off the lattice vertices' window masks, as ``count`` reads its
+    hubs, with no census and no per-cell block probe: each (n-2)-cell's
+    4-bit block trace sits in the mask of its lowest vertex, and the trace
+    names its tag (the bit count is the arity; 0b0110 and 0b1001 are the
+    diagonal pairs, the gap tandems). ``classify_cell`` is the independent
+    per-cell route that the tests and the classification-totality identity
+    compare this against.
     """
     n = obj.n
     if n < 2:
         raise ValueError("classification needs ambient dimension n >= 2")
-    corners = _face_corners(n)
-    masks: dict[Cell, int] = {}
-    get = masks.get
-    for v in obj.voxels:
-        for d, bit in corners:
-            e = _mk(Cell, map(add, v, d))
-            masks[e] = get(e, 0) | bit
-    hist = {tag: 0 for tag in HubTag}
-    for mask, k in Counter(masks.values()).items():
-        hist[_TRACE_TAG[mask]] += k
-    return hist
+    return _read_blocks(n, Counter(_windows(obj).values()))[0]
 
 
 class _WindowCounts(NamedTuple):
-    """What one pass over vertex windows gives: the census counts and the
-    sorted (n-2)-hubs (none below n = 2). The formulas read it as a census."""
+    """What one pass over vertex windows gives: the census counts, the tag
+    histogram of the (n-2)-cells and their sorted hubs (neither below
+    n = 2). The formulas read it as a census."""
 
     n: int
     c: tuple[int, ...]
     c_star: tuple[int, ...]
     c_prime: tuple[int, ...]
+    histogram: dict[HubTag, int]
     hubs: tuple[Cell, ...]
 
     @property
@@ -291,31 +330,25 @@ class _WindowCounts(NamedTuple):
 
 
 def _window_counts(obj: DigitalObject) -> _WindowCounts:
-    """c, c*, c' and the (n-2)-hubs from one pass over vertex windows.
+    """c, c*, c', the (n-2)-cell tags and hubs from one pass over vertex
+    windows.
 
-    Each voxel sets its bit in the window mask of each of its 2^n corner
-    vertices. A cell incident to a vertex is present when the vertex's mask
-    meets the cell's block, and non-free when the mask covers it. Halving a
-    mask along its top axis gives two masks one axis down: each half holds
-    the blocks of the cells that extend along that axis (one dimension up),
-    their union the blocks of the flat cells present and their intersection
-    those of the flat cells covered. The pass halves the histogram of
-    distinct masks down to single voxels, so each distinct sub-mask is read
-    once per dimension. An i-cell is seen from its 2^i vertices, so each
-    per-dimension sum is divided by 2^i.
+    A cell incident to a vertex is present when the vertex's mask meets the
+    cell's block, and non-free when the mask covers it. Halving a mask along
+    its top axis gives two masks one axis down: each half holds the blocks
+    of the cells that extend along that axis (one dimension up), their union
+    the blocks of the flat cells present and their intersection those of the
+    flat cells covered. The pass halves the histogram of distinct masks down
+    to single voxels, so each distinct sub-mask is read once per dimension.
+    An i-cell is seen from its 2^i vertices, so each per-dimension sum is
+    divided by 2^i. The (n-2)-cells' tags and hubs are read as
+    ``classification_histogram`` reads them.
 
-    Each (n-2)-cell is read once, at its lowest vertex, where its 4-bit
-    block trace is a hub exactly when ``_TRACE_TAG`` calls it a gap tandem.
     This is the route behind ``count``; ``census`` and ``count_gaps_oracle``
     are the references ``verify`` compares it with.
     """
     n = obj.n
-    windows: dict[tuple[int, ...], int] = {}
-    get = windows.get
-    bits = _corner_bits(n)
-    for v in obj.voxels:
-        for w, bit in zip(product(*[(x - 1, x + 1) for x in v]), bits):
-            windows[w] = get(w, 0) | bit
+    windows = _windows(obj)
     masks = Counter(windows.values())
     sums = []
     for flat in (or_, and_):  # present cells, then covered ones
@@ -334,22 +367,13 @@ def _window_counts(obj: DigitalObject) -> _WindowCounts:
             hists = halved
         sums.append(tuple(hist.get(1, 0) >> i for i, hist in enumerate(hists)))
     c, c_prime = sums
-    # per axis pair: the block's window bits, and the gap-tandem traces
-    # written in those bits
-    tandems = [trace for trace, tag in enumerate(_TRACE_TAG) if tag is HubTag.GAP_TANDEM]
-    pairs = []
-    for t, block in _window_codim2(n):
-        spread = [sum(b for j, b in enumerate(block) if trace >> j & 1) for trace in range(16)]
-        pairs.append((t, spread[15], {spread[trace] for trace in tandems}))
-    hub_offsets: dict[int, list[tuple[int, ...]]] = {}
-    for mask in masks:
-        for t, block_bits, hub_bits in pairs:
-            if mask & block_bits in hub_bits:
-                hub_offsets.setdefault(mask, []).append(t)
+    histogram, hub_offsets = _read_blocks(n, masks)
     hubs = sorted(
         _mk(Cell, map(add, w, t))
         for w, mask in windows.items()
         if mask in hub_offsets
         for t in hub_offsets[mask]
     )
-    return _WindowCounts(n, c, tuple(map(sub, c, c_prime)), c_prime, tuple(hubs))
+    return _WindowCounts(
+        n, c, tuple(map(sub, c, c_prime)), c_prime, histogram, tuple(hubs)
+    )

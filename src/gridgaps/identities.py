@@ -18,7 +18,6 @@ from .counting import c_bounding
 from .gaps import (
     HubTag,
     _window_counts,
-    classification_histogram,
     count_gaps_block_formula,
     count_gaps_formula,
     count_gaps_oracle,
@@ -26,18 +25,11 @@ from .gaps import (
 # census stays bound here: perfbench's tracer wraps it and checks it is restored
 from .objects import CellCensus, DigitalObject, _census_of, census  # noqa: F401
 
-#: census-partition and gap-triple-agreement both check the vertex-window
-#: pass, so the most recent object's pass is kept for the second of them;
-#: ``count`` calls the pass in ``gaps`` directly and keeps nothing
+#: census-partition, gap-triple-agreement and classification-totality all
+#: check the vertex-window pass, so the most recent object's pass is kept
+#: for the later ones; ``count`` and ``classify`` call the pass in ``gaps``
+#: directly and keep nothing
 _window_counts = lru_cache(maxsize=1)(_window_counts)
-
-_TAG_ARITY = {
-    HubTag.SIMPLE: 1,
-    HubTag.FACET_PAIR_BLOCK: 2,
-    HubTag.GAP_TANDEM: 2,
-    HubTag.L_BLOCK: 3,
-    HubTag.FULL_BLOCK: 4,
-}
 #: the tag of a block with 1, 3 or 4 voxels present; a pair is told apart
 #: by its difference
 _COUNT_TAG = {1: HubTag.SIMPLE, 3: HubTag.L_BLOCK, 4: HubTag.FULL_BLOCK}
@@ -197,10 +189,10 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     The tag is read off the census's packed block view, as ``classify_cell``
     reads it: the number of block voxels present, and for a pair whether it
     is facet-adjacent. A cell with no voxel in its block is reported.
-    Consistency: witness arity matches the tag, the full block is exactly
-    the non-free case, and the tandem tag is exactly the gap detector's yes.
-    Then the tally of these tags must equal ``classification_histogram``,
-    the one-pass block-trace route behind ``classify``.
+    Consistency: the full block is exactly the non-free case, and the tandem
+    tag is exactly the gap detector's yes. Then the tally of these tags must
+    equal the tag histogram of the vertex-window pass, the block-trace route
+    behind ``classify``.
     """
     n = obj.n
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
@@ -219,16 +211,11 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
         else:
             tag = _COUNT_TAG[k]
         tally[tag] += 1
-        bad = None
-        if k != _TAG_ARITY[tag]:
-            bad = f"tag {tag.value} with {k} voxels"
-        elif (tag is HubTag.FULL_BLOCK) != (e not in free):
-            bad = f"tag {tag.value} vs free={e in free}"
-        elif (tag is HubTag.GAP_TANDEM) != (e in hubs):
-            bad = f"tag {tag.value} vs gap detector"
-        if bad:
-            return checked, f"cell={tuple(e)}: {bad}"
-    hist = classification_histogram(obj)
+        if (tag is HubTag.FULL_BLOCK) != (e not in free):
+            return checked, f"cell={tuple(e)}: tag {tag.value} vs free={e in free}"
+        if (tag is HubTag.GAP_TANDEM) != (e in hubs):
+            return checked, f"cell={tuple(e)}: tag {tag.value} vs gap detector"
+    hist = _window_counts(obj).histogram
     if hist != tally:
         shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
         return len(cells), "histogram {} but classify_cell tally {}".format(*shown)

@@ -114,7 +114,7 @@ def classify_cell_tally(obj: DigitalObject) -> dict[HubTag, int]:
 
 
 class TestHistogramDifferential:
-    """The one-pass block-trace histogram against per-cell classify_cell."""
+    """The vertex-window tag histogram against per-cell classify_cell."""
 
     @pytest.mark.parametrize("n, extents", [(3, (2, 2, 2)), (2, (3, 3))])
     def test_every_object_of_small_boxes(self, n, extents):
@@ -177,6 +177,9 @@ def assert_window_pass_matches_references(obj: DigitalObject) -> None:
     assert win.beta == cen.beta
     scan = count_gaps_oracle(obj, obj.n - 2, cen).hubs if obj.n >= 2 else ()
     assert win.hubs == scan
+    tally = classify_cell_tally(obj) if obj.n >= 2 else {tag: 0 for tag in HubTag}
+    assert win.histogram == tally
+    assert win.histogram[HubTag.GAP_TANDEM] == len(win.hubs)
 
 
 #: cluster anchors far apart; with +-2 jitter and +-1 offsets the clusters

@@ -162,7 +162,8 @@ class TestFailureResults:
     def test_histogram_disagreement(self, monkeypatch):
         wrong = {tag: 0 for tag in HubTag}
         wrong[HubTag.SIMPLE] = 23
-        monkeypatch.setattr(identities, "classification_histogram", lambda obj: wrong)
+        doctored = gaps._window_counts(DIAG3)._replace(histogram=wrong)
+        monkeypatch.setattr(identities, "_window_counts", lambda obj: doctored)
         result = classification_totality(DIAG3, census(DIAG3))
         assert result == IdentityResult(
             "classification-totality",

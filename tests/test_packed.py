@@ -38,7 +38,6 @@ from gridgaps.gaps import (
     is_gap_by_adjacency,
 )
 from gridgaps.identities import (
-    _TAG_ARITY,
     border_sum,
     check_object,
     classification_totality,
@@ -124,17 +123,12 @@ def tuple_classification_totality(obj, cen):
     for checked, e in enumerate(cells, 1):
         if not block(e) & listed.voxels:
             return checked, f"cell={tuple(e)}: no voxel in its block"
-        klass = classify_cell(listed, e)
-        tally[klass.tag] += 1
-        bad = None
-        if len(klass.voxels) != _TAG_ARITY[klass.tag]:
-            bad = f"tag {klass.tag.value} with {len(klass.voxels)} voxels"
-        elif (klass.tag is HubTag.FULL_BLOCK) != (e not in free):
-            bad = f"tag {klass.tag.value} vs free={e in free}"
-        elif (klass.tag is HubTag.GAP_TANDEM) != (e in hubs):
-            bad = f"tag {klass.tag.value} vs gap detector"
-        if bad:
-            return checked, f"cell={tuple(e)}: {bad}"
+        tag = classify_cell(listed, e).tag
+        tally[tag] += 1
+        if (tag is HubTag.FULL_BLOCK) != (e not in free):
+            return checked, f"cell={tuple(e)}: tag {tag.value} vs free={e in free}"
+        if (tag is HubTag.GAP_TANDEM) != (e in hubs):
+            return checked, f"cell={tuple(e)}: tag {tag.value} vs gap detector"
     hist = classification_histogram(obj)
     if hist != tally:
         shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
