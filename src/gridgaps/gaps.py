@@ -300,9 +300,8 @@ def classification_histogram(obj: DigitalObject) -> dict[HubTag, int]:
 
     Read off the lattice vertices' window masks, as ``count`` reads its
     hubs, with no census and no per-cell block probe: each (n-2)-cell's
-    4-bit block trace sits in the mask of its lowest vertex, and the trace
-    names its tag (the bit count is the arity; 0b0110 and 0b1001 are the
-    diagonal pairs, the gap tandems). ``classify_cell`` is the independent
+    4-bit block trace sits in the mask of its lowest vertex, and
+    ``_TRACE_TAG`` names its tag. ``classify_cell`` is the independent
     per-cell route that the tests and the classification-totality identity
     compare this against.
     """
