@@ -234,16 +234,16 @@ def _parity(cell) -> tuple[int, ...]:
     return tuple(x & 1 for x in cell)
 
 
-# Packed cells, for probes that step from a cell to its faces or cofaces.
-# One origin lo, one reach r and one field width w serve a whole set of
-# cells: axis k of a cell is stored in bits [w*k, w*k + w) as x_k - lo + r.
-# With lo and hi the least and greatest coordinate in the set and w the bit
-# length of hi - lo + 2r, every field of a listed cell lies in
-# [r, hi - lo + r], so a step of up to +-r on any axes stays in [0, 2^w):
-# one int add, never carrying into a neighbouring field, and still exact at
-# +-2^60. The difference of two listed cells, less such a step, has every
-# field below 2^w in magnitude, so it is 0 only where the difference is
-# that step.
+# Packed cells, for probes that step from a cell to its faces, cofaces or
+# block, or from a voxel to its neighbours. One origin lo and one field
+# width w serve a whole set of cells: axis k of a cell is stored in bits
+# [w*k, w*k + w) as x_k - lo + 2. With lo and hi the least and greatest
+# coordinate in the set and w the bit length of hi - lo + 4, every field of
+# a listed cell lies in [2, hi - lo + 2], so a step of up to +-2 on any
+# axes stays in [0, 2^w): one int add, never carrying into a neighbouring
+# field, and still exact at +-2^60. The difference of two listed cells,
+# less such a step, has every field below 2^w in magnitude, so it is 0
+# only where the difference is that step.
 
 
 @lru_cache(maxsize=None)
@@ -274,37 +274,38 @@ def _voxel_steps(n: int, w: int) -> tuple[frozenset[int], frozenset[int]]:
 
 
 class _Packing:
-    """The packed format of one set of cells: n axes, origin lo, width w,
-    and the reach of the steps it fits."""
+    """The packed format of one set of cells: n axes, origin lo and width
+    w, with every field reaching 2 steps past the set. ``lanes`` holds the
+    weight of each axis, so a step d packs as the sum of d_k * lanes[k]."""
 
-    __slots__ = ("n", "lo", "w", "_off", "_lanes", "_base", "_mask", "_flip")
+    __slots__ = ("n", "w", "lanes", "_off", "_shifts", "_field", "_base", "_mask", "_flip")
 
-    def __init__(self, n: int, lo: int, w: int, reach: int = 1) -> None:
-        self.n, self.lo, self.w = n, lo, w
-        self._off = lo - reach  # field k holds x_k - off
-        self._lanes = _lanes(n, w)
-        self._mask = sum(self._lanes)  # the low bit of every field
+    def __init__(self, n: int, lo: int, w: int) -> None:
+        self.n, self.w = n, w
+        self._off = lo - 2  # field k holds x_k - off
+        self.lanes = _lanes(n, w)
+        self._shifts = tuple(w * k for k in range(n))
+        self._field = (1 << w) - 1
+        self._mask = sum(self.lanes)  # the low bit of every field
         self._base = self._off * self._mask
         # a field's low bit is x_k's parity, flipped where off is odd
         self._flip = self._mask if self._off & 1 else 0
 
     @classmethod
-    def spanning(
-        cls, n: int, cell_sets: Iterable[Iterable[Cell]], reach: int = 1
-    ) -> "_Packing":
+    def spanning(cls, n: int, cell_sets: Iterable[Iterable[Cell]]) -> "_Packing":
         """The format that fits every coordinate of the cells in
-        ``cell_sets`` and ``reach`` steps beyond it."""
+        ``cell_sets`` and 2 steps beyond it."""
         sets = [cells for cells in cell_sets if cells]
         lo = min((min(chain.from_iterable(cells)) for cells in sets), default=0)
         hi = max((max(chain.from_iterable(cells)) for cells in sets), default=0)
-        return cls(n, lo, (hi - lo + 2 * reach).bit_length(), reach)
+        return cls(n, lo, (hi - lo + 4).bit_length())
 
     def pack(self, cell: Iterable[int]) -> int:
-        return sum(map(mul, cell, self._lanes)) - self._base
+        return sum(map(mul, cell, self.lanes)) - self._base
 
     def unpack(self, p: int) -> Cell:
-        w, field, off = self.w, (1 << self.w) - 1, self._off
-        return _mk(Cell, ((p >> w * k & field) + off for k in range(self.n)))
+        field, off = self._field, self._off
+        return _mk(Cell, [(p >> s & field) + off for s in self._shifts])
 
     def steps(self, p: int, flat: int, k: int) -> tuple[int, ...]:
         """The packed +-1 steps from cell p along k of its axes of parity
@@ -315,25 +316,6 @@ class _Packing:
         """``_voxel_steps`` in this format: the facet steps, then the
         strictly (n-2)-adjacent ones."""
         return _voxel_steps(self.n, self.w)
-
-
-# The window of a lattice vertex w (all doubled coordinates odd) is its 2^n
-# voxels w + s, s in {-1, 1}^n, and its mask has bit sum((s_k > 0) << k)
-# set for each one in the object. Every cell incident to w has its block
-# inside that window, so the mask says which of them the object has.
-
-
-@lru_cache(maxsize=None)
-def _corner_bits(n: int) -> tuple[int, ...]:
-    """A voxel v's bit in the window mask of each of its corner vertices, in
-    the order ``product(*((x - 1, x + 1) for x in v))`` lists them: corner
-    w = v + d holds v = w - d, so the bit index has axis k set where d
-    steps -1.
-    """
-    return tuple(
-        1 << sum(1 << k for k, x in enumerate(d) if x < 0)
-        for d in product((-1, 1), repeat=n)
-    )
 
 
 def faces(f: Cell, i: int) -> frozenset[Cell]:

@@ -33,7 +33,7 @@ EXIT_DISAGREEMENT = 3
 EXIT_CAP = 4
 
 #: the commands refuse larger inputs: per voxel, verify's census visits 3^n
-#: faces, and the window pass of count and classify 2^n vertices
+#: faces, and the window pass of count and classify folds 2^n vertices in n steps
 MAX_VOXELS = 10**6
 MAX_CENSUS_DIM = 8
 

@@ -14,10 +14,12 @@ valid output.
 
 ``_window_counts``, the route behind the ``count`` command, reads the census
 counts and the (n-2)-hubs off the masks of the lattice vertices' 2^n-voxel
-windows, with no census and no ``is_gap`` scan. Each (n-2)-cell's 4-bit
-block trace, one bit per block voxel present, sits in the mask of its
-lowest vertex: one table (``_block_traces``) reads it off the mask and
-``_TRACE_TAG`` names its tag. So the same masks give the tag histogram;
+windows, with no census and no ``is_gap`` scan. ``_windows`` builds the
+masks one axis at a time on vertices packed as ints (``cells._Packing``);
+only the hubs are unpacked to cells. Each (n-2)-cell's 4-bit block trace,
+one bit per block voxel present, sits in the mask of its lowest vertex:
+one table (``_block_traces``) reads it off the mask and ``_TRACE_TAG``
+names its tag. So the same masks give the tag histogram;
 ``classification_histogram``, behind ``classify``, reads only that, with
 neither the census counts nor the hubs.
 """
@@ -28,14 +30,13 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, product
-from operator import add, and_, or_, sub
+from itertools import combinations
+from operator import and_, or_, sub
 from typing import NamedTuple
 
 from .cells import (
     Cell,
-    _corner_bits,
-    _mk,
+    _Packing,
     adjacency,
     adjacent_voxels,
     block,
@@ -236,17 +237,18 @@ _TRACE_TAG = tuple(
 
 
 @lru_cache(maxsize=None)
-def _block_traces(n: int) -> tuple[tuple[tuple[int, ...], int, dict[int, int]], ...]:
+def _block_traces(lanes: tuple[int, ...]) -> tuple[tuple[int, int, dict[int, int]], ...]:
     """Each (n-2)-cell at its lowest vertex w, one per pair a < b of flat
-    axes: its offset from w (+1 on every other axis), the window mask bits
-    of its block, and the 4-bit trace (``_TRACE_TAG``'s index) of each way
-    those bits can be set. Trace bit 2*ha + hb is the window bit of the
-    block voxel on the + side (h = 1) or - side (h = 0) of axis a and b.
+    axes: its offset from w (+1 on every other axis) packed with ``lanes``,
+    its block's window mask bits, and the 4-bit trace (``_TRACE_TAG``'s
+    index) of each way those bits can be set. Trace bit 2*ha + hb is the
+    block voxel's on the + side (h = 1) or - side (h = 0) of axis a and b.
     """
+    n = len(lanes)
     full = (1 << n) - 1
     out = []
     for a, b in combinations(range(n), 2):
-        t = tuple(0 if k in (a, b) else 1 for k in range(n))
+        t = sum(lanes) - lanes[a] - lanes[b]
         base = full ^ (1 << a) ^ (1 << b)
         block = [1 << (base | ha << a | hb << b) for ha in (0, 1) for hb in (0, 1)]
         traces = {
@@ -257,31 +259,43 @@ def _block_traces(n: int) -> tuple[tuple[tuple[int, ...], int, dict[int, int]], 
     return tuple(out)
 
 
-def _windows(obj: DigitalObject) -> dict[tuple[int, ...], int]:
-    """The window mask of every lattice vertex that touches the object: each
-    voxel sets its bit in the mask of each of its 2^n corner vertices."""
-    windows: dict[tuple[int, ...], int] = {}
-    get = windows.get
-    bits = _corner_bits(obj.n)
-    for v in obj.voxels:
-        for w, bit in zip(product(*[(x - 1, x + 1) for x in v]), bits):
-            windows[w] = get(w, 0) | bit
-    return windows
+def _windows(obj: DigitalObject) -> tuple[_Packing, dict[int, int]]:
+    """The format spanning the voxels, and the window mask of every lattice
+    vertex that touches the object, keyed by the vertex packed in it.
+
+    The window of a vertex w (all doubled coordinates odd) is its 2^n voxels
+    w + s, s in {-1, 1}^n, and its mask has bit sum((s_k > 0) << k) set for
+    each one in the object; every cell incident to w has its block inside
+    it. A 2x...x2 box splits into one-axis steps, so each voxel starts as
+    mask 1 at its own point, and at axis k each partial mask m at p goes to
+    p + lane_k as m and to p - lane_k as ``m << 2^k`` (the + side).
+    """
+    fmt = _Packing.spanning(obj.n, [obj.voxels])
+    windows = dict.fromkeys(map(fmt.pack, obj.voxels), 1)
+    for k, lane in enumerate(fmt.lanes):
+        shift = 1 << k
+        folded = {p + lane: m for p, m in windows.items()}
+        get = folded.get
+        for p, m in windows.items():
+            q = p - lane
+            folded[q] = get(q, 0) | m << shift
+        windows = folded
+    return fmt, windows
 
 
 def _read_blocks(
-    n: int, masks: Counter[int]
-) -> tuple[dict[HubTag, int], dict[int, list[tuple[int, ...]]]]:
-    """The (n-2)-cells' tag histogram and the hub offsets at each mask, from
-    the windows per distinct mask: each cell is read at its lowest vertex,
-    and its trace is a hub when ``_TRACE_TAG`` calls it a gap tandem.
+    lanes: tuple[int, ...], masks: Counter[int]
+) -> tuple[dict[HubTag, int], dict[int, list[int]]]:
+    """The (n-2)-cells' tag histogram and the packed hub offsets at each
+    mask, from the windows per distinct mask: each cell is read at its
+    lowest vertex, a hub where ``_TRACE_TAG`` calls its trace a gap tandem.
 
     Traces are tallied by index and tagged once at the end, since hashing a
     ``HubTag`` per window costs a Python call.
     """
     tallies = [0] * 16  # windows per trace; trace 0 is no cell
-    hub_offsets: dict[int, list[tuple[int, ...]]] = {}
-    table = _block_traces(n)
+    hub_offsets: dict[int, list[int]] = {}
+    table = _block_traces(lanes)
     tandem = HubTag.GAP_TANDEM
     for mask, count in masks.items():
         for t, block_bits, traces in table:
@@ -305,10 +319,10 @@ def classification_histogram(obj: DigitalObject) -> dict[HubTag, int]:
     per-cell route that the tests and the classification-totality identity
     compare this against.
     """
-    n = obj.n
-    if n < 2:
+    if obj.n < 2:
         raise ValueError("classification needs ambient dimension n >= 2")
-    return _read_blocks(n, Counter(_windows(obj).values()))[0]
+    fmt, windows = _windows(obj)
+    return _read_blocks(fmt.lanes, Counter(windows.values()))[0]
 
 
 class _WindowCounts(NamedTuple):
@@ -347,8 +361,16 @@ def _window_counts(obj: DigitalObject) -> _WindowCounts:
     are the references ``verify`` compares it with.
     """
     n = obj.n
-    windows = _windows(obj)
+    fmt, windows = _windows(obj)
     masks = Counter(windows.values())
+    histogram, hub_offsets = _read_blocks(fmt.lanes, masks)
+    hubs = sorted(
+        fmt.unpack(p + t)
+        for p, mask in windows.items()
+        if mask in hub_offsets
+        for t in hub_offsets[mask]
+    )
+    del windows  # the halving reads only the distinct masks
     sums = []
     for flat in (or_, and_):  # present cells, then covered ones
         hists = [masks]  # hists[j]: windows per mask, for cells j dimensions up
@@ -366,13 +388,6 @@ def _window_counts(obj: DigitalObject) -> _WindowCounts:
             hists = halved
         sums.append(tuple(hist.get(1, 0) >> i for i, hist in enumerate(hists)))
     c, c_prime = sums
-    histogram, hub_offsets = _read_blocks(n, masks)
-    hubs = sorted(
-        _mk(Cell, map(add, w, t))
-        for w, mask in windows.items()
-        if mask in hub_offsets
-        for t in hub_offsets[mask]
-    )
     return _WindowCounts(
         n, c, tuple(map(sub, c, c_prime)), c_prime, histogram, tuple(hubs)
     )

@@ -161,9 +161,10 @@ class CellCensus:
         (``cells._Packing``), then per dimension a tuple of ints in
         ``free_by_dim`` order and a frozenset of the same ints.
 
-        The format spans every cell listed, free or not, so a step from any
-        of them fits. The view holds nothing of the census, so no reference
-        cycle keeps a census alive.
+        The format spans every cell listed, free or not, and reaches 2 past
+        each, so a +-1 step from any cell and a +-2 step from any voxel fit;
+        ``_packed_blocks`` probes in the same format. The view holds nothing
+        of the census, so no reference cycle keeps a census alive.
         """
         fmt = _Packing.spanning(self.n, self.cells_by_dim + self.free_by_dim)
         free = tuple(tuple(map(fmt.pack, cells)) for cells in self.free_by_dim)
@@ -172,19 +173,19 @@ class CellCensus:
     @cached_property
     def _packed_blocks(self) -> tuple[_Packing, tuple[int, ...], frozenset[int]]:
         """The (n-2)-cells and voxels packed, for block probes (n >= 2): the
-        format, the (n-2)-cells in ``cells_by_dim[n-2]`` order and the set
-        of voxels.
+        format of ``_packed``, the (n-2)-cells in ``cells_by_dim[n-2]`` order
+        and the set of voxels.
 
-        The format reaches 2 past every listed (n-2)-cell and voxel, so a
-        +-1 step from a cell to its block and a +-2 step from a voxel to a
-        facet neighbour both fit. Like ``_packed``, the view is built from
-        the census's own fields and holds nothing of the census.
+        That format spans every listed cell, so a +-1 step from an
+        (n-2)-cell to its block and a +-2 step from a voxel to a facet
+        neighbour both fit. Like ``_packed``, the view is built from the
+        census's own fields and holds nothing of the census.
         """
         n = self.n
         if n < 2:
             raise ValueError("block view needs ambient dimension n >= 2")
+        fmt = self._packed[0]
         cells, voxels = self.cells_by_dim[n - 2], self.cells_by_dim[n]
-        fmt = _Packing.spanning(n, (cells, voxels), reach=2)
         return fmt, tuple(map(fmt.pack, cells)), frozenset(map(fmt.pack, voxels))
 
 

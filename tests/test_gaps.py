@@ -28,7 +28,7 @@ from gridgaps import (
     is_gap_by_adjacency,
 )
 from gridgaps.cli import main
-from gridgaps.gaps import _window_counts
+from gridgaps.gaps import _window_counts, _windows
 
 from oracles import o_gap_count
 
@@ -170,7 +170,29 @@ class TestHistogramDifferential:
             assert capsys.readouterr().out == out
 
 
+def corner_windows(obj: DigitalObject) -> dict[tuple[int, ...], int]:
+    """The window masks the direct way: each voxel v ORs its bit into the
+    mask of each of its 2^n corners w = v + d, the bit with axis k set
+    where d steps -1 (v on the + side of w)."""
+    windows: dict[tuple[int, ...], int] = {}
+    for v in obj.voxels:
+        for d in product((-1, 1), repeat=obj.n):
+            w = tuple(map(add, v, d))
+            bit = 1 << sum(1 << k for k, x in enumerate(d) if x < 0)
+            windows[w] = windows.get(w, 0) | bit
+    return windows
+
+
+def assert_masks_match_corners(obj: DigitalObject) -> None:
+    """The axis-by-axis masks of ``_windows``, unpacked, are the direct ones."""
+    fmt, windows = _windows(obj)
+    unpacked = {fmt.unpack(p): mask for p, mask in windows.items()}
+    assert len(unpacked) == len(windows)
+    assert unpacked == corner_windows(obj)
+
+
 def assert_window_pass_matches_references(obj: DigitalObject) -> None:
+    assert_masks_match_corners(obj)
     win = _window_counts(obj)
     cen = census(obj)
     assert (win.n, win.c, win.c_star, win.c_prime) == (cen.n, cen.c, cen.c_star, cen.c_prime)
@@ -189,7 +211,8 @@ EDGE = 1 << 59
 
 
 class TestWindowPass:
-    """The vertex-window pass behind ``count`` against ``census`` and the scan."""
+    """The vertex-window pass behind ``count`` against ``census``, the scan
+    and the 2^n-corner masks."""
 
     @pytest.mark.parametrize("n, extents", [(3, (2, 2, 2)), (2, (3, 3))])
     def test_every_object_of_small_boxes(self, n, extents):
@@ -234,13 +257,24 @@ class TestWindowPass:
                 + [(EDGE - 1, EDGE - 1, EDGE), (1 - EDGE, -EDGE, 1 - EDGE)],
             ),
             DigitalObject.from_centers(1, [(0,), (1,), (5,), (-EDGE,), (EDGE,)]),
+            DigitalObject.from_centers(
+                8,
+                [(EDGE,) * 8, (EDGE - 1,) * 8, (EDGE - 1, EDGE - 1) + (EDGE,) * 6, (-EDGE,) * 8],
+            ),
             DigitalObject(1),
             EMPTY3,
         ],
-        ids=["corners-n2", "corners-n3-with-hubs", "line-n1", "empty-n1", "empty-n3"],
+        ids=["corners-n2", "corners-n3-with-hubs", "line-n1", "corners-n8", "empty-n1", "empty-n3"],
     )
     def test_range_corners_line_and_empty(self, obj):
         assert_window_pass_matches_references(obj)
+
+    @pytest.mark.parametrize("n, seed", [(7, 1), (7, 2), (8, 1), (8, 2)])
+    def test_masks_past_64_and_128_bits(self, n, seed):
+        # a 2^n box at density 0.5: masks of 2^7 and 2^8 bits
+        obj = random_object(n, 2, 0.5, seed)
+        assert len(obj)
+        assert_masks_match_corners(obj)
 
 
 class TestIsGap:

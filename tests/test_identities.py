@@ -232,13 +232,13 @@ class TestOneScan:
 
     def test_check_object_runs_one_window_pass(self, monkeypatch):
         passes = []
-        real = gaps._corner_bits
+        real = gaps._windows
 
-        def counted(n):  # read once per vertex-window pass
-            passes.append(n)
-            return real(n)
+        def counted(obj):
+            passes.append(obj)
+            return real(obj)
 
-        monkeypatch.setattr(gaps, "_corner_bits", counted)
+        monkeypatch.setattr(gaps, "_windows", counted)
         # an object no other test builds, so no earlier pass is kept for it
         obj = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (2, 2, 1)])
         assert all(r.passed for r in check_object(obj))

@@ -199,7 +199,7 @@ def assert_block_probes_decode(cen: CellCensus) -> None:
 def reaching_past(cen: CellCensus) -> CellCensus:
     """The census with a voxel listed one step below its least coordinate
     and a vertex two steps above its greatest, neither of them free: the
-    least coordinate becomes even, so lo - 1 is odd."""
+    least coordinate becomes even, and so does the format's origin."""
     coords = [x for cells in cen.cells_by_dim for e in cells for x in e] or [1]
     lo, hi = min(coords), max(coords)
     cells = list(cen.cells_by_dim)
@@ -227,15 +227,14 @@ def assert_all_censuses_agree(
     """Check the census, the one reaching past it and, with ``drops``, the
     census with its least free cell dropped in each dimension in turn and
     the one with its least (n-2)-cell dropped; return the parities of
-    lo - 1 that were seen.
+    the format's origin that were seen.
 
-    The block view's origin is lo - 2 of its own lo; on a non-empty
-    object the real census and the one reaching past it give it both
-    parities."""
+    On a non-empty object the real census and the one reaching past it
+    give the origin both parities."""
     cen = census(obj)
     assert_packed_matches_tuples(obj, cen, oracle)
     doctored = [reaching_past(cen)]
-    for c in (cen, doctored[0]):  # lo - 1 even, then odd
+    for c in (cen, doctored[0]):  # origin odd, then even
         assert_steps_decode(c)
     if obj.n >= 2:
         for c in (cen, doctored[0]):
@@ -248,7 +247,7 @@ def assert_all_censuses_agree(
             doctored.append(without_least_cell(cen, obj.n - 2))
     for d in doctored:
         assert_packed_matches_tuples(obj, d, oracle=False)
-    return {(c._packed[0].lo - 1) & 1 for c in [cen, *doctored]}
+    return {c._packed[0]._off & 1 for c in [cen, *doctored]}
 
 
 CORNERS = [
@@ -271,8 +270,8 @@ class TestPackedProbes:
         assert parities == {0, 1}
 
     def test_every_object_of_a_222_box_translated(self):
-        # centers move by 1, cell coordinates by 2: lo - 1 keeps its parity,
-        # and only the census reaching past the object flips it
+        # centers move by 1, cell coordinates by 2: the origin keeps its
+        # parity, and only the census reaching past the object flips it
         parities = set()
         for obj in enumerate_all_objects(3, (2, 2, 2)):
             moved = obj.translate((1, 1, 1))
@@ -281,7 +280,7 @@ class TestPackedProbes:
 
     @pytest.mark.parametrize(
         "obj, w",
-        list(zip(CORNERS, (62, 62, 3, 62))),
+        list(zip(CORNERS, (62, 62, 4, 62))),
         ids=["n2", "n3-with-hubs", "n3-diagonal", "n1-line"],
     )
     def test_range_corners(self, obj, w):
