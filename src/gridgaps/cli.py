@@ -56,14 +56,9 @@ def _check_caps(
             raise ResourceCapError(f"{count} {what} exceed the cap of {MAX_VOXELS}")
 
 
-def _check_voxel_count(count: int) -> None:
-    if count > MAX_VOXELS:
-        _check_caps(voxels=count)
-
-
 def _load(path: str) -> DigitalObject:
     # n is refused at the header, the voxel count at voxel line MAX_VOXELS + 1
-    return dvo.load(path, check_n=_check_caps, _check_count=_check_voxel_count)
+    return dvo.load(path, _check_caps)
 
 
 def _emit(payload: dict[str, Any], as_json: bool, text: str) -> None:

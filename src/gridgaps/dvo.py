@@ -7,6 +7,8 @@ than 20 significant digits is out of range. Lines starting
 with ``#`` and blank lines are ignored anywhere. Each center is checked by
 :func:`gridgaps.cells.voxel`; duplicate voxels and out-of-range centers are
 parse errors, reported with their line number and the center as written.
+A file is UTF-8: a byte that is not is a parse error naming its line and
+the byte.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 #: never asked to parse it (it refuses strings past
 #: ``sys.int_info.default_max_str_digits``)
 _MAX_DIGITS = 20
+#: a byte that is not UTF-8, as ``errors="surrogateescape"`` decodes it
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class DvoError(ValueError):
@@ -55,6 +59,8 @@ def _significant(chunks: Iterable[str]) -> Iterator[tuple[int, str]]:
     """
     lines = (line for chunk in chunks for line in chunk.splitlines())
     for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii() and (bad := _ESCAPED_BYTE.search(raw)):
+            raise DvoError(lineno, f"byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8")
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -81,18 +87,16 @@ def _header(lines: Iterator[tuple[int, str]]) -> int:
 
 
 def _parse(
-    chunks: Iterable[str],
-    check_n: Callable[[int], None] | None,
-    check_count: Callable[[int], None] | None = None,
+    chunks: Iterable[str], check: Callable[[int, int], None] | None = None
 ) -> DigitalObject:
     lines = _significant(chunks)
     n = _header(lines)
-    if check_n is not None:
-        check_n(n)
+    if check is not None:
+        check(n, 0)
     seen: dict[Cell, int] = {}  # voxel -> line, in file order
     for lineno, line in lines:
-        if check_count is not None:
-            check_count(len(seen) + 1)
+        if check is not None:
+            check(n, len(seen) + 1)
         tokens = line.split()
         if len(tokens) != n:
             raise DvoError(lineno, f"expected {n} coordinates, got {len(tokens)}")
@@ -114,29 +118,21 @@ def _parse(
     return DigitalObject(n, seen)
 
 
-def loads(text: str, check_n: Callable[[int], None] | None = None) -> DigitalObject:
-    """Parse .dvo text into an object.
-
-    ``check_n``, when given, is called with the header's dimension before
-    any voxel line is parsed, so a caller can refuse the input there.
-    """
-    return _parse((text,), check_n)
+def loads(text: str) -> DigitalObject:
+    """Parse .dvo text into an object."""
+    return _parse((text,))
 
 
-def load(
-    path: str,
-    check_n: Callable[[int], None] | None = None,
-    *,
-    _check_count: Callable[[int], None] | None = None,
-) -> DigitalObject:
-    """Parse a .dvo file line by line; ``check_n`` as in :func:`loads`.
+def load(path: str, check: Callable[[int, int], None] | None = None) -> DigitalObject:
+    """Parse a .dvo file line by line, as :func:`loads` parses its text.
 
-    ``_check_count`` is the commands' voxel cap: it is called with k before
-    the k-th voxel line is parsed, so an oversize file is refused while it
+    ``check``, when given, is called as ``check(n, 0)`` with the header's
+    dimension n, then as ``check(n, k)`` before the k-th voxel line is
+    parsed, so a caller can refuse the input at the header or while it
     streams.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse(fh, check_n, _check_count)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return _parse(fh, check)
 
 
 def dumps(obj: DigitalObject, comments: list[str] | None = None) -> str:

@@ -102,21 +102,25 @@ def facet_count(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     return 1, None
 
 
+def _scan_hubs(obj: DigitalObject, cen: CellCensus) -> frozenset[int]:
+    """The (n-2)-hubs of the ``is_gap`` scan, packed in the census's view."""
+    pack = cen._packed.fmt.pack
+    return frozenset(map(pack, count_gaps_oracle(obj, obj.n - 2, cen).hubs))
+
+
 @_identity("border-sum")
 def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """sum of b_j(e) over the i-border equals c_bounding(i,j) * c*_j.
 
     b_j(e) is counted as ``CellCensus.b_boundary`` counts it, on the
-    census's packed free cells.
+    census's packed view.
     """
-    n = obj.n
-    fmt, free, free_sets = cen._packed
+    view = cen._packed
     checked = 0
-    for j in range(1, n):
-        free_j = free_sets[j]
+    for j in range(1, obj.n):
         for i in range(j):
             checked += 1
-            lhs = sum(p + d in free_j for p in free[i] for d in fmt.steps(p, 1, j - i))
+            lhs = view.b(view.free[i], i, j)
             rhs = c_bounding(i, j) * cen.c_star[j]
             if lhs != rhs:
                 return checked, f"(i={i}, j={j}): sum={lhs} formula={rhs}"
@@ -127,15 +131,15 @@ def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Every free (n-2)-cell bounds 4 free facets if a hub, else 2."""
     n = obj.n
-    fmt, free, free_sets = cen._packed
-    hubs = frozenset(map(fmt.pack, count_gaps_oracle(obj, n - 2, cen).hubs))
-    facets = free_sets[n - 1]
-    for checked, p in enumerate(free[n - 2], 1):
+    view = cen._packed
+    hubs = _scan_hubs(obj, cen)
+    free = view.free[n - 2]
+    for checked, p in enumerate(free, 1):
         expected = 4 if p in hubs else 2
-        got = sum(p + d in facets for d in fmt.steps(p, 1, 1))
+        got = view.b((p,), n - 2, n - 1)
         if got != expected:
-            return checked, f"cell={tuple(fmt.unpack(p))}: b_(n-1)={got}, expected {expected}"
-    return len(free[n - 2]), None
+            return checked, f"cell={tuple(view.fmt.unpack(p))}: b_(n-1)={got}, expected {expected}"
+    return len(free), None
 
 
 @_identity("gap-triple-agreement", codim2=True)
@@ -162,31 +166,29 @@ def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Block inspection and the adjacency conditions find the same hubs.
 
     The adjacency conditions of ``is_gap_by_adjacency`` are tested on the
-    census's packed block view: two voxels of e's block are strictly
+    census's packed view: two voxels of e's block are strictly
     (n-2)-adjacent, and no voxel is facet-adjacent to both.
     """
-    n = obj.n
-    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    fmt, packed, vox = cen._packed_blocks
-    facet, diagonal = fmt.voxel_steps()
-    cells = cen.cells_by_dim[n - 2]
-    for checked, (e, p) in enumerate(zip(cells, packed), 1):
-        members = [p + d for d in fmt.steps(p, 1, 2) if p + d in vox]
+    view = cen._packed
+    hubs = _scan_hubs(obj, cen)
+    vox = view.voxels
+    facet, diagonal = view.fmt.voxel_steps()
+    for checked, p in enumerate(view.codim2, 1):
         gap = any(
             v2 - v1 in diagonal
             and not any(v1 + f in vox and v2 - v1 - f in facet for f in facet)
-            for v1, v2 in combinations(members, 2)
+            for v1, v2 in combinations(view.block(p), 2)
         )
-        if (e in hubs) != gap:
-            return checked, f"cell={tuple(e)}: detectors disagree"
-    return len(cells), None
+        if (p in hubs) != gap:
+            return checked, f"cell={tuple(view.fmt.unpack(p))}: detectors disagree"
+    return len(view.codim2), None
 
 
 @_identity("classification-totality", codim2=True)
 def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Each (n-2)-cell gets exactly one consistent tag.
 
-    The tag is read off the census's packed block view, as ``classify_cell``
+    The tag is read off the census's packed view, as ``classify_cell``
     reads it: the number of block voxels present, and for a pair whether it
     is facet-adjacent. A cell with no voxel in its block is reported.
     Consistency: the full block is exactly the non-free case, and the tandem
@@ -194,32 +196,31 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     equal the tag histogram of the vertex-window pass, the block-trace route
     behind ``classify``.
     """
-    n = obj.n
-    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    fmt, packed, vox = cen._packed_blocks
-    facet = fmt.voxel_steps()[0]
-    free, cells = cen.free_by_dim[n - 2], cen.cells_by_dim[n - 2]
+    view = cen._packed
+    hubs = _scan_hubs(obj, cen)
+    facet, unpack = view.fmt.voxel_steps()[0], view.fmt.unpack
+    free = view.free_sets[obj.n - 2]
     tally = {tag: 0 for tag in HubTag}
-    for checked, (e, p) in enumerate(zip(cells, packed), 1):
-        present = [p + d for d in fmt.steps(p, 1, 2) if p + d in vox]
+    for checked, p in enumerate(view.codim2, 1):
+        present = view.block(p)
         k = len(present)
         if k == 0:
-            return checked, f"cell={tuple(e)}: no voxel in its block"
+            return checked, f"cell={tuple(unpack(p))}: no voxel in its block"
         if k == 2:
             pair_facet = present[1] - present[0] in facet
             tag = HubTag.FACET_PAIR_BLOCK if pair_facet else HubTag.GAP_TANDEM
         else:
             tag = _COUNT_TAG[k]
         tally[tag] += 1
-        if (tag is HubTag.FULL_BLOCK) != (e not in free):
-            return checked, f"cell={tuple(e)}: tag {tag.value} vs free={e in free}"
-        if (tag is HubTag.GAP_TANDEM) != (e in hubs):
-            return checked, f"cell={tuple(e)}: tag {tag.value} vs gap detector"
+        if (tag is HubTag.FULL_BLOCK) != (p not in free):
+            return checked, f"cell={tuple(unpack(p))}: tag {tag.value} vs free={p in free}"
+        if (tag is HubTag.GAP_TANDEM) != (p in hubs):
+            return checked, f"cell={tuple(unpack(p))}: tag {tag.value} vs gap detector"
     hist = _window_counts(obj).histogram
     if hist != tally:
         shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
-        return len(cells), "histogram {} but classify_cell tally {}".format(*shown)
-    return len(cells), None
+        return len(view.codim2), "histogram {} but classify_cell tally {}".format(*shown)
+    return len(view.codim2), None
 
 
 @_identity("free-face-heredity")
@@ -228,11 +229,12 @@ def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 
     The witness names the first such free cell and its least non-free face.
     """
-    fmt, free, free_sets = cen._packed
+    view = cen._packed
+    fmt = view.fmt
     checked = 0
     for j in range(1, obj.n):
-        free_below = free_sets[j - 1]
-        for f in free[j]:
+        free_below = view.free_sets[j - 1]
+        for f in view.free[j]:
             checked += 1
             steps = fmt.steps(f, 0, 1)
             for d in steps:

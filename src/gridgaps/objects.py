@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cells import Cell, _mk, _offsets, _Packing, _require_voxel, voxel
 
@@ -149,44 +149,53 @@ class CellCensus:
             raise ValueError(f"need dim(e) < j <= n-1, got dim={i}, j={j}")
         if e not in self.cells_by_dim[i]:
             raise ValueError(f"{e!r} is not a cell of the object")
-        fmt, _, free_sets = self._packed
-        p = fmt.pack(e)
-        return sum(p + d in free_sets[j] for d in fmt.steps(p, 1, j - i))
+        view = self._packed
+        return view.b((view.fmt.pack(e),), i, j)
 
     @cached_property
-    def _packed(
-        self,
-    ) -> tuple[_Packing, tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]]:
-        """The free cells packed, for probes that step by +-1: the format
-        (``cells._Packing``), then per dimension a tuple of ints in
-        ``free_by_dim`` order and a frozenset of the same ints.
+    def _packed(self) -> _PackedCensus:
+        """The census packed as ints, for probes that step from a cell to
+        its faces, cofaces or block, or from a voxel to its neighbours.
 
-        The format spans every cell listed, free or not, and reaches 2 past
-        each, so a +-1 step from any cell and a +-2 step from any voxel fit;
-        ``_packed_blocks`` probes in the same format. The view holds nothing
-        of the census, so no reference cycle keeps a census alive.
+        The format spans every cell listed, free or not, so a doctored
+        census is probed as given. The view holds nothing of the census, so
+        no reference cycle keeps a census alive.
         """
-        fmt = _Packing.spanning(self.n, self.cells_by_dim + self.free_by_dim)
+        n, listed = self.n, self.cells_by_dim
+        unlisted = [f - cells for f, cells in zip(self.free_by_dim, listed)]
+        fmt = _Packing.spanning(n, listed + tuple(unlisted))
         free = tuple(tuple(map(fmt.pack, cells)) for cells in self.free_by_dim)
-        return fmt, free, tuple(map(frozenset, free))
+        codim2 = tuple(map(fmt.pack, listed[n - 2])) if n >= 2 else ()
+        return _PackedCensus(
+            fmt, free, tuple(map(frozenset, free)), codim2, frozenset(map(fmt.pack, listed[n]))
+        )
 
-    @cached_property
-    def _packed_blocks(self) -> tuple[_Packing, tuple[int, ...], frozenset[int]]:
-        """The (n-2)-cells and voxels packed, for block probes (n >= 2): the
-        format of ``_packed``, the (n-2)-cells in ``cells_by_dim[n-2]`` order
-        and the set of voxels.
 
-        That format spans every listed cell, so a +-1 step from an
-        (n-2)-cell to its block and a +-2 step from a voxel to a facet
-        neighbour both fit. Like ``_packed``, the view is built from the
-        census's own fields and holds nothing of the census.
-        """
-        n = self.n
-        if n < 2:
-            raise ValueError("block view needs ambient dimension n >= 2")
-        fmt = self._packed[0]
-        cells, voxels = self.cells_by_dim[n - 2], self.cells_by_dim[n]
-        return fmt, tuple(map(fmt.pack, cells)), frozenset(map(fmt.pack, voxels))
+class _PackedCensus(NamedTuple):
+    """A census's cells packed in one format (``cells._Packing``): the free
+    cells per dimension in ``free_by_dim`` order and as sets, the
+    (n-2)-cells in ``cells_by_dim[n-2]`` order (none below n = 2) and the
+    set of voxels.
+
+    Every field of a packed cell reaches 2 steps past the span, so a +-1
+    step from any cell and a +-2 step from any voxel fit.
+    """
+
+    fmt: _Packing
+    free: tuple[tuple[int, ...], ...]
+    free_sets: tuple[frozenset[int], ...]
+    codim2: tuple[int, ...]
+    voxels: frozenset[int]
+
+    def b(self, cells: Iterable[int], i: int, j: int) -> int:
+        """b_j summed over the packed i-cells: the free j-cells each bounds."""
+        free_j, steps = self.free_sets[j], self.fmt.steps
+        return sum(p + d in free_j for p in cells for d in steps(p, 1, j - i))
+
+    def block(self, p: int) -> list[int]:
+        """The voxels present in the block of the (n-2)-cell p."""
+        vox = self.voxels
+        return [p + d for d in self.fmt.steps(p, 1, 2) if p + d in vox]
 
 
 def census(obj: DigitalObject) -> CellCensus:

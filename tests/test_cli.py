@@ -69,6 +69,15 @@ class TestCount:
         assert main(["count", str(path)]) == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["count", "classify", "verify"])
+    def test_non_utf8_byte_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.dvo"
+        path.write_bytes(b"dvo 2\n0 0\n1 \xff\n")
+        assert main([command, str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: byte 0xff is not UTF-8\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["count", str(tmp_path / "nope.dvo")]) == EXIT_INPUT
 

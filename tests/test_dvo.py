@@ -215,10 +215,38 @@ class TestLoadMatchesLoads:
         class Refused(Exception):
             pass
 
-        def refuse(n):
-            raise Refused(n)
+        def refuse(n, k):
+            raise Refused(n, k)
 
         with pytest.raises(UnicodeDecodeError):
             path.read_text(encoding="utf-8")
-        with pytest.raises(Refused):
-            load(str(path), check_n=refuse)
+        with pytest.raises(Refused) as refused:
+            load(str(path), check=refuse)
+        assert refused.value.args == (9, 0)
+
+    def test_check_is_called_before_each_voxel_line(self, tmp_path):
+        path = tmp_path / "obj.dvo"
+        path.write_text("# c\ndvo 2\n0 0\n\n# c\n1 1\n2 2\n", encoding="utf-8")
+        calls = []
+        load(str(path), check=lambda n, k: calls.append((n, k)))
+        assert calls == [(2, 0), (2, 1), (2, 2), (2, 3)]
+
+    @pytest.mark.parametrize(
+        "data, lineno, byte",
+        [
+            (b"dvo 2\n0 0\n1 \xff\n", 3, 0xFF),
+            (b"dvo 2\n" + b"".join(b"%d 0\n" % k for k in range(5000)) + b"1 \xff\n", 5002, 0xFF),
+            (b"dvo\xfe 2\n", 1, 0xFE),
+            (b"dvo 2\n# caf\xc3\xa9\n# caf\xe9\n", 3, 0xE9),  # UTF-8, then Latin-1
+            (b"dvo 2\r0 0\r1 1\x0c2 \xc3\r", 4, 0xC3),  # lines as loads splits them
+            (b"dvo 2\n0 0\n1 \xed\xa0\x80\n", 3, 0xED),  # an encoded surrogate
+        ],
+        ids=["line-3", "past-5000-lines", "header", "comment", "form-feed", "surrogate"],
+    )
+    def test_non_utf8_byte_names_its_line(self, tmp_path, data, lineno, byte):
+        path = tmp_path / "bad.dvo"
+        path.write_bytes(data)
+        with pytest.raises(DvoError) as err:
+            load(str(path))
+        assert err.value.lineno == lineno
+        assert str(err.value) == f"line {lineno}: byte 0x{byte:02x} is not UTF-8"

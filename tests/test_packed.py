@@ -29,7 +29,7 @@ from gridgaps import (
     enumerate_all_objects,
     faces,
 )
-from gridgaps.cells import _mk
+from gridgaps.cells import COORD_LIMIT, _mk
 from gridgaps.gaps import (
     HubTag,
     classification_histogram,
@@ -167,7 +167,8 @@ def assert_packed_matches_tuples(obj: DigitalObject, cen: CellCensus, oracle: bo
 
 def assert_steps_decode(cen: CellCensus) -> None:
     """Every free cell and every +-1 step from it unpacks to its tuple."""
-    fmt, packed_free, packed_sets = cen._packed
+    view = cen._packed
+    fmt, packed_free, packed_sets = view.fmt, view.free, view.free_sets
     for i, free in enumerate(cen.free_by_dim):
         assert tuple(map(fmt.unpack, packed_free[i])) == tuple(free)
         assert packed_sets[i] == frozenset(packed_free[i])
@@ -182,7 +183,8 @@ def assert_block_probes_decode(cen: CellCensus) -> None:
     """Every listed (n-2)-cell and voxel, every +-1 step from such a cell
     to its block and every +-2 step from such a voxel unpacks to its tuple."""
     n = cen.n
-    fmt, packed, vox = cen._packed_blocks
+    view = cen._packed
+    fmt, packed, vox = view.fmt, view.codim2, view.voxels
     cells, voxels = cen.cells_by_dim[n - 2], cen.cells_by_dim[n]
     assert tuple(map(fmt.unpack, packed)) == tuple(cells)
     assert {fmt.unpack(v) for v in vox} == voxels and len(vox) == len(voxels)
@@ -207,6 +209,19 @@ def reaching_past(cen: CellCensus) -> CellCensus:
     cells[cen.n] |= {_mk(Cell, (lo - 1,) * cen.n)}
     cells[0] |= {_mk(Cell, (hi + 2,) * cen.n)}
     return replace(cen, cells_by_dim=tuple(cells))
+
+
+def listing_free_outside(cen: CellCensus) -> CellCensus:
+    """The census with a free vertex near +2**60 and, from n = 2, a free
+    (n-2)-cell at -2**60, neither listed in ``cells_by_dim``: the packed
+    view must span them too. The (n-2)-cell bounds no free facet, so
+    hub-nub-degree fails on it."""
+    n = cen.n
+    free = list(cen.free_by_dim)
+    free[0] |= {_mk(Cell, (COORD_LIMIT - 1,) * n)}
+    if n >= 2:
+        free[n - 2] |= {_mk(Cell, (1 - COORD_LIMIT,) * 2 + (-COORD_LIMIT,) * (n - 2))}
+    return replace(cen, free_by_dim=tuple(free))
 
 
 def without_least_free(cen: CellCensus, i: int) -> CellCensus:
@@ -240,7 +255,7 @@ def assert_all_censuses_agree(
         for c in (cen, doctored[0]):
             assert_block_probes_decode(c)
         if len(obj):
-            assert {c._packed_blocks[0]._off & 1 for c in (cen, doctored[0])} == {0, 1}
+            assert {c._packed.fmt._off & 1 for c in (cen, doctored[0])} == {0, 1}
     if drops:
         doctored += [without_least_free(cen, i) for i in range(obj.n) if cen.free_by_dim[i]]
         if obj.n >= 2 and len(obj):
@@ -286,6 +301,25 @@ class TestPackedProbes:
     def test_range_corners(self, obj, w):
         assert assert_all_censuses_agree(obj) == {0, 1}
         assert census(obj)._packed[0].w == w
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            DigitalObject.from_centers(1, [(0,), (1,), (5,)]),
+            DigitalObject.from_centers(2, [(0, 0), (1, 1)]),
+            DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (1, 1, 1)]),
+            DigitalObject.from_centers(4, [(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 0, 0)]),
+            CORNERS[2],  # at the -2**60 corner, so only the vertex lies outside
+        ],
+        ids=["n1", "n2-diagonal", "n3-with-hubs", "n4", "n3-diagonal-corner"],
+    )
+    def test_free_cells_outside_the_listed_span(self, obj):
+        cen = listing_free_outside(census(obj))
+        assert_steps_decode(cen)
+        assert_packed_matches_tuples(obj, cen, oracle=False)
+        if obj.n >= 2 and obj is not CORNERS[2]:
+            witness = hub_nub_degree(obj, cen).witness  # names a far cell, unpacked
+            assert any(f"cell=({x}, " in witness for x in (COORD_LIMIT - 1, 1 - COORD_LIMIT))
 
 
 def test_census_is_freed_without_the_cycle_collector():
