@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import replace
 from math import prod
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from . import dvo
 from .gaps import (
@@ -43,17 +43,19 @@ class ResourceCapError(RuntimeError):
 
 
 def _check_caps(
-    n: int | None = None, voxels: int = 0, sites: Iterable[int] = ()
+    n: int | None = None, voxels: int = 0, sites: tuple[int, ...] = ()
 ) -> None:
     """Refuse work beyond the caps; ``sites`` holds the extents whose product
-    is the site count."""
+    is the site count. As ``dvo.load``'s check this runs before every voxel
+    line, so the voxel count is tested first and the product only for extents."""
+    if voxels > MAX_VOXELS:
+        raise ResourceCapError(f"{voxels} voxels exceed the cap of {MAX_VOXELS}")
     if n is not None and n > MAX_CENSUS_DIM:
         raise ResourceCapError(
             f"n={n} exceeds the full-census cap n <= {MAX_CENSUS_DIM}"
         )
-    for count, what in ((voxels, "voxels"), (prod(sites), "sites")):
-        if count > MAX_VOXELS:
-            raise ResourceCapError(f"{count} {what} exceed the cap of {MAX_VOXELS}")
+    if sites and (count := prod(sites)) > MAX_VOXELS:
+        raise ResourceCapError(f"{count} sites exceed the cap of {MAX_VOXELS}")
 
 
 def _load(path: str) -> DigitalObject:

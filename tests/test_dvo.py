@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gridgaps import DigitalObject
+from gridgaps import DigitalObject, dvo
 from gridgaps.dvo import DvoError, dumps, load, loads
 
 
@@ -207,10 +207,36 @@ class TestLoadMatchesLoads:
     def test_mixed_breaks(self, tmp_path, pieces):
         self.check(tmp_path / "obj.dvo", "".join(line + brk for line, brk in pieces))
 
-    def test_refused_header_stops_reading(self, tmp_path):
-        # bytes that are not UTF-8, far past the header, are never decoded
+    def test_refused_header_stops_reading(self, tmp_path, monkeypatch):
+        # a refused header ends the read: the file is read no further than
+        # the first buffer, and the byte that is not UTF-8 far past it is
+        # never decoded
         path = tmp_path / "big.dvo"
         path.write_bytes(b"dvo 9\n" + b"0 0 0 0 0 0 0 0 0\n" * 10_000 + b"\xff\n")
+        bytes_read = []
+
+        class Counted:
+            """An open file that records, as it closes, how many bytes were read."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __iter__(self):
+                return iter(self.fh)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                bytes_read.append(self.fh.buffer.tell())
+                self.fh.close()
+
+        monkeypatch.setattr(
+            dvo, "open", lambda *args, **kw: Counted(open(*args, **kw)), raising=False
+        )
 
         class Refused(Exception):
             pass
@@ -223,6 +249,8 @@ class TestLoadMatchesLoads:
         with pytest.raises(Refused) as refused:
             load(str(path), check=refuse)
         assert refused.value.args == (9, 0)
+        assert len(bytes_read) == 1 and 0 < bytes_read[0] <= 64 * 1024
+        assert path.stat().st_size > 128 * 1024
 
     def test_check_is_called_before_each_voxel_line(self, tmp_path):
         path = tmp_path / "obj.dvo"
