@@ -292,13 +292,18 @@ class _Packing:
         self._flip = self._mask if self._off & 1 else 0
 
     @classmethod
+    def over(cls, n: int, lo: int, hi: int) -> "_Packing":
+        """The format that fits the coordinates lo..hi and 2 steps beyond."""
+        return cls(n, lo, (hi - lo + 4).bit_length())
+
+    @classmethod
     def spanning(cls, n: int, cell_sets: Iterable[Iterable[Cell]]) -> "_Packing":
         """The format that fits every coordinate of the cells in
         ``cell_sets`` and 2 steps beyond it."""
         sets = [cells for cells in cell_sets if cells]
         lo = min((min(chain.from_iterable(cells)) for cells in sets), default=0)
         hi = max((max(chain.from_iterable(cells)) for cells in sets), default=0)
-        return cls(n, lo, (hi - lo + 4).bit_length())
+        return cls.over(n, lo, hi)
 
     def pack(self, cell: Iterable[int]) -> int:
         return sum(map(mul, cell, self.lanes)) - self._base

@@ -8,7 +8,8 @@ with ``#`` and blank lines are ignored anywhere. Each center is checked by
 :func:`gridgaps.cells.voxel`; duplicate voxels and out-of-range centers are
 parse errors, reported with their line number and the center as written.
 A file is UTF-8: a byte that is not is a parse error naming its line and
-the byte.
+the byte. A byte-order mark at the start of a file is dropped; one anywhere
+else is an error on its line, as any other stray character is.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def load(path: str, check: Callable[[int, int], None] | None = None) -> DigitalO
     parsed, so a caller can refuse the input at the header or while it
     streams.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         return _parse(fh, check)
 
 

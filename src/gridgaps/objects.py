@@ -14,12 +14,12 @@ c = c* + c' stays total over 0..n.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
-from .cells import Cell, _mk, _offsets, _Packing, _require_voxel, voxel
+from .cells import Cell, _mk, _Packing, _packed_steps, _require_voxel, voxel
 
 
 class DigitalObject:
@@ -113,14 +113,16 @@ class CellCensus:
     ``c[i]`` counts all i-cells, ``c_star[i]`` the free ones and
     ``c_prime[i]`` the rest; ``beta`` aliases ``c_prime`` since non-free
     i-cells correspond one-to-one to i-blocks contained in the object.
+    ``cells_by_dim[i]`` and ``free_by_dim[i]`` are the i-cells and the free
+    ones; :func:`census` decodes each from packed ints when it is first read.
     """
 
     n: int
     c: tuple[int, ...]
     c_star: tuple[int, ...]
     c_prime: tuple[int, ...]
-    cells_by_dim: tuple[frozenset[Cell], ...] = field(repr=False)
-    free_by_dim: tuple[frozenset[Cell], ...] = field(repr=False)
+    cells_by_dim: Sequence[frozenset[Cell]] = field(repr=False)
+    free_by_dim: Sequence[frozenset[Cell]] = field(repr=False)
 
     @property
     def beta(self) -> tuple[int, ...]:
@@ -157,13 +159,15 @@ class CellCensus:
         """The census packed as ints, for probes that step from a cell to
         its faces, cofaces or block, or from a voxel to its neighbours.
 
-        The format spans every cell listed, free or not, so a doctored
-        census is probed as given. The view holds nothing of the census, so
-        no reference cycle keeps a census alive.
+        :func:`census` builds this view as it counts. Any other census, such
+        as a ``dataclasses.replace`` copy, packs its own cell sets here: the
+        format spans every cell listed, free or not, so a doctored census is
+        probed as given. The view holds nothing of the census, so no
+        reference cycle keeps a census alive.
         """
         n, listed = self.n, self.cells_by_dim
         unlisted = [f - cells for f, cells in zip(self.free_by_dim, listed)]
-        fmt = _Packing.spanning(n, listed + tuple(unlisted))
+        fmt = _Packing.spanning(n, [*listed, *unlisted])
         free = tuple(tuple(map(fmt.pack, cells)) for cells in self.free_by_dim)
         codim2 = tuple(map(fmt.pack, listed[n - 2])) if n >= 2 else ()
         return _PackedCensus(
@@ -173,9 +177,9 @@ class CellCensus:
 
 class _PackedCensus(NamedTuple):
     """A census's cells packed in one format (``cells._Packing``): the free
-    cells per dimension in ``free_by_dim`` order and as sets, the
-    (n-2)-cells in ``cells_by_dim[n-2]`` order (none below n = 2) and the
-    set of voxels.
+    cells per dimension as a tuple and as a set, the (n-2)-cells (none
+    below n = 2) and the set of voxels. The tuples follow no set order:
+    :func:`census` lists cells in the order it counts them.
 
     Every field of a packed cell reaches 2 steps past the span, so a +-1
     step from any cell and a +-2 step from any voxel fit.
@@ -198,6 +202,40 @@ class _PackedCensus(NamedTuple):
         return [p + d for d in self.fmt.steps(p, 1, 2) if p + d in vox]
 
 
+class _Unpacked(Sequence):
+    """Cell sets per dimension, held as packed ints and each decoded to a
+    ``frozenset[Cell]`` the first time it is read, then kept.
+
+    It compares equal to the tuple of those frozensets.
+    """
+
+    __slots__ = ("_unpack", "_packed", "_sets")
+
+    def __init__(self, fmt: _Packing, packed: Sequence[Iterable[int]]) -> None:
+        self._unpack = fmt.unpack
+        self._packed = packed
+        self._sets: list[frozenset[Cell] | None] = [None] * len(packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        cells = self._sets[i]
+        if cells is None:
+            cells = self._sets[i] = frozenset(map(self._unpack, self._packed[i]))
+        return cells
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _Unpacked)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 def census(obj: DigitalObject) -> CellCensus:
     """Full per-dimension census with free/non-free classification.
 
@@ -206,28 +244,43 @@ def census(obj: DigitalObject) -> CellCensus:
     exactly the part of the cell's block inside the object, and the block
     holds 2^(n-i) voxels, so an i-cell is free iff its count is below
     2^(n-i). A voxel counts itself once (2^0), so n-cells are never free.
+
+    The pass runs on the voxels packed as ints, in the format that packing
+    the census's cells gives (one step past the voxels on each side), and
+    that packed view becomes the census's ``_packed``. The cell sets are
+    decoded to tuples only when read.
     """
-    n = obj.n
-    vox = obj.voxels
-    cells_by_dim, free_by_dim = [], []
+    n, vox = obj.n, obj.voxels
+    lo, hi = (min(map(min, vox)) - 1, max(map(max, vox)) + 1) if vox else (0, 0)
+    fmt = _Packing.over(n, lo, hi)
+    voxels = tuple(map(fmt.pack, vox))
+    cells, free = [], []
     for i in range(n + 1):
-        deltas = _offsets((0,) * n, 0, n - i)
-        counts = Counter(
-            _mk(Cell, map(add, v, delta)) for v in vox for delta in deltas
-        )
+        counts = Counter()
+        # a voxel extends along every axis (parity 0): its i-faces are the
+        # +-1 steps along n - i of them
+        for d in _packed_steps(n, fmt.w, 0, 0, n - i):
+            counts.update(map(d.__add__, voxels))
         full = 1 << (n - i)
-        cells_by_dim.append(frozenset(counts))
-        free_by_dim.append(frozenset(e for e, k in counts.items() if k < full))
-    c = tuple(map(len, cells_by_dim))
-    c_star = tuple(map(len, free_by_dim))
-    return CellCensus(
+        cells.append(tuple(counts))
+        free.append(tuple(p for p, k in counts.items() if k < full))
+    c = tuple(map(len, cells))
+    c_star = tuple(map(len, free))
+    cen = CellCensus(
         n=n,
         c=c,
         c_star=c_star,
         c_prime=tuple(a - b for a, b in zip(c, c_star)),
-        cells_by_dim=tuple(cells_by_dim),
-        free_by_dim=tuple(free_by_dim),
+        cells_by_dim=_Unpacked(fmt, cells),
+        free_by_dim=_Unpacked(fmt, free),
     )
+    codim2 = cells[n - 2] if n >= 2 else ()
+    # seeded where cached_property looks first, not held in a field, so a
+    # dataclasses.replace copy packs its own cell sets
+    vars(cen)["_packed"] = _PackedCensus(
+        fmt, tuple(free), tuple(map(frozenset, free)), codim2, frozenset(voxels)
+    )
+    return cen
 
 
 def _census_of(obj: DigitalObject, cen: CellCensus | None) -> CellCensus:

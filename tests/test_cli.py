@@ -78,6 +78,16 @@ class TestCount:
         assert captured.out == ""
         assert captured.err == "error: line 3: byte 0xff is not UTF-8\n"
 
+    def test_leading_byte_order_mark_reports_as_without(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.dvo", tmp_path / "marked.dvo"
+        plain.write_bytes(b"dvo 3\n0 0 0\n1 1 0\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = []
+        for path in (plain, marked):
+            assert main(["count", str(path), "--json"]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and '"voxels": 2' in outs[0]
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["count", str(tmp_path / "nope.dvo")]) == EXIT_INPUT
 

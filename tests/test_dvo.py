@@ -259,6 +259,27 @@ class TestLoadMatchesLoads:
         load(str(path), check=lambda n, k: calls.append((n, k)))
         assert calls == [(2, 0), (2, 1), (2, 2), (2, 3)]
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "obj.dvo"
+        path.write_bytes(b"\xef\xbb\xbfdvo 2\n0 0\n1 1\n")
+        assert load(str(path)) == loads("dvo 2\n0 0\n1 1\n")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"dvo 2\n\xef\xbb\xbf0 0\n", "line 2: non-integer coordinate in '\\ufeff0 0'"),
+            (b"# c\n\xef\xbb\xbfdvo 2\n", "line 2: expected header 'dvo <n>', got '\\ufeffdvo 2'"),
+            (b"\xef\xbb\xbf\xef\xbb\xbfdvo 2\n", "line 1: expected header 'dvo <n>', got '\\ufeffdvo 2'"),
+        ],
+        ids=["voxel-line", "after-a-comment", "second-mark"],
+    )
+    def test_byte_order_mark_past_the_start_names_its_line(self, tmp_path, data, message):
+        path = tmp_path / "obj.dvo"
+        path.write_bytes(data)
+        with pytest.raises(DvoError) as err:
+            load(str(path))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize(
         "data, lineno, byte",
         [

@@ -154,9 +154,12 @@ class TestFailureResults:
         monkeypatch.setattr(
             identities, "count_gaps_oracle", lambda obj, i, cen=None: GapReport(i, (), 0)
         )
-        result = detector_equivalence(DIAG3, census(DIAG3))
+        cen = census(DIAG3)
+        view = cen._packed
+        checked = view.codim2.index(view.fmt.pack(Cell((1, 1, 0)))) + 1
+        result = detector_equivalence(DIAG3, cen)
         assert result == IdentityResult(
-            "detector-equivalence", False, 7, PREFIX + "cell=(1, 1, 0): detectors disagree"
+            "detector-equivalence", False, checked, PREFIX + "cell=(1, 1, 0): detectors disagree"
         )
 
     def test_histogram_disagreement(self, monkeypatch):

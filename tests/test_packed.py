@@ -6,7 +6,10 @@ as ints; detector-equivalence and classification-totality probe blocks
 through its (n-2)-cells and voxels packed as ints. Each is compared here
 with a loop over the census's own tuple sets (``is_gap_by_adjacency`` and
 ``classify_cell`` for the block probes), and ``b_boundary`` also with the
-brute-force interval oracle, on real and doctored censuses.
+brute-force interval oracle, on real and doctored censuses. The view that
+``census`` builds as it counts is compared with the one packed from its own
+tuple sets, and ``verify`` is checked to decode no cell tuples but the
+(n-2)-cells.
 """
 
 from __future__ import annotations
@@ -166,13 +169,18 @@ def assert_packed_matches_tuples(obj: DigitalObject, cen: CellCensus, oracle: bo
 
 
 def assert_steps_decode(cen: CellCensus) -> None:
-    """Every free cell and every +-1 step from it unpacks to its tuple."""
+    """Every free cell and every +-1 step from it unpacks to its tuple.
+
+    The packed cells are listed in no set order, so each is stepped from
+    its own unpacked tuple."""
     view = cen._packed
     fmt, packed_free, packed_sets = view.fmt, view.free, view.free_sets
     for i, free in enumerate(cen.free_by_dim):
-        assert tuple(map(fmt.unpack, packed_free[i])) == tuple(free)
+        assert set(map(fmt.unpack, packed_free[i])) == free
+        assert len(packed_free[i]) == len(free)
         assert packed_sets[i] == frozenset(packed_free[i])
-        for p, e in zip(packed_free[i], free):
+        for p in packed_free[i]:
+            e = fmt.unpack(p)
             for k in range(1, cen.n - i + 1):
                 assert {fmt.unpack(p + d) for d in fmt.steps(p, 1, k)} == cofaces(e, i + k)
             for k in range(1, i + 1):
@@ -186,10 +194,10 @@ def assert_block_probes_decode(cen: CellCensus) -> None:
     view = cen._packed
     fmt, packed, vox = view.fmt, view.codim2, view.voxels
     cells, voxels = cen.cells_by_dim[n - 2], cen.cells_by_dim[n]
-    assert tuple(map(fmt.unpack, packed)) == tuple(cells)
+    assert set(map(fmt.unpack, packed)) == cells and len(packed) == len(cells)
     assert {fmt.unpack(v) for v in vox} == voxels and len(vox) == len(voxels)
-    for p, e in zip(packed, cells):
-        assert {fmt.unpack(p + d) for d in fmt.steps(p, 1, 2)} == block(e)
+    for p in packed:
+        assert {fmt.unpack(p + d) for d in fmt.steps(p, 1, 2)} == block(fmt.unpack(p))
     facet, diagonal = fmt.voxel_steps()
     for v in vox:
         u = fmt.unpack(v)
@@ -320,6 +328,51 @@ class TestPackedProbes:
         if obj.n >= 2 and obj is not CORNERS[2]:
             witness = hub_nub_degree(obj, cen).witness  # names a far cell, unpacked
             assert any(f"cell=({x}, " in witness for x in (COORD_LIMIT - 1, 1 - COORD_LIMIT))
+
+
+def assert_view_matches_repacked(obj: DigitalObject) -> None:
+    """``census`` packs as it counts; its view must equal the one packed
+    from its own tuple sets, in the same format, with every list holding
+    the same cells. The census must also equal its tuple-set copy."""
+    cen = census(obj)
+    direct, repacked = cen._packed, replace(cen)._packed
+    assert (direct.fmt.w, direct.fmt._off) == (repacked.fmt.w, repacked.fmt._off)
+    for got, want in [*zip(direct.free, repacked.free), (direct.codim2, repacked.codim2)]:
+        assert set(got) == set(want) and len(got) == len(want)
+    assert direct.free_sets == repacked.free_sets
+    assert direct.voxels == repacked.voxels
+    plain = CellCensus(
+        cen.n, cen.c, cen.c_star, cen.c_prime,
+        tuple(map(frozenset, cen.cells_by_dim)), tuple(map(frozenset, cen.free_by_dim)),
+    )
+    assert cen == plain and hash(cen) == hash(plain)
+
+
+class TestDirectView:
+    def test_every_object_of_a_222_box(self):
+        for obj in enumerate_all_objects(3, (2, 2, 2)):
+            assert_view_matches_repacked(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        CORNERS + [DigitalObject.from_centers(1, [(0,), (1,), (5,)]), DigitalObject(3)],
+        ids=["n2", "n3-with-hubs", "n3-diagonal", "n1-corners", "n1-line", "empty"],
+    )
+    def test_corners_line_and_empty(self, obj):
+        assert_view_matches_repacked(obj)
+
+    def test_verify_decodes_only_the_codim2_cells(self):
+        obj = DigitalObject.from_centers(
+            4, [(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 0, 0), (2, 2, 1, 1), (3, 3, 1, 1)]
+        )
+        cen = census(obj)
+        assert all(r.passed for r in check_object(obj, cen))
+        assert count_gaps_oracle(obj, obj.n - 2, cen).g == 1
+        decoded = [
+            [i for i, cells in enumerate(sets._sets) if cells is not None]
+            for sets in (cen.cells_by_dim, cen.free_by_dim)
+        ]
+        assert decoded == [[obj.n - 2], []]
 
 
 def test_census_is_freed_without_the_cycle_collector():
