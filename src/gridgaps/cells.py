@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
-from operator import add, mul
-from typing import Iterable, NamedTuple
+from itertools import chain, combinations, product, repeat
+from operator import add, and_, mul, rshift
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 #: Construction rejects components beyond this magnitude. Face/coface offsets
 #: are +-1, so valid inputs can never collide with the guard band.
@@ -311,6 +311,16 @@ class _Packing:
     def unpack(self, p: int) -> Cell:
         field, off = self._field, self._off
         return _mk(Cell, [(p >> s & field) + off for s in self._shifts])
+
+    def unpack_all(self, cells: Sequence[int]) -> Iterator[Cell]:
+        """``unpack`` of each packed cell, in order, decoded one axis at a
+        time: one column of coordinates per axis, zipped into cells."""
+        field, off = self._field, self._off
+        columns = [
+            map(add, map(and_, map(rshift, cells, repeat(s)), repeat(field)), repeat(off))
+            for s in self._shifts
+        ]
+        return map(_mk, repeat(Cell), zip(*columns))
 
     def steps(self, p: int, flat: int, k: int) -> tuple[int, ...]:
         """The packed +-1 steps from cell p along k of its axes of parity

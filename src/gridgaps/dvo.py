@@ -8,8 +8,8 @@ with ``#`` and blank lines are ignored anywhere. Each center is checked by
 :func:`gridgaps.cells.voxel`; duplicate voxels and out-of-range centers are
 parse errors, reported with their line number and the center as written.
 A file is UTF-8: a byte that is not is a parse error naming its line and
-the byte. A byte-order mark at the start of a file is dropped; one anywhere
-else is an error on its line, as any other stray character is.
+the byte. A byte-order mark at the start of a file or text is dropped; one
+anywhere else is an error on its line, as any other stray character is.
 """
 
 from __future__ import annotations
@@ -120,8 +120,9 @@ def _parse(
 
 
 def loads(text: str) -> DigitalObject:
-    """Parse .dvo text into an object."""
-    return _parse((text,))
+    """Parse .dvo text into an object. A byte-order mark at the start of
+    the text is dropped, as :func:`load` drops one at the start of a file."""
+    return _parse((text.removeprefix("\ufeff"),))
 
 
 def load(path: str, check: Callable[[int, int], None] | None = None) -> DigitalObject:

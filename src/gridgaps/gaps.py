@@ -31,12 +31,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from operator import and_, or_, sub
+from operator import add, and_, or_, sub
 from typing import NamedTuple
 
 from .cells import (
     Cell,
+    _offsets,
     _Packing,
+    _parity,
     adjacency,
     adjacent_voxels,
     block,
@@ -120,9 +122,14 @@ def is_gap(obj: DigitalObject, e: Cell, i: int) -> bool:
     n = obj.n
     if not 0 <= i <= n - 2:
         raise ValueError(f"gap dimension {i} outside [0, {n - 2}]")
-    if len(e) != n or e.dim != i:
+    parity = _parity(e)
+    if len(e) != n or n - sum(parity) != i:
         raise ValueError(f"{e!r} is not an {i}-cell of the {n}-lattice")
-    present = [v for v in block(e) if v in obj.voxels]
+    vox = obj.voxels
+    # e's block: its cofaces of dimension n, as plain tuples (a tuple equal
+    # to a voxel hashes and compares as that voxel)
+    members = [tuple(map(add, e, d)) for d in _offsets(parity, 1, n - i)]
+    present = [v for v in members if v in vox]
     if len(present) != 2:
         return False
     return voxel_intersection(present[0], present[1]) == e

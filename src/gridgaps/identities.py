@@ -134,9 +134,9 @@ def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     view = cen._packed
     hubs = _scan_hubs(obj, cen)
     free = view.free[n - 2]
-    for checked, p in enumerate(free, 1):
+    degrees = view.b_each(free, n - 2, n - 1)
+    for checked, (p, got) in enumerate(zip(free, degrees), 1):
         expected = 4 if p in hubs else 2
-        got = view.b((p,), n - 2, n - 1)
         if got != expected:
             return checked, f"cell={tuple(view.fmt.unpack(p))}: b_(n-1)={got}, expected {expected}"
     return len(free), None
@@ -166,18 +166,20 @@ def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Block inspection and the adjacency conditions find the same hubs.
 
     The adjacency conditions of ``is_gap_by_adjacency`` are tested on the
-    census's packed view: two voxels of e's block are strictly
-    (n-2)-adjacent, and no voxel is facet-adjacent to both.
+    census's packed view and block lists: two voxels of e's block are
+    strictly (n-2)-adjacent, and no voxel is facet-adjacent to both. The
+    block lists are data shared with classification-totality; the hubs
+    compared with are the ``is_gap`` scan's.
     """
     view = cen._packed
     hubs = _scan_hubs(obj, cen)
     vox = view.voxels
     facet, diagonal = view.fmt.voxel_steps()
-    for checked, p in enumerate(view.codim2, 1):
+    for checked, (p, present) in enumerate(zip(view.codim2, cen._blocks), 1):
         gap = any(
             v2 - v1 in diagonal
             and not any(v1 + f in vox and v2 - v1 - f in facet for f in facet)
-            for v1, v2 in combinations(view.block(p), 2)
+            for v1, v2 in combinations(present, 2)
         )
         if (p in hubs) != gap:
             return checked, f"cell={tuple(view.fmt.unpack(p))}: detectors disagree"
@@ -188,7 +190,7 @@ def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Each (n-2)-cell gets exactly one consistent tag.
 
-    The tag is read off the census's packed view, as ``classify_cell``
+    The tag is read off the census's block lists, as ``classify_cell``
     reads it: the number of block voxels present, and for a pair whether it
     is facet-adjacent. A cell with no voxel in its block is reported.
     Consistency: the full block is exactly the non-free case, and the tandem
@@ -201,8 +203,7 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     facet, unpack = view.fmt.voxel_steps()[0], view.fmt.unpack
     free = view.free_sets[obj.n - 2]
     tally = {tag: 0 for tag in HubTag}
-    for checked, p in enumerate(view.codim2, 1):
-        present = view.block(p)
+    for checked, (p, present) in enumerate(zip(view.codim2, cen._blocks), 1):
         k = len(present)
         if k == 0:
             return checked, f"cell={tuple(unpack(p))}: no voxel in its block"
@@ -227,21 +228,29 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Every (j-1)-face of a free j-cell is itself free (hence every face is).
 
-    The witness names the first such free cell and its least non-free face.
+    Each dimension is tested a parity class and a face step at a time; only
+    a failing one is walked cell by cell, so the witness names the first
+    free cell in the view's order with a non-free face, and its least
+    non-free face.
     """
     view = cen._packed
     fmt = view.fmt
     checked = 0
     for j in range(1, obj.n):
-        free_below = view.free_sets[j - 1]
-        for f in view.free[j]:
+        free_below, free = view.free_sets[j - 1], view.free[j]
+        if all(
+            all(map(free_below.__contains__, map(d.__add__, run)))
+            for run in view.classes(free)
+            for d in fmt.steps(run[0], 0, 1)
+        ):
+            checked += len(free)
+            continue
+        for f in free:
             checked += 1
-            steps = fmt.steps(f, 0, 1)
-            for d in steps:
-                if f + d not in free_below:
-                    cell = tuple(fmt.unpack(f))
-                    face = tuple(min(fmt.unpack(f + d) for d in steps if f + d not in free_below))
-                    return checked, f"free cell {cell} has non-free face {face}"
+            missing = [f + d for d in fmt.steps(f, 0, 1) if f + d not in free_below]
+            if missing:
+                cell, face = tuple(fmt.unpack(f)), tuple(min(map(fmt.unpack, missing)))
+                return checked, f"free cell {cell} has non-free face {face}"
     return checked, None
 
 

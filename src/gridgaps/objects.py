@@ -17,6 +17,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby, repeat
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .cells import Cell, _mk, _Packing, _packed_steps, _require_voxel, voxel
@@ -174,12 +176,20 @@ class CellCensus:
             fmt, free, tuple(map(frozenset, free)), codim2, frozenset(map(fmt.pack, listed[n]))
         )
 
+    @cached_property
+    def _blocks(self) -> list[tuple[int, ...]]:
+        """``_PackedCensus.blocks`` of this census's view, built once and
+        freed with the census: detector-equivalence and
+        classification-totality both read it."""
+        return self._packed.blocks()
+
 
 class _PackedCensus(NamedTuple):
     """A census's cells packed in one format (``cells._Packing``): the free
     cells per dimension as a tuple and as a set, the (n-2)-cells (none
     below n = 2) and the set of voxels. The tuples follow no set order:
-    :func:`census` lists cells in the order it counts them.
+    :func:`census` lists cells in the order it counts them, which takes
+    each dimension one parity class at a time.
 
     Every field of a packed cell reaches 2 steps past the span, so a +-1
     step from any cell and a +-2 step from any voxel fit.
@@ -196,23 +206,53 @@ class _PackedCensus(NamedTuple):
         free_j, steps = self.free_sets[j], self.fmt.steps
         return sum(p + d in free_j for p in cells for d in steps(p, 1, j - i))
 
-    def block(self, p: int) -> list[int]:
-        """The voxels present in the block of the (n-2)-cell p."""
-        vox = self.voxels
-        return [p + d for d in self.fmt.steps(p, 1, 2) if p + d in vox]
+    def classes(self, cells: Iterable[int]) -> Iterator[list[int]]:
+        """The packed cells split into runs of one parity class, in the
+        order given. The cells of a run are odd on the same axes, so the
+        steps ``fmt.steps`` gives for any one of them serve the whole run.
+        :func:`census` lists the cells of each dimension class by class, so
+        each of its lists splits into one run per class."""
+        return (list(run) for _, run in groupby(cells, self.fmt._mask.__and__))
+
+    def b_each(self, cells: Iterable[int], i: int, j: int) -> list[int]:
+        """b_j of each packed i-cell, in order: the free j-cells it bounds,
+        counted a parity class and a step at a time."""
+        free_j, steps = self.free_sets[j], self.fmt.steps
+        out: list[int] = []
+        for run in self.classes(cells):
+            counts = [0] * len(run)
+            for d in steps(run[0], 1, j - i):
+                counts = list(map(add, counts, map(free_j.__contains__, map(d.__add__, run))))
+            out += counts
+        return out
+
+    def blocks(self) -> list[tuple[int, ...]]:
+        """The voxels present in the block of each (n-2)-cell, in
+        ``codim2`` order, each block in ``fmt.steps`` order; a parity class
+        steps to its blocks together."""
+        # a block holds the voxel set's own ints, not fresh sums, so the
+        # lists cost little more than their tuples; an absent voxel reads
+        # None, and a listed one is never 0 (each of its fields is >= 2)
+        own, fmt = {v: v for v in self.voxels}.get, self.fmt
+        out: list[tuple[int, ...]] = []
+        for run in self.classes(self.codim2):
+            rows = zip(*[map(own, map(d.__add__, run)) for d in fmt.steps(run[0], 1, 2)])
+            out += map(tuple, map(filter, repeat(None), rows))
+        return out
 
 
 class _Unpacked(Sequence):
     """Cell sets per dimension, held as packed ints and each decoded to a
-    ``frozenset[Cell]`` the first time it is read, then kept.
+    ``frozenset[Cell]`` the first time it is read, one axis at a time
+    (``_Packing.unpack_all``), then kept.
 
     It compares equal to the tuple of those frozensets.
     """
 
-    __slots__ = ("_unpack", "_packed", "_sets")
+    __slots__ = ("_unpack_all", "_packed", "_sets")
 
-    def __init__(self, fmt: _Packing, packed: Sequence[Iterable[int]]) -> None:
-        self._unpack = fmt.unpack
+    def __init__(self, fmt: _Packing, packed: Sequence[Sequence[int]]) -> None:
+        self._unpack_all = fmt.unpack_all
         self._packed = packed
         self._sets: list[frozenset[Cell] | None] = [None] * len(packed)
 
@@ -224,7 +264,7 @@ class _Unpacked(Sequence):
             return tuple(map(self.__getitem__, range(len(self))[i]))
         cells = self._sets[i]
         if cells is None:
-            cells = self._sets[i] = frozenset(map(self._unpack, self._packed[i]))
+            cells = self._sets[i] = frozenset(self._unpack_all(self._packed[i]))
         return cells
 
     def __eq__(self, other: object) -> bool:

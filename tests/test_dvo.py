@@ -263,6 +263,18 @@ class TestLoadMatchesLoads:
         path = tmp_path / "obj.dvo"
         path.write_bytes(b"\xef\xbb\xbfdvo 2\n0 0\n1 1\n")
         assert load(str(path)) == loads("dvo 2\n0 0\n1 1\n")
+        assert loads("\ufeffdvo 2\n0 0\n1 1\n") == loads("dvo 2\n0 0\n1 1\n")
+
+    @pytest.mark.parametrize("mark", ["", "\ufeff", "\ufeff\ufeff"], ids=["none", "one", "two"])
+    @pytest.mark.parametrize(
+        "text",
+        ["dvo 2\n0 0\n1 1\n", "# c\ndvo 2\n0 0\n", "dvo 2\n0 0\n\ufeff1 1\n", "", "\n"],
+        ids=["plain", "comment-first", "mark-inside", "empty", "blank"],
+    )
+    def test_byte_order_mark_reads_as_in_loads(self, tmp_path, mark, text):
+        # the same bytes, read from a file and as text, with no mark, a
+        # leading one (dropped) or two (the second is an error on line 1)
+        self.check(tmp_path / "obj.dvo", mark + text)
 
     @pytest.mark.parametrize(
         "data, message",

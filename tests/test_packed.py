@@ -10,6 +10,12 @@ brute-force interval oracle, on real and doctored censuses. The view that
 ``census`` builds as it counts is compared with the one packed from its own
 tuple sets, and ``verify`` is checked to decode no cell tuples but the
 (n-2)-cells.
+
+The probes that step a whole parity class at a time (the per-cell b_j,
+the census's block lists, the column decode) are each compared with their
+per-cell form, and ``is_gap`` with the interval oracle. On doctored
+censuses the identities must name the first failing cell in the view's
+order, as the per-cell loops they replaced did.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ from __future__ import annotations
 import gc
 import weakref
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from gridgaps import (
     Cell,
     DigitalObject,
+    ShapeSpec,
     adjacent_voxels,
     block,
     c_bounding,
@@ -31,13 +38,16 @@ from gridgaps import (
     cofaces,
     enumerate_all_objects,
     faces,
+    generate,
 )
+from gridgaps import cli, dvo
 from gridgaps.cells import COORD_LIMIT, _mk
 from gridgaps.gaps import (
     HubTag,
     classification_histogram,
     classify_cell,
     count_gaps_oracle,
+    is_gap,
     is_gap_by_adjacency,
 )
 from gridgaps.identities import (
@@ -48,9 +58,9 @@ from gridgaps.identities import (
     free_face_heredity,
     hub_nub_degree,
 )
-from gridgaps.objects import CellCensus
+from gridgaps.objects import CellCensus, _PackedCensus
 
-from oracles import o_border, o_bounds
+from oracles import o_border, o_bounds, o_cells, o_is_gap
 
 EDGE = 1 << 59
 
@@ -387,3 +397,276 @@ def test_census_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# The batched probes, each against its per-cell form: ``_PackedCensus.b_each``
+# against ``_PackedCensus.b`` on one cell and ``CellCensus.b_boundary``, the
+# census's block lists against ``cells.block`` met with the voxels, the
+# column decode ``_Packing.unpack_all`` against ``_Packing.unpack``, and
+# ``is_gap`` against the interval oracle ``o_is_gap``.
+
+
+def assert_batched_probes_match(cen: CellCensus) -> None:
+    n, view = cen.n, cen._packed
+    fmt = view.fmt
+    for cells in (*view.free, view.codim2, tuple(view.voxels)):
+        decoded = list(fmt.unpack_all(cells))
+        assert decoded == list(map(fmt.unpack, cells))
+        assert all(type(e) is Cell for e in decoded)
+    for i in range(n - 1):
+        listed = tuple(map(fmt.pack, cen.cells_by_dim[i]))
+        for j in range(i + 1, n):
+            got = view.b_each(listed, i, j)
+            assert got == [view.b((p,), i, j) for p in listed], (i, j)
+            assert got == [cen.b_boundary(fmt.unpack(p), j) for p in listed], (i, j)
+    blocks = cen._blocks
+    assert len(blocks) == len(view.codim2)
+    voxels = cen.cells_by_dim[n]
+    for p, present in zip(view.codim2, blocks):
+        assert set(map(fmt.unpack, present)) == block(fmt.unpack(p)) & voxels
+        # in the order of the block's steps, as the tags and pairs read it
+        assert present == tuple(p + d for d in fmt.steps(p, 1, 2) if p + d in view.voxels)
+
+
+def assert_is_gap_matches_oracle(obj: DigitalObject) -> None:
+    """``is_gap`` on every cell of the object for every i in 0..n-2, and
+    its errors word for word: i out of range, a cell of another dimension
+    and a cell of another ambient dimension."""
+    n = obj.n
+    vox = frozenset(map(tuple, obj.voxels))
+    cells = [o_cells(vox, k) for k in range(n + 1)]
+    for i in range(n - 1):
+        for e in cells[i]:
+            # built unchecked: at the range corners faces lie past +-2**60
+            assert is_gap(obj, _mk(Cell, e), i) == o_is_gap(vox, e, i), (e, i)
+        for k in range(n + 1):
+            if k != i:
+                for e in sorted(cells[k])[:3]:
+                    c = _mk(Cell, e)
+                    with pytest.raises(ValueError) as err:
+                        is_gap(obj, c, i)
+                    assert str(err.value) == f"{c!r} is not an {i}-cell of the {n}-lattice"
+        longer = Cell((1,) * (n + 1 - i) + (0,) * i)  # an i-cell of the (n+1)-lattice
+        with pytest.raises(ValueError) as err:
+            is_gap(obj, longer, i)
+        assert str(err.value) == f"{longer!r} is not an {i}-cell of the {n}-lattice"
+    e = Cell((1,) * n)
+    for i in (-1, n - 1, n):
+        with pytest.raises(ValueError) as err:
+            is_gap(obj, e, i)
+        assert str(err.value) == f"gap dimension {i} outside [0, {n - 2}]"
+
+
+LOW = [
+    DigitalObject.from_centers(1, [(0,), (1,), (5,)]),
+    DigitalObject.from_centers(2, [(0, 0), (1, 1)]),
+    DigitalObject.from_centers(2, [(0, 0), (1, 0), (0, 1), (3, 3), (4, 2)]),
+]
+
+
+class TestBatchedProbes:
+    def test_every_object_of_a_222_box(self):
+        for obj in enumerate_all_objects(3, (2, 2, 2)):
+            cen = census(obj)
+            for c in (cen, reaching_past(cen), listing_free_outside(cen)):
+                assert_batched_probes_match(c)
+            assert_is_gap_matches_oracle(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        CORNERS + LOW + list(enumerate_all_objects(2, (2, 2))),
+        ids=lambda obj: f"n{obj.n}-{len(obj)}",
+    )
+    def test_corners_and_low_dimensions(self, obj):
+        cen = census(obj)
+        for c in (cen, reaching_past(cen), listing_free_outside(cen)):
+            assert_batched_probes_match(c)
+        assert_is_gap_matches_oracle(obj)
+
+    def test_census_lists_each_dimension_one_run_per_class(self):
+        # the batched probes step one run of a parity class at a time, so
+        # a census's lists must not interleave the classes
+        for seed in range(4):
+            obj = generate(ShapeSpec("random", 4, extents=(4,) * 4, density=0.5, seed=seed))
+            view = census(obj)._packed
+            for cells in (*view.free, view.codim2):
+                runs = list(view.classes(cells))
+                assert [p for run in runs for p in run] == list(cells)
+                assert len(runs) == len({p & view.fmt._mask for p in cells})
+
+
+# Failure output: a failing identity names the first failing cell in the
+# view's order, with the count checked up to it, exactly as the per-cell
+# loops below do. They are the loops the batched probes replaced.
+
+
+def per_cell_hub_nub_degree(obj, cen):
+    n, view = obj.n, cen._packed
+    hubs = frozenset(map(view.fmt.pack, count_gaps_oracle(obj, n - 2, cen).hubs))
+    for checked, p in enumerate(view.free[n - 2], 1):
+        expected = 4 if p in hubs else 2
+        got = view.b((p,), n - 2, n - 1)
+        if got != expected:
+            return checked, f"cell={tuple(view.fmt.unpack(p))}: b_(n-1)={got}, expected {expected}"
+    return len(view.free[n - 2]), None
+
+
+def per_cell_block(view, p):
+    return [p + d for d in view.fmt.steps(p, 1, 2) if p + d in view.voxels]
+
+
+def per_cell_detector_equivalence(obj, cen):
+    view = cen._packed
+    hubs = frozenset(map(view.fmt.pack, count_gaps_oracle(obj, obj.n - 2, cen).hubs))
+    vox = view.voxels
+    facet, diagonal = view.fmt.voxel_steps()
+    for checked, p in enumerate(view.codim2, 1):
+        gap = any(
+            v2 - v1 in diagonal
+            and not any(v1 + f in vox and v2 - v1 - f in facet for f in facet)
+            for v1, v2 in combinations(per_cell_block(view, p), 2)
+        )
+        if (p in hubs) != gap:
+            return checked, f"cell={tuple(view.fmt.unpack(p))}: detectors disagree"
+    return len(view.codim2), None
+
+
+def per_cell_classification_totality(obj, cen):
+    view = cen._packed
+    hubs = frozenset(map(view.fmt.pack, count_gaps_oracle(obj, obj.n - 2, cen).hubs))
+    facet, unpack = view.fmt.voxel_steps()[0], view.fmt.unpack
+    free = view.free_sets[obj.n - 2]
+    by_count = {1: HubTag.SIMPLE, 3: HubTag.L_BLOCK, 4: HubTag.FULL_BLOCK}
+    tally = {tag: 0 for tag in HubTag}
+    for checked, p in enumerate(view.codim2, 1):
+        present = per_cell_block(view, p)
+        k = len(present)
+        if k == 0:
+            return checked, f"cell={tuple(unpack(p))}: no voxel in its block"
+        if k == 2:
+            pair_facet = present[1] - present[0] in facet
+            tag = HubTag.FACET_PAIR_BLOCK if pair_facet else HubTag.GAP_TANDEM
+        else:
+            tag = by_count[k]
+        tally[tag] += 1
+        if (tag is HubTag.FULL_BLOCK) != (p not in free):
+            return checked, f"cell={tuple(unpack(p))}: tag {tag.value} vs free={p in free}"
+        if (tag is HubTag.GAP_TANDEM) != (p in hubs):
+            return checked, f"cell={tuple(unpack(p))}: tag {tag.value} vs gap detector"
+    hist = classification_histogram(obj)
+    if hist != tally:
+        shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
+        return len(view.codim2), "histogram {} but classify_cell tally {}".format(*shown)
+    return len(view.codim2), None
+
+
+def per_cell_free_face_heredity(obj, cen):
+    view = cen._packed
+    fmt, checked = view.fmt, 0
+    for j in range(1, obj.n):
+        for f in view.free[j]:
+            checked += 1
+            missing = [f + d for d in fmt.steps(f, 0, 1) if f + d not in view.free_sets[j - 1]]
+            if missing:
+                face = min(map(fmt.unpack, missing))
+                return checked, f"free cell {tuple(fmt.unpack(f))} has non-free face {tuple(face)}"
+    return checked, None
+
+
+PER_CELL = (
+    (hub_nub_degree, per_cell_hub_nub_degree),
+    (detector_equivalence, per_cell_detector_equivalence),
+    (classification_totality, per_cell_classification_totality),
+    (free_face_heredity, per_cell_free_face_heredity),
+)
+
+
+def every_other(cells):
+    return set(sorted(cells)[::2])
+
+
+def with_view(cen: CellCensus, **fields) -> CellCensus:
+    """A copy of the census whose packed view keeps the census's own order
+    but has ``fields`` replaced; the tuple sets are the census's."""
+    copy = replace(cen)
+    vars(copy)["_packed"] = cen._packed._replace(**fields)
+    return copy
+
+
+def doctored_censuses(cen: CellCensus) -> dict[str, CellCensus]:
+    """Censuses on which several cells fail, the view in set order (made
+    with ``dataclasses.replace``) and in the census's own order."""
+    n, view = cen.n, cen._packed
+    free, cells = list(cen.free_by_dim), list(cen.cells_by_dim)
+    out = {}
+    for name, i in (("facets", n - 1), ("codim2", n - 2), ("vertices", 0)):
+        dropped = every_other(free[i])
+        out[f"replace-free-{name}"] = replace(
+            cen, free_by_dim=tuple(f - dropped if k == i else f for k, f in enumerate(free))
+        )
+        packed = frozenset(map(view.fmt.pack, dropped))
+        kept = tuple(p for p in view.free[i] if p not in packed)
+        out[f"view-free-{name}"] = with_view(
+            cen,
+            free=tuple(kept if k == i else f for k, f in enumerate(view.free)),
+            free_sets=tuple(frozenset(kept) if k == i else f for k, f in enumerate(view.free_sets)),
+        )
+    dropped = every_other(cells[n])
+    out["replace-voxels"] = replace(
+        cen, cells_by_dim=tuple(c - dropped if k == n else c for k, c in enumerate(cells))
+    )
+    out["view-voxels"] = with_view(cen, voxels=view.voxels - set(map(view.fmt.pack, dropped)))
+    return out
+
+
+FAILING = [
+    generate(ShapeSpec("random", n, extents=(3,) * n, density=0.5, seed=seed))
+    for n, seed in ((3, 1), (3, 2), (4, 1))
+]
+
+
+class TestFailureOutput:
+    @pytest.mark.parametrize("obj", FAILING, ids=lambda obj: f"n{obj.n}-{len(obj)}")
+    def test_first_failing_cell_in_view_order(self, obj):
+        failed = set()
+        for name, doctored in doctored_censuses(census(obj)).items():
+            for identity, per_cell in PER_CELL:
+                result = identity(obj, doctored)
+                checked, detail = per_cell(obj, doctored)
+                assert (result.passed, result.checked) == (detail is None, checked), (name, result)
+                assert result.witness.endswith(f"; {detail}") if detail else not result.witness
+                if detail is not None:
+                    failed.add((identity.__name__, name.split("-")[0]))
+        # every identity fails on some doctored census of each kind
+        assert {(i.__name__, kind) for i, _ in PER_CELL for kind in ("replace", "view")} <= failed
+
+    def test_wrong_diagonal_step_in_the_block_lists_fails_verify(self, tmp_path, monkeypatch, capsys):
+        # the (+1, +1) step of each block is taken as (+2, +2), which is no
+        # voxel, so a cell's voxel on that diagonal is never listed
+        def wrong_blocks(view):
+            vox, out = view.voxels, []
+            for p in view.codim2:
+                steps = list(view.fmt.steps(p, 1, 2))
+                steps[-1] *= 2
+                out.append(tuple(p + d for d in steps if p + d in vox))
+            return out
+
+        path = tmp_path / "r.dvo"
+        path.write_text(dvo.dumps(FAILING[2]), encoding="utf-8")
+        assert cli.main(["verify", str(path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(_PackedCensus, "blocks", wrong_blocks)
+        assert cli.main(["verify", str(path)]) == cli.EXIT_DISAGREEMENT
+        failed = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
+        assert {"FAIL detector-equivalence", "FAIL classification-totality"} <= failed
+
+    def test_verify_builds_each_census_block_lists_once(self, monkeypatch):
+        real, built = _PackedCensus.blocks, []
+
+        def counted(view):
+            built.append(len(view.codim2))
+            return real(view)
+
+        monkeypatch.setattr(_PackedCensus, "blocks", counted)
+        assert cli.main(["verify", "--random", "4", "3", "0.5", "1", "3", "--json"]) == cli.EXIT_OK
+        assert len(built) == 3 and all(built)
