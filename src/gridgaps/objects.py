@@ -202,7 +202,9 @@ class _PackedCensus(NamedTuple):
     voxels: frozenset[int]
 
     def b(self, cells: Iterable[int], i: int, j: int) -> int:
-        """b_j summed over the packed i-cells: the free j-cells each bounds."""
+        """b_j summed over the packed i-cells: the free j-cells each bounds.
+        Only ``CellCensus.b_boundary`` calls it; border-sum counts the same
+        sum from the free j-cells' side."""
         free_j, steps = self.free_sets[j], self.fmt.steps
         return sum(p + d in free_j for p in cells for d in steps(p, 1, j - i))
 

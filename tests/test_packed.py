@@ -15,7 +15,9 @@ The probes that step a whole parity class at a time (the per-cell b_j,
 the census's block lists, the column decode) are each compared with their
 per-cell form, and ``is_gap`` with the interval oracle. On doctored
 censuses the identities must name the first failing cell in the view's
-order, as the per-cell loops they replaced did.
+order, as the per-cell loops they replaced did. border-sum, which counts
+from the free j-cells' side, is compared pair by pair with the coface
+side, ``_PackedCensus.b``, and must never call it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from gridgaps import (
     faces,
     generate,
 )
-from gridgaps import cli, dvo
+from gridgaps import cli, dvo, identities
 from gridgaps.cells import COORD_LIMIT, _mk
 from gridgaps.gaps import (
     HubTag,
@@ -670,3 +672,170 @@ class TestFailureOutput:
         monkeypatch.setattr(_PackedCensus, "blocks", counted)
         assert cli.main(["verify", "--random", "4", "3", "0.5", "1", "3", "--json"]) == cli.EXIT_OK
         assert len(built) == 3 and all(built)
+
+
+# border-sum counts its pairs from the free j-cells' side: each free j-cell
+# is stepped to its i-faces. Every (i, j) sum it reaches is compared with
+# the coface side, ``_PackedCensus.b`` over the free i-cells, and with the
+# tuple route; its result is compared with the coface-side identity it
+# replaced, so ``checked`` and the witness stay as they were.
+
+
+def coface_sums(cen: CellCensus) -> dict[tuple[int, int], int]:
+    """Each (i, j) sum counted from the free i-cells' side, by
+    ``_PackedCensus.b``, as border-sum counted it before."""
+    view = cen._packed
+    return {(i, j): view.b(view.free[i], i, j) for j in range(1, cen.n) for i in range(j)}
+
+
+def border_sum_outcome(cen: CellCensus, sums: dict[tuple[int, int], int]) -> tuple[int, str | None]:
+    """What border-sum reports on these sums: the pairs checked up to the
+    first whose sum misses the formula, and what it saw there."""
+    for checked, ((i, j), lhs) in enumerate(sums.items(), 1):
+        rhs = c_bounding(i, j) * cen.c_star[j]
+        if lhs != rhs:
+            return checked, f"(i={i}, j={j}): sum={lhs} formula={rhs}"
+    return len(sums), None
+
+
+class _Recorded:
+    """Stands in for ``c_bounding(i, j) * c*_j`` in border-sum: comparing a
+    sum with it records the sum and finds them equal, so every pair is
+    reached."""
+
+    def __init__(self, sums: dict, pair: tuple[int, int]) -> None:
+        self.sums, self.pair = sums, pair
+
+    def __mul__(self, c_star: int) -> "_Recorded":
+        return self
+
+    def __ne__(self, lhs: object) -> bool:
+        self.sums[self.pair] = lhs
+        return False
+
+
+def face_side_sums(obj: DigitalObject, cen: CellCensus) -> dict[tuple[int, int], int]:
+    """The sum border-sum counts for each (i, j), in the order it counts them."""
+    sums: dict[tuple[int, int], int] = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "c_bounding", lambda i, j: _Recorded(sums, (i, j)))
+        assert border_sum(obj, cen).passed
+    return sums
+
+
+def assert_border_sums_agree(obj: DigitalObject, cen: CellCensus, tuples: bool = True) -> None:
+    """With ``tuples``, each sum is also counted as ``tuple_border_sum``
+    counts it, over the census's tuple sets with ``cofaces``; that route
+    reads a cell's own dimension, so it is left out where a cell is listed
+    under another one."""
+    sums, want = face_side_sums(obj, cen), coface_sums(cen)
+    assert sums == want and list(sums) == list(want)
+    if tuples:
+        for (i, j), got in sums.items():
+            assert got == sum(tuple_b_boundary(cen, e, j) for e in cen.free_by_dim[i]), (i, j)
+    result = border_sum(obj, cen)
+    checked, detail = border_sum_outcome(cen, want)
+    assert (result.passed, result.checked) == (detail is None, checked), result
+    assert result.witness.endswith(f"; {detail}") if detail else not result.witness
+
+
+def with_stray(cen: CellCensus, i: int) -> CellCensus:
+    """``free_by_dim[i]`` with one more i-cell, the least free one moved two
+    steps down axis 0, below every cell of the object. It bounds no free
+    j-cell, so neither side counts it."""
+    free = list(cen.free_by_dim)
+    e = min(free[i])
+    free[i] = free[i] | {_mk(Cell, (e[0] - 2, *e[1:]))}
+    return replace(cen, free_by_dim=tuple(free))
+
+
+def with_wrong_dimension(cen: CellCensus, i: int, j: int) -> CellCensus | None:
+    """The least listed cell x of the lowest dimension k other than i and j
+    listed in both ``free_by_dim[i]`` and ``free_by_dim[j]``, and its
+    cofaces j - i dimensions up, where there are any, in ``free_by_dim[j]``:
+    x and those cofaces are one more pair on either side."""
+    n = cen.n
+    k = min(k for k in range(n + 1) if k not in (i, j))
+    if not cen.cells_by_dim[k]:
+        return None
+    x = min(cen.cells_by_dim[k])
+    up = cofaces(x, k + j - i) if k + j - i <= n else frozenset()
+    free = list(cen.free_by_dim)
+    free[i], free[j] = free[i] | {x}, free[j] | {x} | up
+    return replace(cen, free_by_dim=tuple(free))
+
+
+def with_c_star_off(cen: CellCensus, j: int) -> CellCensus:
+    c_star = list(cen.c_star)
+    c_star[j] += 1
+    return replace(cen, c_star=tuple(c_star))
+
+
+def border_sum_copies(cen: CellCensus, i: int, j: int) -> list[tuple[CellCensus, bool]]:
+    """Copies of the census with a free i-cell dropped, a stray i-cell
+    listed as free, c*_j off by one and a cell of another dimension listed
+    under i and j, each with whether the tuple route can count it."""
+    copies = [(with_c_star_off(cen, j), True)]
+    if cen.free_by_dim[i]:
+        copies += [(without_least_free(cen, i), True), (with_stray(cen, i), True)]
+    wrong = with_wrong_dimension(cen, i, j)
+    return copies + ([(wrong, False)] if wrong else [])
+
+
+def assert_border_sum_on_doctored(
+    obj: DigitalObject, pairs: list[tuple[int, int]] | None = None, tuples: bool = True
+) -> None:
+    """The census and its ``border_sum_copies`` for each (i, j) of
+    ``pairs``, by default every pair; c*_j off by one must fail."""
+    cen = census(obj)
+    assert_border_sums_agree(obj, cen, tuples)
+    if pairs is None:
+        pairs = [(i, j) for j in range(1, obj.n) for i in range(j)]
+    for i, j in pairs:
+        copies = border_sum_copies(cen, i, j)
+        for copy, countable in copies:
+            assert_border_sums_agree(obj, copy, tuples and countable)
+        assert not border_sum(obj, copies[0][0]).passed
+
+
+def tuple_face_sum(cen: CellCensus, i: int, j: int) -> int:
+    """The sum from the j side over the census's tuple sets, with ``faces``."""
+    free_i = cen.free_by_dim[i]
+    return sum(len(faces(f, i) & free_i) for f in cen.free_by_dim[j])
+
+
+SMALL_N8 = DigitalObject.from_centers(8, [(0,) * 8])
+
+
+class TestBorderSumFromTheFaceSide:
+    def test_every_object_of_a_222_box(self):
+        # each object takes one (i, j) in turn for its doctored copies
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        for t, obj in enumerate(enumerate_all_objects(3, (2, 2, 2))):
+            assert_border_sum_on_doctored(obj, [pairs[t % 3]])
+
+    @pytest.mark.parametrize("obj", CORNERS + LOW, ids=lambda obj: f"n{obj.n}-{len(obj)}")
+    def test_corners_and_low_dimensions(self, obj):
+        assert_border_sum_on_doctored(obj)
+
+    def test_small_n8_object(self):
+        # the tuple route steps about 5.7 million cofaces from one voxel's
+        # free cells at n = 8, so the tuple sets are counted from the j side
+        cen = census(SMALL_N8)
+        sums = face_side_sums(SMALL_N8, cen)
+        assert len(sums) == 28
+        assert all(got == tuple_face_sum(cen, i, j) for (i, j), got in sums.items())
+        assert_border_sum_on_doctored(SMALL_N8, [(2, 5)], tuples=False)
+
+    def test_border_sum_does_not_step_to_cofaces(self, monkeypatch):
+        # the coface side is left to b_boundary alone
+        def refused(view, cells, i, j):
+            raise AssertionError("coface-side b_j")
+
+        obj = FAILING[2]
+        cen = census(obj)
+        monkeypatch.setattr(_PackedCensus, "b", refused)
+        result = border_sum(obj, cen)
+        assert result.passed and result.checked == 6
+        with pytest.raises(AssertionError, match="coface-side"):
+            cen.b_boundary(min(cen.free_by_dim[0]), 1)
