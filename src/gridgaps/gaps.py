@@ -156,11 +156,6 @@ def is_gap_by_adjacency(obj: DigitalObject, e: Cell) -> bool:
     return False
 
 
-@lru_cache(maxsize=1)
-def _scan(obj: DigitalObject, i: int, cells: frozenset[Cell]) -> tuple[Cell, ...]:
-    return tuple(sorted(e for e in cells if is_gap(obj, e, i)))
-
-
 def count_gaps_oracle(
     obj: DigitalObject, i: int, cen: CellCensus | None = None
 ) -> GapReport:
@@ -168,18 +163,15 @@ def count_gaps_oracle(
 
     This is the reference counter: it works for every i in [0, n-2], the
     dimensions below n-2 having no known closed form. It is the one loop
-    over ``is_gap``; everything else that needs the hubs takes them from
-    here. The scan covers all i-cells, free or not, so its count never
-    relies on the census's freeness; only the i-cells are read from ``cen``.
-
-    The most recent object's scan is kept, keyed by what it reads (the
-    object, i and the census's i-cells), so the identities and the hub/nub
-    partition on one object share one scan; ``lru_cache`` is thread-safe.
+    over ``is_gap``, and nothing is kept between calls. The scan covers all
+    i-cells, free or not, so its count never relies on the census's
+    freeness; only the i-cells are read from ``cen``.
     """
     n = obj.n
     if not 0 <= i <= n - 2:
         raise ValueError(f"gap dimension {i} outside [0, {n - 2}]")
-    hubs = _scan(obj, i, _census_of(obj, cen).cells_by_dim[i])
+    cells = _census_of(obj, cen).cells_by_dim[i]
+    hubs = tuple(sorted(e for e in cells if is_gap(obj, e, i)))
     return GapReport(i=i, hubs=hubs, g=len(hubs))
 
 

@@ -25,10 +25,9 @@ from .gaps import (
 # census stays bound here: perfbench's tracer wraps it and checks it is restored
 from .objects import CellCensus, DigitalObject, _census_of, census  # noqa: F401
 
-#: census-partition, gap-triple-agreement and classification-totality all
-#: check the vertex-window pass, so the most recent object's pass is kept
-#: for the later ones; ``count`` and ``classify`` call the pass in ``gaps``
-#: directly and keep nothing
+#: five identities check against the vertex-window pass, so the most
+#: recent object's pass is kept for the later ones; ``count`` and
+#: ``classify`` call the pass in ``gaps`` directly and keep nothing
 _window_counts = lru_cache(maxsize=1)(_window_counts)
 #: the tag of a block with 1, 3 or 4 voxels present; a pair is told apart
 #: by its difference
@@ -102,10 +101,13 @@ def facet_count(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     return 1, None
 
 
-def _scan_hubs(obj: DigitalObject, cen: CellCensus) -> frozenset[int]:
-    """The (n-2)-hubs of the ``is_gap`` scan, packed in the census's view."""
-    pack = cen._packed.fmt.pack
-    return frozenset(map(pack, count_gaps_oracle(obj, obj.n - 2, cen).hubs))
+def _window_hubs(obj: DigitalObject, cen: CellCensus) -> frozenset[int]:
+    """The vertex-window pass's (n-2)-hubs, packed in the census's view.
+
+    A hub outside the view's format is dropped: its int would be another
+    cell's, and the census lists no such hub anyway."""
+    hubs, fmt = _window_counts(obj).hubs, cen._packed.fmt
+    return frozenset(p for e, p in zip(hubs, map(fmt.pack, hubs)) if fmt.unpack(p) == e)
 
 
 @_identity("border-sum")
@@ -142,10 +144,10 @@ def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 
 @_identity("hub-nub-degree", codim2=True)
 def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
-    """Every free (n-2)-cell bounds 4 free facets if a hub, else 2."""
+    """Every free (n-2)-cell bounds 4 free facets if a window hub, else 2."""
     n = obj.n
     view = cen._packed
-    hubs = _scan_hubs(obj, cen)
+    hubs = _window_hubs(obj, cen)
     free = view.free[n - 2]
     degrees = view.b_each(free, n - 2, n - 1)
     for checked, (p, got) in enumerate(zip(free, degrees), 1):
@@ -158,8 +160,13 @@ def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 @_identity("gap-triple-agreement", codim2=True)
 def gap_triple_agreement(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Direct scan, free-cell formula and block formula count the same gaps,
-    and the vertex-window pass behind ``count`` finds the scan's hubs."""
-    scan = count_gaps_oracle(obj, obj.n - 2, cen).hubs
+    and the vertex-window pass behind ``count`` finds the scan's hubs. This
+    is the one identity that runs the ``is_gap`` scan; a listed cell it
+    refuses is this identity's failure."""
+    try:
+        scan = count_gaps_oracle(obj, obj.n - 2, cen).hubs
+    except ValueError as err:
+        return 1, str(err)
     g = len(scan)
     formula = count_gaps_formula(obj, cen)
     block_formula = count_gaps_block_formula(obj, cen)
@@ -182,10 +189,10 @@ def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     census's packed view and block lists: two voxels of e's block are
     strictly (n-2)-adjacent, and no voxel is facet-adjacent to both. The
     block lists are data shared with classification-totality; the hubs
-    compared with are the ``is_gap`` scan's.
+    compared with are the vertex-window pass's, which reads no census.
     """
     view = cen._packed
-    hubs = _scan_hubs(obj, cen)
+    hubs = _window_hubs(obj, cen)
     vox = view.voxels
     facet, diagonal = view.fmt.voxel_steps()
     for checked, (p, present) in enumerate(zip(view.codim2, cen._blocks), 1):
@@ -207,12 +214,12 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     reads it: the number of block voxels present, and for a pair whether it
     is facet-adjacent. A cell with no voxel in its block is reported.
     Consistency: the full block is exactly the non-free case, and the tandem
-    tag is exactly the gap detector's yes. Then the tally of these tags must
-    equal the tag histogram of the vertex-window pass, the block-trace route
+    tag is exactly a hub of the vertex-window pass. Then the tally of these
+    tags must equal the tag histogram of that pass, the block-trace route
     behind ``classify``.
     """
     view = cen._packed
-    hubs = _scan_hubs(obj, cen)
+    hubs = _window_hubs(obj, cen)
     facet, unpack = view.fmt.voxel_steps()[0], view.fmt.unpack
     free = view.free_sets[obj.n - 2]
     tally = {tag: 0 for tag in HubTag}

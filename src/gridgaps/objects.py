@@ -234,12 +234,13 @@ class _PackedCensus(NamedTuple):
         steps to its blocks together."""
         # a block holds the voxel set's own ints, not fresh sums, so the
         # lists cost little more than their tuples; an absent voxel reads
-        # None, and a listed one is never 0 (each of its fields is >= 2)
+        # None, as does a first column that gives each listed cell a row
+        # even with fewer than two flat axes; a voxel's int is never 0
         own, fmt = {v: v for v in self.voxels}.get, self.fmt
         out: list[tuple[int, ...]] = []
         for run in self.classes(self.codim2):
-            rows = zip(*[map(own, map(d.__add__, run)) for d in fmt.steps(run[0], 1, 2)])
-            out += map(tuple, map(filter, repeat(None), rows))
+            cols = [map(own, map(d.__add__, run)) for d in fmt.steps(run[0], 1, 2)]
+            out += map(tuple, map(filter, repeat(None), zip(repeat(None, len(run)), *cols)))
         return out
 
 

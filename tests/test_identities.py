@@ -1,4 +1,9 @@
-"""The identity suite's results, and the one (n-2)-gap scan it shares."""
+"""The identity suite's results, and its one (n-2)-gap scan.
+
+Only gap-triple-agreement runs the ``is_gap`` scan; hub-nub-degree,
+detector-equivalence and classification-totality test hubness against the
+vertex-window pass's hubs, packed in the census's view.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ import pytest
 
 from gridgaps import DigitalObject, census, gaps, identities
 from gridgaps.cells import Cell
-from gridgaps.gaps import GapReport, HubTag, count_gaps_oracle, is_gap
+from gridgaps.gaps import HubTag, count_gaps_oracle, is_gap
 from gridgaps.identities import (
     IdentityResult,
     border_sum,
@@ -22,6 +27,7 @@ from gridgaps.identities import (
     hub_nub_degree,
 )
 from gridgaps.objects import CellCensus
+from gridgaps.shapes import ShapeSpec, generate
 
 DIAG3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0)])
 PREFIX = "object n=3 centers=[(0, 0, 0), (1, 1, 0)]; "
@@ -150,10 +156,10 @@ class TestFailureResults:
         assert result == IdentityResult("gap-triple-agreement", False, 1, PREFIX + detail)
 
     def test_detector_disagreement(self, monkeypatch):
-        # the scan loses its one hub, which the adjacency conditions still find
-        monkeypatch.setattr(
-            identities, "count_gaps_oracle", lambda obj, i, cen=None: GapReport(i, (), 0)
-        )
+        # the window pass loses its one hub, which the adjacency conditions
+        # still find
+        doctored = gaps._window_counts(DIAG3)._replace(hubs=())
+        monkeypatch.setattr(identities, "_window_counts", lambda obj: doctored)
         cen = census(DIAG3)
         view = cen._packed
         checked = view.codim2.index(view.fmt.pack(Cell((1, 1, 0)))) + 1
@@ -189,6 +195,66 @@ class TestFailureResults:
             "classification-totality", False, stray, PREFIX + "cell=(9, 9, 0): no voxel in its block"
         )
 
+    def test_window_hub_outside_the_census_format_is_dropped(self):
+        # DIAG3's census given for DIAG3 and a far copy: the copy's hub
+        # (17, 15, 0) packs to the int of DIAG3's edge (1, 0, 1), no hub
+        obj = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (8, 7, 0), (9, 8, 0)])
+        cen = replace(census(DIAG3))
+        fmt = cen._packed.fmt
+        assert fmt.pack(Cell((17, 15, 0))) == fmt.pack(Cell((1, 0, 1)))
+        prefix = "object n=3 centers=[(0, 0, 0), (1, 1, 0), (8, 7, 0), (9, 8, 0)]; "
+        assert check_object(obj, cen) == [
+            IdentityResult(
+                "census-partition",
+                False,
+                4,
+                prefix + "window c=[28, 46, 24, 4] but census c=[14, 23, 12, 2]",
+            ),
+            IdentityResult("facet-count", True, 1),
+            IdentityResult("border-sum", True, 3),
+            IdentityResult("hub-nub-degree", True, 23),
+            IdentityResult(
+                "gap-triple-agreement",
+                False,
+                1,
+                prefix + "window hubs=2 scan=1; only window [(17, 15, 0)] only scan []",
+            ),
+            IdentityResult("detector-equivalence", True, 23),
+            IdentityResult(
+                "classification-totality",
+                False,
+                23,
+                prefix
+                + "histogram {'simple': 44, 'facet_pair_block': 0, 'gap_tandem': 2,"
+                " 'l_block': 0, 'full_block': 0} but classify_cell tally"
+                " {'simple': 22, 'facet_pair_block': 0, 'gap_tandem': 1,"
+                " 'l_block': 0, 'full_block': 0}",
+            ),
+            IdentityResult("free-face-heredity", True, 35),
+        ]
+
+    def test_facet_listed_as_an_n_minus_2_cell(self):
+        # the greatest facet of a random 4-D object listed among its
+        # 2-cells: it has one flat axis, so no block steps, but still its
+        # own (empty) block row, and the scan's refusal is a failure
+        obj = generate(ShapeSpec("random", 4, extents=(3,) * 4, density=0.5, seed=1))
+        cen = census(obj)
+        cells = list(cen.cells_by_dim)
+        cells[2] = cells[2] | {max(cells[3])}
+        doctored = replace(cen, cells_by_dim=tuple(cells))
+        assert len(doctored._blocks) == len(doctored._packed.codim2) == 654
+        results = check_object(obj, doctored)
+        got = {r.name: (r.passed, r.checked, r.witness.partition("; ")[2]) for r in results}
+        assert len(results) == 8
+        assert got["gap-triple-agreement"] == (
+            False, 1, "Cell(5, 4, 2, 4) is not an 2-cell of the 4-lattice"
+        )
+        assert got["classification-totality"] == (
+            False, 365, "cell=(5, 4, 2, 4): no voxel in its block"
+        )
+        assert got["hub-nub-degree"] == (True, 636, "")
+        assert got["detector-equivalence"] == (True, 654, "")
+
     def test_long_object_witness_is_cut_at_24_centers(self):
         obj = DigitalObject.from_centers(2, [(x, 0) for x in range(30)])
         cen = census(obj)
@@ -217,7 +283,6 @@ def _direct_hubs(obj: DigitalObject, cells) -> tuple[Cell, ...]:
 
 class TestOneScan:
     def test_check_object_scans_each_cell_once(self, monkeypatch):
-        # an object no other test builds, so no earlier scan is kept for it
         obj = DigitalObject.from_centers(
             3, [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 1), (7, 3, 5)]
         )
@@ -232,6 +297,17 @@ class TestOneScan:
         cen = census(obj)
         assert all(r.passed for r in check_object(obj, cen))
         assert len(calls) == cen.c[1]
+
+    def test_hub_identities_run_no_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("is_gap called")
+
+        monkeypatch.setattr(gaps, "is_gap", refuse)
+        obj = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 1)])
+        cen = census(obj)
+        for identity in (hub_nub_degree, detector_equivalence, classification_totality):
+            result = identity(obj, cen)
+            assert result.passed and result.checked > 0, result
 
     def test_check_object_runs_one_window_pass(self, monkeypatch):
         passes = []
