@@ -1,0 +1,446 @@
+"""A census's cells as bitmaps: per tile, per dimension and per parity
+class, one big int with a bit for each cell.
+
+On axis k a cell's doubled coordinate x has the index h = (x - L_k) >> 1,
+with L_k odd and at most the least cell coordinate: a voxel and its face
+below share an index, and its face above is one index up. So the cells of
+one parity class (the axes they are flat on) fill a sublattice, and a
+face, coface or block step is a shift of a whole class. The ints are cut
+into tiles, a sparse map of small dense boxes after VDB (Museth 2013,
+"VDB: High-resolution sparse volumes with dynamic topology"): only tiles
+that hold a voxel exist, so clusters far apart and long diagonals cost
+about what their cells cost, not what their bounding box does. A dense
+object is one tile (``_sides``).
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from functools import lru_cache
+from itertools import compress, product, repeat
+from math import prod
+from operator import add, floordiv, le, mod, mul, rshift, sub
+from typing import Callable, Iterable, Iterator
+
+from .cells import Cell, _mk, _parity
+
+#: the least bits a tile is charged when the tiles are chosen (``_sides``):
+#: about the big-int work that a tile's own Python overhead costs
+TILE_BITS = 1 << 12
+
+_BITS01 = bytes.maketrans(b"01", b"\0\1")
+
+#: a parity class: entry k is 1 where its cells are flat (odd) on axis k
+Class = tuple[int, ...]
+#: a tile's position on the grid of tiles
+Key = tuple[int, ...]
+
+
+def _bitmap(positions: list[int]) -> int:
+    """The int with the bits at ``positions`` set, built in a byte buffer."""
+    if not positions:
+        return 0
+    buf = bytearray((max(positions) >> 3) + 1)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _ones(bits: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    flags = format(bits, "b").encode().translate(_BITS01)[::-1]
+    return list(compress(range(len(flags)), flags))
+
+
+@lru_cache(maxsize=None)
+def _levels(n: int) -> tuple[tuple[tuple[Class, int], ...], ...]:
+    """The parity classes by number of flat axes, each level in order, each
+    class with its last flat axis: clearing it gives a class one level down."""
+    levels: list[list[tuple[Class, int]]] = [[] for _ in range(n + 1)]
+    for q in product((0, 1), repeat=n):
+        levels[sum(q)].append((q, max((k for k in range(n) if q[k]), default=-1)))
+    return tuple(map(tuple, levels))
+
+
+def _block(h: tuple[int, ...], q: Class) -> Iterator[tuple[int, ...]]:
+    """The indices of the block voxels of the cell at index h in class q: a
+    flat cell's block voxels sit at its index and one below."""
+    return product(*((x - 1, x) if f else (x,) for x, f in zip(h, q)))
+
+
+def _sides(tops: tuple[int, ...], points: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The core side of the tiles on each axis, 0 where one tile spans it.
+
+    Axis k's indices run 0..tops[k]. A spanning axis has radix top + 2 (one
+    guard slot); an axis cut at side T has T + 3 (a halo slot either side
+    and a guard). Each tile is charged its bits, but at least
+    ``TILE_BITS``, and the layout charged least for the tiles that hold
+    ``points`` wins: one tile, or sides T = 1, 2, 4, ... on the axes longer
+    than T. Past the T whose tiles reach ``TILE_BITS`` bits, doubling T
+    doubles a tile's bits per cut axis and at best halves the tiles, so
+    the search stops there.
+    """
+    n = len(tops)
+    best, sides = max(prod(top + 2 for top in tops), TILE_BITS), (0,) * n
+    columns = list(zip(*points))
+    side = 1
+    while columns and side <= max(tops):
+        cut = [top >= side for top in tops]
+        bits = prod(side + 3 if c else top + 2 for c, top in zip(cut, tops))
+        charge = max(bits, TILE_BITS)
+        # a core holds at most this many points, which bounds the tiles from below
+        room = prod(side if c else top + 1 for c, top in zip(cut, tops))
+        if -(-len(points) // room) * charge < best:
+            cols = (map(floordiv, col, repeat(side)) if c else repeat(0) for col, c in zip(columns, cut))
+            keys = zip(*cols)
+            charged = len(set(keys)) * charge
+            if charged < best:
+                best, sides = charged, tuple(side if c else 0 for c in cut)
+        if bits >= TILE_BITS:
+            break
+        side *= 2
+    return sides
+
+
+class _Counts(list):
+    """Bit slices of a count per bit: slice k holds bit k of the count."""
+
+    def equal(self, v: int) -> int:
+        """The bits where the count is v."""
+        if v >> len(self):
+            return 0
+        out = -1
+        for k, s in enumerate(self):
+            out &= s if v >> k & 1 else ~s
+        return out
+
+    def at(self, bit: int) -> int:
+        """The count at one bit."""
+        return sum((s >> bit & 1) << k for k, s in enumerate(self))
+
+
+@lru_cache(maxsize=None)
+def _subset_sums(weights: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of each subset of the weights."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return tuple(sums)
+
+
+class _Tile:
+    """One tile's bitmaps. ``voxels`` holds every voxel in the tile's range
+    (its core and, on a cut axis, a halo slot either side). Per dimension i
+    and class, ``cells[i]`` and ``free[i]`` hold the listed cells the tile
+    owns and ``reach[i]`` every free cell in the range, so each face,
+    coface and block step from an owned cell reads a bit of the tile."""
+
+    __slots__ = ("voxels", "cells", "free", "reach")
+
+    def __init__(self, n: int) -> None:
+        self.voxels = 0
+        self.cells: list[dict[Class, int]] = [{} for _ in range(n + 1)]
+        self.free: list[dict[Class, int]] = [{} for _ in range(n + 1)]
+        self.reach: list[dict[Class, int]] = [{} for _ in range(n + 1)]
+
+
+class _Bitmaps:
+    """A census as bitmaps: per tile, per dimension and per parity class,
+    one int with a bit for each cell.
+
+    Index. A cell x has h_k = (x_k - L_k) >> 1 on axis k (``lo`` holds the
+    L_k, ``tops`` the greatest h_k over the census). A voxel's faces on an
+    extending axis are at h and h + 1 and a flat cell's cofaces at h and
+    h - 1, so every step is a left shift of one bitmap or the other.
+
+    Tiles. The indices are cut on a grid of tiles anchored at 0, with core
+    side ``sides[k]`` on axis k (0 where one tile spans the axis; see
+    ``_sides``), and only tiles whose core holds a voxel exist. A tile's
+    bitmaps span its range, from ``origin(key)``: on a cut axis its core
+    and a halo slot either side, else all the indices. Its index h sits at
+    bit sum((h_k - origin_k) * weights[k]), a tight mixed radix with a
+    guard slot at the top of each axis, which keeps a step from carrying
+    into the next axis; axis 0 is most significant, so within a class the
+    bits run in the lexicographic order of the cells. Each listed cell is
+    owned by one tile: the first, in key order, whose core holds a listed
+    voxel of the cell's block, or else the one whose core holds the cell.
+    An owned cell's block voxels, and each face and coface it steps to, lie
+    in the owner's range.
+
+    Witness order. The identities walk cells in one order: by owning tile's
+    key, then by class (its parity tuple), then by bit, so each names the
+    first failing cell in that order. An object of one tile is ordered by
+    class, then lexicographically.
+    """
+
+    __slots__ = ("n", "lo", "tops", "sides", "radix", "weights", "_half", "tiles", "hubs")
+
+    def __init__(self, n: int, lows: Iterable[int], highs: Iterable[int]) -> None:
+        """Bitmaps with no tile yet, whose index fits coordinates
+        lows[k]..highs[k] on each axis k."""
+        self.n = n
+        self.lo = tuple((x - 1) | 1 for x in lows)
+        self._half = tuple((L + 1) >> 1 for L in self.lo)
+        self.tops = tuple(map(sub, map(rshift, map(add, highs, repeat(1)), repeat(1)), self._half))
+        self.tiles: dict[Key, _Tile] = {}
+        #: the (object, bitmaps per (tile, class)) of the window pass's hubs, mapped by ``identities``
+        self.hubs: tuple[object, dict[tuple[Key, Class], int]] | None = None
+
+    def _cut(self, points: list[tuple[int, ...]]) -> None:
+        """Choose the tiles for the indices ``points``, and their radix."""
+        self.sides = _sides(self.tops, points)
+        self.radix = tuple(side + 3 if side else top + 2 for side, top in zip(self.sides, self.tops))
+        weights = [1]
+        for r in reversed(self.radix[1:]):
+            weights.append(weights[-1] * r)
+        self.weights = tuple(reversed(weights))
+
+    def h(self, cell: Iterable[int]) -> tuple[int, ...]:
+        """The cell's index: (x_k - L_k) >> 1 on each axis k."""
+        return tuple(map(sub, map(rshift, map(add, cell, repeat(1)), repeat(1)), self._half))
+
+    def key(self, h: tuple[int, ...]) -> Key:
+        """The tile whose core holds index h."""
+        return tuple(x // side if side else 0 for x, side in zip(h, self.sides))
+
+    def origin(self, key: Key) -> tuple[int, ...]:
+        return tuple(t * side - 1 if side else 0 for t, side in zip(key, self.sides))
+
+    def covering(self, h: tuple[int, ...], keys: Iterable[Key] | None = None) -> Iterator[tuple[Key, int]]:
+        """Each tile of ``keys`` (by default, the tiles) whose range holds
+        index h, with h's bit in it."""
+        keys = self.tiles if keys is None else keys
+        if not any(self.sides):
+            key = (0,) * self.n
+            if key in keys and min(h) >= 0 and all(map(le, h, self.tops)):
+                yield key, sum(map(mul, h, self.weights))
+            return
+        axes = [
+            range(-(-x // side) - 1, (x + 1) // side + 1) if side else (0,) * (0 <= x <= top)
+            for x, side, top in zip(h, self.sides, self.tops)
+        ]
+        for key in filter(keys.__contains__, product(*axes)):
+            yield key, self.position(h, key)
+
+    def position(self, h: tuple[int, ...], key: Key) -> int:
+        return sum(map(mul, map(sub, h, self.origin(key)), self.weights))
+
+    def place(self, cells: Iterable[Cell]) -> dict[tuple[Key, Class], int]:
+        """The cells as bitmaps, per tile and class, in every tile whose
+        range holds them; the rest are dropped."""
+        spots: dict[tuple[Key, Class], list[int]] = {}
+        for e in cells:
+            for key, p in self.covering(self.h(e)):
+                spots.setdefault((key, _parity(e)), []).append(p)
+        return {spot: _bitmap(positions) for spot, positions in spots.items()}
+
+    @classmethod
+    def of_voxels(cls, n: int, voxels: Iterable[Cell]) -> _Bitmaps:
+        """The census of a voxel set, one tile at a time and a class at a
+        time: the cells of a class with flat axes Q are the voxel bitmap
+        shifted over the 2^|Q| sign choices on Q and ORed, the non-free
+        ones the same shifts ANDed, built one flat axis at a time from the
+        class with one flat axis fewer. The cells a tile owns come the same
+        way from the voxels of its core, less those from the voxels of
+        tiles earlier in key order."""
+        vox = list(voxels)
+        cols = list(zip(*vox)) or [(0,)] * n
+        # the cells reach one step past the voxels
+        maps = cls(n, map(min, cols), [max(col) + bool(vox) for col in cols])
+        hs = list(map(maps.h, vox))
+        maps._cut(hs)
+        owners = list(map(maps.key, hs))
+        spots: dict[Key, tuple[list, list, list]] = {key: ([], [], []) for key in sorted(set(owners))}
+        for h, own in zip(hs, owners):
+            for key, p in maps.covering(h, spots):
+                every, core, earlier = spots[key]
+                every.append(p)
+                if key == own:
+                    core.append(p)
+                elif own < key:
+                    earlier.append(p)
+        split = len(spots) > 1
+        for key, bits in spots.items():
+            tile = maps.tiles[key] = _Tile(n)
+            tile.voxels, core, earlier = map(_bitmap, bits)
+            maps._count_classes(tile, (tile.voxels,) * 2 + ((core, earlier) if split else ()))
+        return maps
+
+    def _count_classes(self, tile: _Tile, chains: tuple[int, ...]) -> None:
+        """Fill the tile's bitmaps from its voxels: ``chains`` starts each
+        class's chains at the voxels (all, for its cells and its non-free
+        cells; with more tiles, also the core's and earlier tiles')."""
+        n, weights = self.n, self.weights
+        prev = {(0,) * n: chains}
+        self._store(tile, (0,) * n, chains)
+        for level in _levels(n)[1:]:
+            cur = {}
+            for q, k in level:
+                w = weights[k]
+                c, nonfree, *own = prev[q[:k] + (0,) + q[k + 1:]]
+                cur[q] = (c | c << w, nonfree & nonfree << w, *(a | a << w for a in own))
+                self._store(tile, q, cur[q])
+            prev = cur
+
+    def _store(self, tile: _Tile, q: Class, chains: tuple[int, ...]) -> None:
+        i = self.n - sum(q)
+        cells, nonfree, *own = chains
+        free = reach = cells & ~nonfree
+        if own:
+            core, earlier = own
+            cells = core & ~earlier
+            free = cells & reach
+        for listing, bits in ((tile.cells, cells), (tile.reach, reach), (tile.free, free)):
+            if bits:
+                listing[i][q] = bits
+
+    @classmethod
+    def of_sets(
+        cls, n: int, cells_by_dim: Sequence[Iterable[Cell]], free_by_dim: Sequence[Iterable[Cell]]
+    ) -> _Bitmaps:
+        """The bitmaps of listed cell sets, each cell under the dimension it
+        is listed at and in its own class. The listed voxels are the block
+        voxels; a listed non-voxel is no block voxel."""
+        listed = [list(cells) for cells in (*cells_by_dim, *free_by_dim)]
+        cols = list(zip(*(e for cells in listed for e in cells))) or [(0,)] * n
+        maps = cls(n, map(min, cols), map(max, cols))
+        zero = (0,) * n
+        voxels = [v for v in listed[n] if _parity(v) == zero]
+        vox = list(map(maps.h, voxels))
+        present = frozenset(vox)
+        # each cell with its index and the indices of its block voxels present
+        spots = [[(e, h, [v for v in _block(h, _parity(e)) if v in present])
+                  for e, h in zip(cells, map(maps.h, cells))] for cells in listed]
+        # the tiles are chosen for the voxels and for the cells with none
+        maps._cut([*vox, *(h for cells in spots for _, h, block in cells if not block)])
+        # each cell is owned by the first tile holding one of its block
+        # voxels, else by the tile holding it
+        owned: dict[tuple[str, int, Key, Class], list[int]] = {}
+        for s, cells in enumerate(spots):
+            for e, h, block in cells:
+                key = min(map(maps.key, block), default=maps.key(h))
+                spot = ("cells" if s <= n else "free", s % (n + 1), key, _parity(e))
+                owned.setdefault(spot, []).append(maps.position(h, key))
+        for key in sorted({key for _, _, key, _ in owned}):
+            maps.tiles[key] = _Tile(n)
+        for (listing, i, key, q), positions in sorted(owned.items()):
+            getattr(maps.tiles[key], listing)[i][q] = _bitmap(positions)
+        for (key, _), bits in maps.place(voxels).items():
+            maps.tiles[key].voxels = bits
+        for i, cells in enumerate(free_by_dim):
+            for (key, q), bits in sorted(maps.place(cells).items()):
+                maps.tiles[key].reach[i][q] = bits
+        return maps
+
+    def first(
+        self,
+        listing: Callable[[_Tile], dict[Class, int]],
+        fail: Callable[[Key, _Tile, Class, int], int],
+        checked: int = 0,
+    ) -> tuple[int, tuple[Key, Class, int] | None]:
+        """Walk the cells ``listing`` gives per tile in witness order, a
+        class at a time: ``fail(key, tile, q, bits)`` gives the failing ones
+        of a class's bits. Returns the count checked, up to and with the
+        first failing cell, and where that cell is (key, class, bit); or
+        the count of all and None."""
+        for key, tile in self.tiles.items():
+            for q, bits in listing(tile).items():
+                bad = fail(key, tile, q, bits)
+                if bad:
+                    low = bad & -bad
+                    return checked + (bits & (low - 1)).bit_count() + 1, (key, q, low.bit_length() - 1)
+                checked += bits.bit_count()
+        return checked, None
+
+    def at(self, voxels: int, offset: Sequence[int]) -> int:
+        """The voxel bitmap moved so that each cell's bit reads the voxel at
+        ``offset`` (doubled coordinates) from the cell."""
+        shift = sum((d >> 1) * w for d, w in zip(offset, self.weights))
+        return voxels >> shift if shift >= 0 else voxels << -shift
+
+    def shifts(self, axes: Iterable[int]) -> tuple[int, ...]:
+        """The shift of each +-1 step along ``axes``: one index up on the
+        axes of each subset."""
+        return _subset_sums(tuple(self.weights[k] for k in axes))
+
+    @staticmethod
+    def tally(bitmaps: Iterable[int]) -> _Counts:
+        """How many of the bitmaps set each bit, in bit slices."""
+        slices = _Counts()
+        for carry in bitmaps:
+            for k, s in enumerate(slices):
+                slices[k], carry = s ^ carry, s & carry
+                if not carry:
+                    break
+            if carry:
+                slices.append(carry)
+        return slices
+
+    def count(self, listing: str, i: int) -> int:
+        """How many cells ``cells`` or ``free`` lists at dimension i."""
+        return sum(
+            bits.bit_count() for tile in self.tiles.values() for bits in getattr(tile, listing)[i].values()
+        )
+
+    def decode(self, key: Key, q: Class, bits: int) -> Iterator[Cell]:
+        """The cells of class q at the set bits of tile ``key``, in bit order.
+
+        A bit splits into its high and low half of the axes (a floor
+        division and a remainder), and each half is looked up in a table of
+        coordinate tuples, so a cell costs two lookups and a concatenation."""
+        positions = _ones(bits)
+        m = self.n >> 1
+        split = self.weights[m - 1] if m else self.weights[0] * self.radix[0]
+        # slot s on axis k is index o + s, coordinate 2 * (o + s) + L + 1 - f
+        axes = [
+            range(2 * o + L + 1 - f, 2 * (o + r) + L + 1 - f, 2)
+            for o, L, f, r in zip(self.origin(key), self.lo, q, self.radix)
+        ]
+        high, low = list(product(*axes[:m])), list(product(*axes[m:]))
+        return map(
+            _mk, repeat(Cell),
+            map(add, map(high.__getitem__, map(floordiv, positions, repeat(split))),
+                map(low.__getitem__, map(mod, positions, repeat(split)))),
+        )
+
+    def cell(self, key: Key, q: Class, bit: int) -> Cell:
+        return next(self.decode(key, q, 1 << bit))
+
+    def listing(self, listing: str, i: int) -> Iterator[Cell]:
+        """The cells ``cells`` or ``free`` lists at dimension i, in witness order."""
+        for key, tile in self.tiles.items():
+            for q, bits in getattr(tile, listing)[i].items():
+                yield from self.decode(key, q, bits)
+
+
+class _Decoded(Sequence):
+    """Cell sets per dimension, held as bitmaps and each decoded to a
+    ``frozenset[Cell]`` the first time it is read, then kept.
+
+    It compares equal to the tuple of those frozensets.
+    """
+
+    __slots__ = ("_maps", "_listing", "_sets")
+
+    def __init__(self, maps: _Bitmaps, listing: str) -> None:
+        self._maps, self._listing = maps, listing
+        self._sets: list[frozenset[Cell] | None] = [None] * (maps.n + 1)
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        cells = self._sets[i]
+        if cells is None:
+            cells = self._sets[i] = frozenset(self._maps.listing(self._listing, i))
+        return cells
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _Decoded)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))

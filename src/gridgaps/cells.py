@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product, repeat
-from operator import add, and_, mul, rshift
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, combinations, product
+from operator import add, mul
+from typing import Iterable, NamedTuple
 
 #: Construction rejects components beyond this magnitude. Face/coface offsets
 #: are +-1, so valid inputs can never collide with the guard band.
@@ -234,43 +234,13 @@ def _parity(cell) -> tuple[int, ...]:
     return tuple(x & 1 for x in cell)
 
 
-# Packed cells, for probes that step from a cell to its faces, cofaces or
-# block, or from a voxel to its neighbours. One origin lo and one field
-# width w serve a whole set of cells: axis k of a cell is stored in bits
-# [w*k, w*k + w) as x_k - lo + 2. With lo and hi the least and greatest
-# coordinate in the set and w the bit length of hi - lo + 4, every field of
-# a listed cell lies in [2, hi - lo + 2], so a step of up to +-2 on any
-# axes stays in [0, 2^w): one int add, never carrying into a neighbouring
-# field, and still exact at +-2^60. The difference of two listed cells,
-# less such a step, has every field below 2^w in magnitude, so it is 0
-# only where the difference is that step.
-
-
-@lru_cache(maxsize=None)
-def _lanes(n: int, w: int) -> tuple[int, ...]:
-    """The weight 2^(w*k) of each axis k."""
-    return tuple(1 << w * k for k in range(n))
-
-
-@lru_cache(maxsize=None)
-def _packed_steps(n: int, w: int, parity: int, flat: int, k: int) -> tuple[int, ...]:
-    """``_offsets`` as packed ints, in its order, for the cells whose
-    parity bits (bit w*a set where axis a is odd) are ``parity``."""
-    lanes = _lanes(n, w)
-    bits = tuple(parity >> w * a & 1 for a in range(n))
-    return tuple(sum(map(mul, d, lanes)) for d in _offsets(bits, flat, k))
-
-
-@lru_cache(maxsize=None)
-def _voxel_steps(n: int, w: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The packed differences of facet-adjacent voxels (+-2 on one axis)
-    and of strictly (n-2)-adjacent voxels (+-2 on two axes)."""
-    lanes = _lanes(n, w)
-    facet = frozenset(s * 2 * lane for lane in lanes for s in (-1, 1))
-    diagonal = frozenset(
-        a + b for a, b in combinations(facet, 2) if abs(a) != abs(b)
-    )
-    return facet, diagonal
+# Packed cells, for the vertex windows of ``gaps``. One origin lo and one
+# field width w serve a whole set of cells: axis k of a cell is stored in
+# bits [w*k, w*k + w) as x_k - lo + 2. With lo and hi the least and
+# greatest coordinate in the set and w the bit length of hi - lo + 4, every
+# field of a listed cell lies in [2, hi - lo + 2], so a step of up to +-2 on
+# any axes stays in [0, 2^w): one int add, never carrying into a
+# neighbouring field, and still exact at +-2^60.
 
 
 class _Packing:
@@ -278,23 +248,15 @@ class _Packing:
     w, with every field reaching 2 steps past the set. ``lanes`` holds the
     weight of each axis, so a step d packs as the sum of d_k * lanes[k]."""
 
-    __slots__ = ("n", "w", "lanes", "_off", "_shifts", "_field", "_base", "_mask", "_flip")
+    __slots__ = ("n", "w", "lanes", "_off", "_shifts", "_field", "_base")
 
     def __init__(self, n: int, lo: int, w: int) -> None:
         self.n, self.w = n, w
         self._off = lo - 2  # field k holds x_k - off
-        self.lanes = _lanes(n, w)
+        self.lanes = tuple(1 << w * k for k in range(n))
         self._shifts = tuple(w * k for k in range(n))
         self._field = (1 << w) - 1
-        self._mask = sum(self.lanes)  # the low bit of every field
-        self._base = self._off * self._mask
-        # a field's low bit is x_k's parity, flipped where off is odd
-        self._flip = self._mask if self._off & 1 else 0
-
-    @classmethod
-    def over(cls, n: int, lo: int, hi: int) -> "_Packing":
-        """The format that fits the coordinates lo..hi and 2 steps beyond."""
-        return cls(n, lo, (hi - lo + 4).bit_length())
+        self._base = self._off * sum(self.lanes)
 
     @classmethod
     def spanning(cls, n: int, cell_sets: Iterable[Iterable[Cell]]) -> "_Packing":
@@ -303,7 +265,7 @@ class _Packing:
         sets = [cells for cells in cell_sets if cells]
         lo = min((min(chain.from_iterable(cells)) for cells in sets), default=0)
         hi = max((max(chain.from_iterable(cells)) for cells in sets), default=0)
-        return cls.over(n, lo, hi)
+        return cls(n, lo, (hi - lo + 4).bit_length())
 
     def pack(self, cell: Iterable[int]) -> int:
         return sum(map(mul, cell, self.lanes)) - self._base
@@ -311,26 +273,6 @@ class _Packing:
     def unpack(self, p: int) -> Cell:
         field, off = self._field, self._off
         return _mk(Cell, [(p >> s & field) + off for s in self._shifts])
-
-    def unpack_all(self, cells: Sequence[int]) -> Iterator[Cell]:
-        """``unpack`` of each packed cell, in order, decoded one axis at a
-        time: one column of coordinates per axis, zipped into cells."""
-        field, off = self._field, self._off
-        columns = [
-            map(add, map(and_, map(rshift, cells, repeat(s)), repeat(field)), repeat(off))
-            for s in self._shifts
-        ]
-        return map(_mk, repeat(Cell), zip(*columns))
-
-    def steps(self, p: int, flat: int, k: int) -> tuple[int, ...]:
-        """The packed +-1 steps from cell p along k of its axes of parity
-        ``flat``: its cofaces k dimensions up (1) or faces k down (0)."""
-        return _packed_steps(self.n, self.w, (p & self._mask) ^ self._flip, flat, k)
-
-    def voxel_steps(self) -> tuple[frozenset[int], frozenset[int]]:
-        """``_voxel_steps`` in this format: the facet steps, then the
-        strictly (n-2)-adjacent ones."""
-        return _voxel_steps(self.n, self.w)
 
 
 def faces(f: Cell, i: int) -> frozenset[Cell]:

@@ -5,6 +5,11 @@ against an enumeration, or two detectors against each other), so a failure
 always means an engine bug or a corrupted census, never a property of the
 input. ``check_object`` accepts an externally supplied census precisely so
 callers can verify that a corrupted census is caught.
+
+The census-side identities run on the census's bitmaps (``bitmaps._Bitmaps``):
+each steps a whole parity class at once with shifts, ANDs and bit counts,
+and walks a class cell by cell only to name a failure's witness, the first
+failing cell in witness order (tile key, class, bit).
 """
 
 from __future__ import annotations
@@ -12,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Callable
+from operator import add, sub
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+from .cells import Cell, _mk, _offsets
 from .counting import c_bounding
 from .gaps import (
     HubTag,
@@ -25,13 +32,13 @@ from .gaps import (
 # census stays bound here: perfbench's tracer wraps it and checks it is restored
 from .objects import CellCensus, DigitalObject, _census_of, census  # noqa: F401
 
+if TYPE_CHECKING:
+    from .bitmaps import Class, Key, _Bitmaps, _Counts, _Tile
+
 #: five identities check against the vertex-window pass, so the most
 #: recent object's pass is kept for the later ones; ``count`` and
 #: ``classify`` call the pass in ``gaps`` directly and keep nothing
 _window_counts = lru_cache(maxsize=1)(_window_counts)
-#: the tag of a block with 1, 3 or 4 voxels present; a pair is told apart
-#: by its difference
-_COUNT_TAG = {1: HubTag.SIMPLE, 3: HubTag.L_BLOCK, 4: HubTag.FULL_BLOCK}
 
 
 @dataclass(frozen=True)
@@ -72,13 +79,86 @@ def _identity(name: str, codim2: bool = False) -> Callable[[_Check], _Identity]:
     return wrap
 
 
+def _with(q: Class, axes: Iterable[int], flat: int = 1) -> Class:
+    """Class q with ``axes`` made flat (or, with ``flat=0``, extending)."""
+    out = list(q)
+    for k in axes:
+        out[k] = flat
+    return tuple(out)
+
+
+def _axes(q: Class, flat: int) -> list[int]:
+    return [k for k, f in enumerate(q) if f == flat]
+
+
+#: a voxel's offset from a cell, in doubled coordinates
+_Offset = tuple[int, ...]
+
+
+def _corners(q: Class) -> tuple[_Offset, ...]:
+    """The block voxels of a cell of class q, as offsets in ``cofaces``
+    order: +-1 on its two flat axes. A cell with more or fewer flat axes
+    lists no (n-2)-block voxel."""
+    return _offsets(q, 1, 2) if sum(q) == 2 else ()
+
+
+@lru_cache(maxsize=None)
+def _tandem_pairs(q: Class) -> tuple[tuple[_Offset, _Offset, tuple[_Offset, ...]], ...]:
+    """The strictly (n-2)-adjacent pairs (v1, v2) of a class-q cell's block
+    voxels, each with the voxels facet-adjacent to both, found from the
+    offsets: v2 - v1 is +-2 on two axes, and u = v1 + f with f and v2 - u
+    each +-2 on one axis."""
+    n = len(q)
+    facet = [tuple(s * 2 * (a == k) for a in range(n)) for k in range(n) for s in (-1, 1)]
+    pairs = []
+    for v1, v2 in combinations(_corners(q), 2):
+        d = tuple(map(sub, v2, v1))
+        if sum(map(bool, d)) == 2:
+            common = tuple(tuple(map(add, v1, f)) for f in facet if tuple(map(sub, d, f)) in facet)
+            pairs.append((v1, v2, common))
+    return tuple(pairs)
+
+
+def _window_hubs(obj: DigitalObject, maps: _Bitmaps) -> dict[tuple[Key, Class], int]:
+    """The vertex-window pass's (n-2)-hubs as bitmaps in the census's tiles
+    (``_Bitmaps.place``), mapped once per object and kept with the bitmaps.
+    A hub the census does not list sets no bit of a listed cell."""
+    if maps.hubs is None or maps.hubs[0] is not obj:
+        maps.hubs = (obj, maps.place(_window_counts(obj).hubs))
+    return maps.hubs[1]
+
+
 @_identity("census-partition")
 def census_partition(obj: DigitalObject, cen: CellCensus) -> _Outcome:
-    """c_i = c*_i + c'_i for every dimension, and the vertex-window pass
-    behind ``count`` finds the same c, c* and c' as the census."""
-    for i in range(obj.n + 1):
+    """c_i = c*_i + c'_i for every dimension; the census's lists agree with
+    its counts; and the vertex-window pass behind ``count`` finds the same
+    c, c* and c' as the census. For each i, every listed i-cell has
+    dimension i, every listed free i-cell is a listed i-cell, and c_i and
+    c*_i count them."""
+    n = obj.n
+    checked = n + 1
+    for i in range(n + 1):
         if cen.c[i] != cen.c_star[i] + cen.c_prime[i]:
-            return obj.n + 1, f"dim {i}: c={cen.c[i]} c*={cen.c_star[i]} c'={cen.c_prime[i]}"
+            return checked, f"dim {i}: c={cen.c[i]} c*={cen.c_star[i]} c'={cen.c_prime[i]}"
+    maps = cen._bitmaps
+    for i in range(n + 1):
+        for listing in ("cells", "free"):
+            _, where = maps.first(
+                lambda tile: getattr(tile, listing)[i],
+                lambda key, tile, q, bits: bits if n - sum(q) != i else 0,
+            )
+            if where:
+                cell = maps.cell(*where)
+                return checked, f"dim {i}: listed cell {tuple(cell)} has dimension {cell.dim}"
+        _, where = maps.first(
+            lambda tile: tile.free[i], lambda key, tile, q, bits: bits & ~tile.cells[i].get(q, 0)
+        )
+        if where:
+            return checked, f"dim {i}: free cell {tuple(maps.cell(*where))} is not a listed cell"
+        for listing, label, want in (("cells", "c", cen.c[i]), ("free", "c*", cen.c_star[i])):
+            got = maps.count(listing, i)
+            if got != want:
+                return checked, f"dim {i}: {got} {listing} listed but {label}={want}"
     win = _window_counts(obj)
     for name, got, want in (
         ("c", win.c, cen.c),
@@ -86,8 +166,8 @@ def census_partition(obj: DigitalObject, cen: CellCensus) -> _Outcome:
         ("c'", win.c_prime, cen.c_prime),
     ):
         if got != want:
-            return obj.n + 1, f"window {name}={list(got)} but census {name}={list(want)}"
-    return obj.n + 1, None
+            return checked, f"window {name}={list(got)} but census {name}={list(want)}"
+    return checked, None
 
 
 @_identity("facet-count")
@@ -101,60 +181,77 @@ def facet_count(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     return 1, None
 
 
-def _window_hubs(obj: DigitalObject, cen: CellCensus) -> frozenset[int]:
-    """The vertex-window pass's (n-2)-hubs, packed in the census's view.
-
-    A hub outside the view's format is dropped: its int would be another
-    cell's, and the census lists no such hub anyway."""
-    hubs, fmt = _window_counts(obj).hubs, cen._packed.fmt
-    return frozenset(p for e, p in zip(hubs, map(fmt.pack, hubs)) if fmt.unpack(p) == e)
-
-
 @_identity("border-sum")
 def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """sum of b_j(e) over the i-border equals c_bounding(i,j) * c*_j.
 
     The sum counts the pairs (e, f) of a free i-cell e and a free j-cell f
     with f - e = +-1 on exactly j - i axes, and it is counted from the j
-    side: 2^(j-i) C(j, i) face steps per free j-cell, against
-    2^(j-i) C(n-i, j-i) coface steps per free i-cell from the i side. On
-    random objects that is half the probes at n = 4 and a sixth at n = 8.
-    Either side counts the same pairs, whatever dimension a listed cell
-    has: on the j - i axes where e and f differ, e is flat exactly where f
-    extends, so e is flat on all of them (a coface step from e) just when
-    f extends on all of them (a face step from f). Each parity class of
-    the free j-cells is stepped at once on the census's packed view.
+    side: each free j-class F is shifted by each of its face steps s, and
+    ((F << s) & E).bit_count() counts the pairs with E, the free i-class
+    the step lands in. Either side counts the same pairs, whatever
+    dimension a listed cell has: on the j - i axes where e and f differ, e
+    is flat exactly where f extends.
     """
-    view = cen._packed
-    steps = view.fmt.steps
+    n, maps = obj.n, cen._bitmaps
     checked = 0
-    for j in range(1, obj.n):
-        runs = list(view.classes(view.free[j]))
+    for j in range(1, n):
+        sums = [0] * j
+        for tile in maps.tiles.values():
+            for q, free in tile.free[j].items():
+                extending = _axes(q, 0)
+                shifted = {0: free}
+                for i in range(max(0, j - len(extending)), j):
+                    reach = tile.reach[i]
+                    for axes in combinations(extending, j - i):
+                        target = reach.get(_with(q, axes), 0)
+                        if target:
+                            for s in maps.shifts(axes):
+                                if s not in shifted:
+                                    shifted[s] = free << s
+                                sums[i] += (shifted[s] & target).bit_count()
         for i in range(j):
             checked += 1
-            has = view.free_sets[i].__contains__
-            lhs = sum(
-                sum(map(has, map(d.__add__, run))) for run in runs for d in steps(run[0], 0, j - i)
-            )
+            lhs = sums[i]
             rhs = c_bounding(i, j) * cen.c_star[j]
             if lhs != rhs:
                 return checked, f"(i={i}, j={j}): sum={lhs} formula={rhs}"
     return checked, None
 
 
+def _cofaces_up(maps: _Bitmaps, tile: _Tile, q: Class, i: int) -> _Counts:
+    """Bit slices of how many free (i + 1)-cells of the tile each class-q
+    cell bounds: its cofaces one step up each flat axis a, at its own slot
+    and one below on a."""
+    facets = tile.reach[i + 1]
+    ups = []
+    for a in _axes(q, 1):
+        up = facets.get(_with(q, (a,), 0), 0)
+        ups += (up, up << maps.weights[a])
+    return maps.tally(ups)
+
+
 @_identity("hub-nub-degree", codim2=True)
 def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
-    """Every free (n-2)-cell bounds 4 free facets if a window hub, else 2."""
-    n = obj.n
-    view = cen._packed
-    hubs = _window_hubs(obj, cen)
-    free = view.free[n - 2]
-    degrees = view.b_each(free, n - 2, n - 1)
-    for checked, (p, got) in enumerate(zip(free, degrees), 1):
-        expected = 4 if p in hubs else 2
-        if got != expected:
-            return checked, f"cell={tuple(view.fmt.unpack(p))}: b_(n-1)={got}, expected {expected}"
-    return len(free), None
+    """Every free (n-2)-cell bounds 4 free facets if a window hub, else 2.
+
+    The facets each cell bounds are counted a class at a time, in bit
+    slices over the four coface bitmaps, and met with the hub bitmap."""
+    n, maps = obj.n, cen._bitmaps
+    hubs = _window_hubs(obj, maps)
+
+    def fail(key: Key, tile: _Tile, q: Class, free: int) -> int:
+        counts = _cofaces_up(maps, tile, q, n - 2)
+        hub = hubs.get((key, q), 0)
+        return free & ~(hub & counts.equal(4) | ~hub & counts.equal(2))
+
+    checked, where = maps.first(lambda tile: tile.free[n - 2], fail)
+    if where:
+        key, q, bit = where
+        got = _cofaces_up(maps, maps.tiles[key], q, n - 2).at(bit)
+        expected = 4 if hubs.get((key, q), 0) >> bit & 1 else 2
+        return checked, f"cell={tuple(maps.cell(*where))}: b_(n-1)={got}, expected {expected}"
+    return checked, None
 
 
 @_identity("gap-triple-agreement", codim2=True)
@@ -185,92 +282,132 @@ def gap_triple_agreement(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Block inspection and the adjacency conditions find the same hubs.
 
-    The adjacency conditions of ``is_gap_by_adjacency`` are tested on the
-    census's packed view and block lists: two voxels of e's block are
-    strictly (n-2)-adjacent, and no voxel is facet-adjacent to both. The
-    block lists are data shared with classification-totality; the hubs
+    The adjacency conditions of ``is_gap_by_adjacency`` are tested a class
+    at a time on the census's voxel bitmap: two voxels of e's block are
+    strictly (n-2)-adjacent, and no voxel is facet-adjacent to both. Which
+    block voxels pair up, and which voxels neighbour both, is worked out
+    once per class from their offsets (``_tandem_pairs``). The hubs
     compared with are the vertex-window pass's, which reads no census.
     """
-    view = cen._packed
-    hubs = _window_hubs(obj, cen)
-    vox = view.voxels
-    facet, diagonal = view.fmt.voxel_steps()
-    for checked, (p, present) in enumerate(zip(view.codim2, cen._blocks), 1):
-        gap = any(
-            v2 - v1 in diagonal
-            and not any(v1 + f in vox and v2 - v1 - f in facet for f in facet)
-            for v1, v2 in combinations(present, 2)
-        )
-        if (p in hubs) != gap:
-            return checked, f"cell={tuple(view.fmt.unpack(p))}: detectors disagree"
-    return len(view.codim2), None
+    n, maps = obj.n, cen._bitmaps
+    hubs = _window_hubs(obj, maps)
+
+    def fail(key: Key, tile: _Tile, q: Class, cells: int) -> int:
+        gap = 0
+        for v1, v2, common in _tandem_pairs(q):
+            pair = maps.at(tile.voxels, v1) & maps.at(tile.voxels, v2)
+            for u in common:
+                pair &= ~maps.at(tile.voxels, u)
+            gap |= pair
+        return cells & (gap ^ hubs.get((key, q), 0))
+
+    checked, where = maps.first(lambda tile: tile.cells[n - 2], fail)
+    if where:
+        return checked, f"cell={tuple(maps.cell(*where))}: detectors disagree"
+    return checked, None
+
+
+def _tags(maps: _Bitmaps, voxels: int, q: Class) -> tuple[int, dict[HubTag, int]]:
+    """The cells of class q with no block voxel present, and those of each
+    tag: by how many of the four block voxels are present, and for a pair
+    whether it is facet-adjacent."""
+    corners = [(u, maps.at(voxels, u)) for u in _corners(q)]
+    counts = maps.tally(bits for _, bits in corners)
+    facet_pair = 0
+    for (u1, b1), (u2, b2) in combinations(corners, 2):
+        if sum(map(bool, map(sub, u2, u1))) == 1:
+            facet_pair |= b1 & b2
+    pairs = counts.equal(2)
+    tags = {
+        HubTag.SIMPLE: counts.equal(1),
+        HubTag.FACET_PAIR_BLOCK: pairs & facet_pair,
+        HubTag.GAP_TANDEM: pairs & ~facet_pair,
+        HubTag.L_BLOCK: counts.equal(3),
+        HubTag.FULL_BLOCK: counts.equal(4),
+    }
+    return counts.equal(0), tags
 
 
 @_identity("classification-totality", codim2=True)
 def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Each (n-2)-cell gets exactly one consistent tag.
 
-    The tag is read off the census's block lists, as ``classify_cell``
-    reads it: the number of block voxels present, and for a pair whether it
-    is facet-adjacent. A cell with no voxel in its block is reported.
-    Consistency: the full block is exactly the non-free case, and the tandem
-    tag is exactly a hub of the vertex-window pass. Then the tally of these
-    tags must equal the tag histogram of that pass, the block-trace route
-    behind ``classify``.
+    The tag is read off the census's four block-corner bitmaps a class at a
+    time, as ``classify_cell`` reads it: the number of block voxels
+    present, and for a pair whether it is facet-adjacent. A cell with no
+    voxel in its block is reported. Consistency: the full block is exactly
+    the non-free case, and the tandem tag is exactly a hub of the
+    vertex-window pass. Then the tally of these tags must equal the tag
+    histogram of that pass, the block-trace route behind ``classify``.
     """
-    view = cen._packed
-    hubs = _window_hubs(obj, cen)
-    facet, unpack = view.fmt.voxel_steps()[0], view.fmt.unpack
-    free = view.free_sets[obj.n - 2]
+    n, maps = obj.n, cen._bitmaps
+    hubs = _window_hubs(obj, maps)
     tally = {tag: 0 for tag in HubTag}
-    for checked, (p, present) in enumerate(zip(view.codim2, cen._blocks), 1):
-        k = len(present)
-        if k == 0:
-            return checked, f"cell={tuple(unpack(p))}: no voxel in its block"
-        if k == 2:
-            pair_facet = present[1] - present[0] in facet
-            tag = HubTag.FACET_PAIR_BLOCK if pair_facet else HubTag.GAP_TANDEM
-        else:
-            tag = _COUNT_TAG[k]
-        tally[tag] += 1
-        if (tag is HubTag.FULL_BLOCK) != (p not in free):
-            return checked, f"cell={tuple(unpack(p))}: tag {tag.value} vs free={p in free}"
-        if (tag is HubTag.GAP_TANDEM) != (p in hubs):
-            return checked, f"cell={tuple(unpack(p))}: tag {tag.value} vs gap detector"
+
+    def fail(key: Key, tile: _Tile, q: Class, cells: int) -> int:
+        empty, tags = _tags(maps, tile.voxels, q)
+        for tag, bits in tags.items():
+            tally[tag] += (cells & bits).bit_count()
+        free = tile.free[n - 2].get(q, 0)
+        hub = hubs.get((key, q), 0)
+        return cells & (empty | ~(tags[HubTag.FULL_BLOCK] ^ free) | tags[HubTag.GAP_TANDEM] ^ hub)
+
+    checked, where = maps.first(lambda tile: tile.cells[n - 2], fail)
+    if where:
+        key, q, bit = where
+        tile, cell = maps.tiles[key], tuple(maps.cell(*where))
+        empty, tags = _tags(maps, tile.voxels, q)
+        if empty >> bit & 1:
+            return checked, f"cell={cell}: no voxel in its block"
+        tag = next(tag for tag, bits in tags.items() if bits >> bit & 1)
+        free = bool(tile.free[n - 2].get(q, 0) >> bit & 1)
+        if (tag is HubTag.FULL_BLOCK) == free:
+            return checked, f"cell={cell}: tag {tag.value} vs free={free}"
+        return checked, f"cell={cell}: tag {tag.value} vs gap detector"
     hist = _window_counts(obj).histogram
     if hist != tally:
         shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
-        return len(view.codim2), "histogram {} but classify_cell tally {}".format(*shown)
-    return len(view.codim2), None
+        return checked, "histogram {} but classify_cell tally {}".format(*shown)
+    return checked, None
 
 
 @_identity("free-face-heredity")
 def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Every (j-1)-face of a free j-cell is itself free (hence every face is).
 
-    Each dimension is tested a parity class and a face step at a time; only
-    a failing one is walked cell by cell, so the witness names the first
-    free cell in the view's order with a non-free face, and its least
-    non-free face.
+    Each free j-class F is tested against the free (j-1)-class E of each
+    face step s: F & ~(E >> s) must be 0. The witness names the first free
+    cell in witness order with a non-free face, and its least non-free face.
     """
-    view = cen._packed
-    fmt = view.fmt
+    n, maps = obj.n, cen._bitmaps
+    weights = maps.weights
     checked = 0
-    for j in range(1, obj.n):
-        free_below, free = view.free_sets[j - 1], view.free[j]
-        if all(
-            all(map(free_below.__contains__, map(d.__add__, run)))
-            for run in view.classes(free)
-            for d in fmt.steps(run[0], 0, 1)
-        ):
-            checked += len(free)
-            continue
-        for f in free:
-            checked += 1
-            missing = [f + d for d in fmt.steps(f, 0, 1) if f + d not in free_below]
-            if missing:
-                cell, face = tuple(fmt.unpack(f)), tuple(min(map(fmt.unpack, missing)))
-                return checked, f"free cell {cell} has non-free face {face}"
+    for j in range(1, n):
+
+        def faces(tile: _Tile, q: Class) -> Iterator[tuple[int, int, int]]:
+            """Each face step of class q: its axis, the slot step (0 or 1)
+            and the free faces' bitmap."""
+            for m in _axes(q, 0):
+                below = tile.reach[j - 1].get(_with(q, (m,)), 0)
+                yield m, 0, below
+                yield m, 1, below >> weights[m]
+
+        def fail(key: Key, tile: _Tile, q: Class, free: int) -> int:
+            kept = free
+            for _, _, below in faces(tile, q):
+                kept &= below
+            return free ^ kept
+
+        checked, where = maps.first(lambda tile: tile.free[j], fail, checked)
+        if where:
+            key, q, bit = where
+            f = maps.cell(*where)
+            missing = [
+                _mk(Cell, (x + 2 * up - 1 if k == m else x for k, x in enumerate(f)))
+                for m, up, below in faces(maps.tiles[key], q)
+                if not below >> bit & 1
+            ]
+            return checked, f"free cell {tuple(f)} has non-free face {tuple(min(missing))}"
     return checked, None
 
 

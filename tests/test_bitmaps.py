@@ -1,0 +1,184 @@
+"""The tiled bitmap census against the interval oracles, and tilings
+against each other.
+
+A census's bitmaps are cut into tiles only where the object is sparse, so
+the small objects of the other tests are mostly one tile. Here the tiling
+is forced (``bitmaps._sides`` monkeypatched to a small side) on drawn
+objects, and the results must equal the one-tile run; objects that cannot
+be one tile (the +-2**59 corners, clusters 2**40 apart, diagonal lines)
+are compared with the oracles and across tilings.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridgaps import (
+    DigitalObject,
+    ShapeSpec,
+    c_bounding,
+    census,
+    check_object,
+    enumerate_all_objects,
+    generate,
+)
+from gridgaps import bitmaps
+from gridgaps.cells import Cell, _mk
+
+from oracles import o_b_boundary, o_border, o_bounds, o_census, o_cells, o_is_free
+from test_packed import assert_steps_decode, face_side_sums, in_order
+
+EDGE = 1 << 59
+
+
+def tiled(side: int):
+    """``bitmaps._sides`` cutting every axis longer than ``side`` at it."""
+    return lambda tops, points: tuple(side if top >= side else 0 for top in tops)
+
+
+def outcome(obj: DigitalObject, cen=None) -> tuple:
+    """The census and every identity's result."""
+    cen = census(obj) if cen is None else cen
+    sets = tuple(tuple(map(frozenset, listing)) for listing in (cen.cells_by_dim, cen.free_by_dim))
+    results = [(r.name, r.passed, r.checked, r.witness) for r in check_object(obj, cen)]
+    return (cen.c, cen.c_star, cen.c_prime, sets, results)
+
+
+def assert_census_matches_oracle(obj: DigitalObject) -> None:
+    """Counts, cell sets and each (i, j) sum border-sum counts against the
+    interval oracles; every identity holds."""
+    n = obj.n
+    vox = frozenset(map(tuple, obj.voxels))
+    cen = census(obj)
+    assert (cen.c, cen.c_star, cen.c_prime) == o_census(n, vox)
+    for i in range(n + 1):
+        cells = o_cells(vox, i)
+        assert cen.cells_by_dim[i] == cells
+        assert cen.free_by_dim[i] == {e for e in cells if o_is_free(vox, e)}
+    for (i, j), got in face_side_sums(obj, cen).items():
+        border = o_border(n, vox, j)
+        assert got == sum(o_bounds(e, f) for e in o_border(n, vox, i) for f in border), (i, j)
+    assert all(r.passed for r in check_object(obj, cen))
+
+
+class TestOracles:
+    def test_every_object_of_a_33_box(self):
+        # o_b_boundary works its border out afresh for each cell
+        for obj in enumerate_all_objects(2, (3, 3)):
+            cen = census(obj)
+            vox = frozenset(map(tuple, obj.voxels))
+            assert (cen.c, cen.c_star, cen.c_prime) == o_census(2, vox)
+            want = sum(o_b_boundary(2, vox, e, 1) for e in o_border(2, vox, 0))
+            assert face_side_sums(obj, cen) == {(0, 1): want}
+
+    def test_every_object_of_a_222_box(self):
+        for obj in enumerate_all_objects(3, (2, 2, 2)):
+            assert_census_matches_oracle(obj)
+
+    def test_every_object_of_a_222_box_in_tiles_of_one(self, monkeypatch):
+        monkeypatch.setattr(bitmaps, "_sides", tiled(1))
+        for obj in enumerate_all_objects(3, (2, 2, 2)):
+            assert_census_matches_oracle(obj)
+
+
+def drawn_objects():
+    """Objects at n = 1..5 in boxes of side 1..3 (centers -1..1)."""
+    return st.integers(1, 5).flatmap(
+        lambda n: st.sets(st.tuples(*[st.integers(-1, 1)] * n), max_size=24).map(
+            lambda centers: DigitalObject.from_centers(n, centers)
+        )
+    )
+
+
+def with_stray(cen, i):
+    """``free_by_dim[i]`` with its least cell moved two steps down axis 0."""
+    free = list(cen.free_by_dim)
+    e = min(free[i])
+    free[i] = free[i] | {_mk(Cell, (e[0] - 2, *e[1:]))}
+    return replace(cen, free_by_dim=tuple(free))
+
+
+class TestTilings:
+    @given(drawn_objects(), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_tiles_give_the_one_tile_results(self, obj, side):
+        one = census(obj)
+        assert len(one._bitmaps.tiles) <= 1
+        want = outcome(obj, one)
+        strays = [i for i in range(obj.n) if one.free_by_dim[i]]
+        doctored = [[r.passed for r in check_object(obj, with_stray(one, i))] for i in strays]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bitmaps, "_sides", tiled(side))
+            cen = census(obj)
+            if side == 1:  # a tile for each voxel
+                assert len(cen._bitmaps.tiles) == len(obj)
+            assert outcome(obj, cen) == want
+            assert [[r.passed for r in check_object(obj, with_stray(cen, i))] for i in strays] == doctored
+            assert_steps_decode(cen)
+
+
+TWO_CLUSTERS = DigitalObject(
+    3,
+    [
+        *(blob := generate(ShapeSpec("random", 3, (3,) * 3, 0.5, 1))).voxels,
+        *blob.translate((1 << 40,) * 3).voxels,
+    ],
+)
+FAR = DigitalObject.from_centers(3, [(EDGE, EDGE, EDGE), (EDGE - 1, EDGE - 1, EDGE), (-EDGE, -EDGE, -EDGE)])
+DIAG3 = DigitalObject.from_centers(3, [(t, t, t) for t in range(40)])
+DIAG8 = DigitalObject.from_centers(8, [(t,) * 8 for t in range(3)])
+
+
+class TestSparseObjects:
+    @pytest.mark.parametrize(
+        "obj", [FAR, TWO_CLUSTERS, DIAG3], ids=["far-corners", "two-clusters", "diagonal-n3"]
+    )
+    def test_census_matches_the_oracles(self, obj):
+        assert_census_matches_oracle(obj)
+        assert len(census(obj)._bitmaps.tiles) > 1
+
+    def test_diagonal_n8_counts(self):
+        # the interval oracle steps 3^8 neighbours per cell at n = 8, so the
+        # counts are the closed form: three voxels whose closures share
+        # just a vertex between neighbours, every cell below n free
+        cen = census(DIAG8)
+        c = tuple(3 * (c_bounding(i, 8) if i < 8 else 1) - 2 * (i == 0) for i in range(9))
+        assert (cen.c, cen.c_star) == (c, c[:8] + (0,))
+        assert len(cen._bitmaps.tiles) == 3
+        assert all(r.passed for r in check_object(DIAG8, cen))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [FAR, TWO_CLUSTERS, DIAG3, DIAG8],
+        ids=["far-corners", "two-clusters", "diagonal-n3", "diagonal-n8"],
+    )
+    def test_tilings_agree(self, obj, monkeypatch):
+        want = outcome(obj)
+        sums = face_side_sums(obj, census(obj))
+        for side in (1, 2):
+            monkeypatch.setattr(bitmaps, "_sides", tiled(side))
+            cen = census(obj)
+            assert outcome(obj, cen) == want
+            assert face_side_sums(obj, cen) == sums
+            for i in range(obj.n + 1):
+                assert list(cen._bitmaps.listing("cells", i)) == in_order(cen, cen.cells_by_dim[i])
+
+    def test_each_tile_holds_a_voxel(self):
+        # tiles are cut only where voxels are: a diagonal of 40 voxels gets
+        # one tile per core it crosses, not one per box of the grid
+        maps = census(DIAG3)._bitmaps
+        side = maps.sides[0]
+        assert side and maps.sides == (side,) * 3
+        assert list(maps.tiles) == sorted({(t // side,) * 3 for t in range(40)})
+        assert all(tile.voxels for tile in maps.tiles.values())
+
+
+def test_far_diagonal_pair_is_one_small_tile():
+    # the box is spanned by the two voxels' cells alone, whatever their coordinates
+    obj = DigitalObject.from_centers(3, [(-EDGE, -EDGE, -EDGE), (1 - EDGE, 1 - EDGE, -EDGE)])
+    maps = census(obj)._bitmaps
+    assert (len(maps.tiles), maps.sides, maps.radix) == (1, (0, 0, 0), (4, 4, 3))

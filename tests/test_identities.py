@@ -2,7 +2,9 @@
 
 Only gap-triple-agreement runs the ``is_gap`` scan; hub-nub-degree,
 detector-equivalence and classification-totality test hubness against the
-vertex-window pass's hubs, packed in the census's view.
+vertex-window pass's hubs, mapped into the census's bitmaps. A failing
+identity names the first failing cell in witness order (tile key, class,
+bit; ``bitmaps._Bitmaps``).
 """
 
 from __future__ import annotations
@@ -109,14 +111,14 @@ class TestFailureResults:
                 hub_nub_degree,
                 lambda cen: _drop_free(cen, 2),
                 "hub-nub-degree",
-                f"cell=({2 - F}, {3 - F}, {1 - F}): b_(n-1)=0, expected 2",
+                f"cell=({-F}, {-1 - F}, {-1 - F}): b_(n-1)=0, expected 2",
             ),
             (
                 free_face_heredity,
                 lambda cen: _drop_free(cen, 0),
                 "free-face-heredity",
-                f"free cell ({2 - F}, {3 - F}, {1 - F})"
-                f" has non-free face ({1 - F}, {3 - F}, {1 - F})",
+                f"free cell ({-F}, {-1 - F}, {-1 - F})"
+                f" has non-free face ({-1 - F}, {-1 - F}, {-1 - F})",
             ),
         ],
     )
@@ -161,8 +163,8 @@ class TestFailureResults:
         doctored = gaps._window_counts(DIAG3)._replace(hubs=())
         monkeypatch.setattr(identities, "_window_counts", lambda obj: doctored)
         cen = census(DIAG3)
-        view = cen._packed
-        checked = view.codim2.index(view.fmt.pack(Cell((1, 1, 0)))) + 1
+        checked = list(cen._bitmaps.listing("cells", 1)).index(Cell((1, 1, 0))) + 1
+        assert checked == 20
         result = detector_equivalence(DIAG3, cen)
         assert result == IdentityResult(
             "detector-equivalence", False, checked, PREFIX + "cell=(1, 1, 0): detectors disagree"
@@ -189,19 +191,23 @@ class TestFailureResults:
         cen = census(DIAG3)
         cells = list(cen.cells_by_dim)
         cells[1] = cells[1] | {Cell((9, 9, 0))}
-        stray = list(cells[1]).index(Cell((9, 9, 0))) + 1
         results = {r.name: r for r in check_object(DIAG3, replace(cen, cells_by_dim=tuple(cells)))}
+        # the stray is the greatest cell of the last class, so last in witness order
         assert results["classification-totality"] == IdentityResult(
-            "classification-totality", False, stray, PREFIX + "cell=(9, 9, 0): no voxel in its block"
+            "classification-totality", False, 24, PREFIX + "cell=(9, 9, 0): no voxel in its block"
+        )
+        assert results["census-partition"] == IdentityResult(
+            "census-partition", False, 4, PREFIX + "dim 1: 24 cells listed but c=23"
         )
 
     def test_window_hub_outside_the_census_format_is_dropped(self):
         # DIAG3's census given for DIAG3 and a far copy: the copy's hub
-        # (17, 15, 0) packs to the int of DIAG3's edge (1, 0, 1), no hub
+        # (17, 15, 0) lies past the census's index, so it maps to no bit
         obj = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (8, 7, 0), (9, 8, 0)])
         cen = replace(census(DIAG3))
-        fmt = cen._packed.fmt
-        assert fmt.pack(Cell((17, 15, 0))) == fmt.pack(Cell((1, 0, 1)))
+        maps = cen._bitmaps
+        assert maps.place([Cell((17, 15, 0))]) == {}
+        assert maps.place([Cell((1, 1, 0))])[(0, 0, 0), (1, 1, 0)].bit_count() == 1
         prefix = "object n=3 centers=[(0, 0, 0), (1, 1, 0), (8, 7, 0), (9, 8, 0)]; "
         assert check_object(obj, cen) == [
             IdentityResult(
@@ -235,22 +241,28 @@ class TestFailureResults:
 
     def test_facet_listed_as_an_n_minus_2_cell(self):
         # the greatest facet of a random 4-D object listed among its
-        # 2-cells: it has one flat axis, so no block steps, but still its
-        # own (empty) block row, and the scan's refusal is a failure
+        # 2-cells: it has one flat axis, so its class has no block corners,
+        # census-partition names its dimension, and the scan's refusal is a
+        # failure
         obj = generate(ShapeSpec("random", 4, extents=(3,) * 4, density=0.5, seed=1))
         cen = census(obj)
         cells = list(cen.cells_by_dim)
         cells[2] = cells[2] | {max(cells[3])}
         doctored = replace(cen, cells_by_dim=tuple(cells))
-        assert len(doctored._blocks) == len(doctored._packed.codim2) == 654
+        assert doctored._bitmaps.count("cells", 2) == 654
         results = check_object(obj, doctored)
         got = {r.name: (r.passed, r.checked, r.witness.partition("; ")[2]) for r in results}
         assert len(results) == 8
+        assert got["census-partition"] == (
+            False, 5, "dim 2: listed cell (5, 4, 2, 4) has dimension 3"
+        )
         assert got["gap-triple-agreement"] == (
             False, 1, "Cell(5, 4, 2, 4) is not an 2-cell of the 4-lattice"
         )
+        # its class (1, 0, 0, 0) comes after the three classes of 2-cells
+        # that extend along axis 0 and before the three flat on it
         assert got["classification-totality"] == (
-            False, 365, "cell=(5, 4, 2, 4): no voxel in its block"
+            False, 326, "cell=(5, 4, 2, 4): no voxel in its block"
         )
         assert got["hub-nub-degree"] == (True, 636, "")
         assert got["detector-equivalence"] == (True, 654, "")
@@ -275,6 +287,83 @@ class TestFailureResults:
             ("classification-totality", True, 0, ""),
             ("free-face-heredity", True, 0, ""),
         ]
+
+
+RANDOM4 = generate(ShapeSpec("random", 4, extents=(3,) * 4, density=0.5, seed=1))
+
+
+def _listing(cen: CellCensus, i: int, cells=None, free=None) -> CellCensus:
+    """The census with ``cells_by_dim[i]`` and ``free_by_dim[i]`` replaced."""
+    out = [list(cen.cells_by_dim), list(cen.free_by_dim)]
+    for listing, new in zip(out, (cells, free)):
+        if new is not None:
+            listing[i] = frozenset(new)
+    return replace(cen, cells_by_dim=tuple(out[0]), free_by_dim=tuple(out[1]))
+
+
+def _stray(cen: CellCensus, i: int) -> CellCensus:
+    """A free i-cell below the object, listed as free only: the least free
+    one moved two steps down axis 0."""
+    e = min(cen.free_by_dim[i])
+    return _listing(cen, i, free=cen.free_by_dim[i] | {Cell((e[0] - 2, *e[1:]))})
+
+
+def _far_cell(cen: CellCensus, i: int) -> CellCensus:
+    """One more i-cell, the greatest moved 2^40 along axis 0, listed as a cell only."""
+    e = max(cen.cells_by_dim[i])
+    return _listing(cen, i, cells=cen.cells_by_dim[i] | {Cell((e[0] + (1 << 40), *e[1:]))})
+
+
+def _unlisted_free(cen: CellCensus, i: int) -> CellCensus:
+    return _listing(cen, i, cells=cen.cells_by_dim[i] - {min(cen.free_by_dim[i])})
+
+
+def _wrong_dimension(cen: CellCensus, i: int) -> CellCensus:
+    """The least (i+1)-cell listed among the i-cells too."""
+    return _listing(cen, i, cells=cen.cells_by_dim[i] | {min(cen.cells_by_dim[i + 1])})
+
+
+class TestCensusPartitionChecks:
+    """census-partition checks every listing of the census against its
+    counts and the others, on the random 4-D object of a 3^4 box: each
+    doctored listing fails it with an exact witness, and checked stays
+    n + 1."""
+
+    @pytest.mark.parametrize(
+        "doctor, i, detail",
+        [
+            (_stray, 0, "dim 0: free cell (-3, -1, -1, -1) is not a listed cell"),
+            (_stray, 1, "dim 1: free cell (-3, -1, -1, 0) is not a listed cell"),
+            (_stray, 2, "dim 2: free cell (-3, -1, 0, 0) is not a listed cell"),
+            (_stray, 3, "dim 3: free cell (-3, 0, 0, 0) is not a listed cell"),
+            (_far_cell, 0, "dim 0: 231 cells listed but c=230"),
+            (_far_cell, 1, "dim 1: 648 cells listed but c=647"),
+            (_far_cell, 2, "dim 2: 654 cells listed but c=653"),
+            (_far_cell, 3, "dim 3: 278 cells listed but c=277"),
+            (_far_cell, 4, "dim 4: 43 cells listed but c=42"),
+            (_unlisted_free, 0, "dim 0: free cell (-1, -1, -1, -1) is not a listed cell"),
+            (_unlisted_free, 1, "dim 1: free cell (-1, -1, -1, 0) is not a listed cell"),
+            (_unlisted_free, 2, "dim 2: free cell (-1, -1, 0, 0) is not a listed cell"),
+            (_unlisted_free, 3, "dim 3: free cell (-1, 0, 0, 0) is not a listed cell"),
+            (_wrong_dimension, 0, "dim 0: listed cell (-1, -1, -1, 0) has dimension 1"),
+            (_wrong_dimension, 1, "dim 1: listed cell (-1, -1, 0, 0) has dimension 2"),
+            (_wrong_dimension, 2, "dim 2: listed cell (-1, 0, 0, 0) has dimension 3"),
+            (_wrong_dimension, 3, "dim 3: listed cell (0, 0, 0, 0) has dimension 4"),
+        ],
+    )
+    def test_doctored_listing_fails(self, doctor, i, detail):
+        results = {r.name: r for r in check_object(RANDOM4, doctor(census(RANDOM4), i))}
+        got = results["census-partition"]
+        assert (got.passed, got.checked, got.witness.partition("; ")[2]) == (False, 5, detail)
+
+    def test_free_listed_under_another_dimension(self):
+        cen = census(RANDOM4)
+        doctored = _listing(cen, 1, free=cen.free_by_dim[1] | {min(cen.free_by_dim[2])})
+        got = census_partition(RANDOM4, doctored)
+        assert got.witness.partition("; ")[2] == "dim 1: listed cell (-1, -1, 0, 0) has dimension 2"
+
+    def test_census_passes(self):
+        assert census_partition(RANDOM4, census(RANDOM4)) == IdentityResult("census-partition", True, 5)
 
 
 def _direct_hubs(obj: DigitalObject, cells) -> tuple[Cell, ...]:

@@ -1,23 +1,24 @@
-"""The census's packed probes against the tuple routes they replace.
+"""The census's bitmaps against the tuple routes they replace.
 
-``CellCensus.b_boundary`` and the border-sum, hub-nub-degree and
-free-face-heredity identities step through the census's free cells packed
-as ints; detector-equivalence and classification-totality probe blocks
-through its (n-2)-cells and voxels packed as ints. Each is compared here
-with a loop over the census's own tuple sets (``is_gap_by_adjacency`` and
-``classify_cell`` for the block probes), and ``b_boundary`` also with the
-brute-force interval oracle, on real and doctored censuses. The view that
-``census`` builds as it counts is compared with the one packed from its own
-tuple sets, and ``verify`` is checked to decode no cell tuples but the
-(n-2)-cells.
+The census is held as bitmaps (``bitmaps._Bitmaps``): per tile, per
+dimension and per parity class, one int with a bit per cell. The
+border-sum, hub-nub-degree and free-face-heredity identities shift whole
+classes of free cells to their faces or cofaces; detector-equivalence and
+classification-totality read the four block-corner bitmaps of each class.
+Each is compared here with a loop over the census's own tuple sets
+(``is_gap_by_adjacency`` and ``classify_cell`` for the block probes), and
+``b_boundary`` also with the brute-force interval oracle, on real and
+doctored censuses. The bitmaps ``census`` builds as it counts are compared
+with the ones a copy builds from its own tuple sets, and ``verify`` is
+checked to decode no cell tuples but the (n-2)-cells.
 
-The probes that step a whole parity class at a time (the per-cell b_j,
-the census's block lists, the column decode) are each compared with their
-per-cell form, and ``is_gap`` with the interval oracle. On doctored
-censuses the identities must name the first failing cell in the view's
-order, as the per-cell loops they replaced did. border-sum, which counts
-from the free j-cells' side, is compared pair by pair with the coface
-side, ``_PackedCensus.b``, and must never call it.
+The reference loops walk cells in the witness order, worked out here from
+its definition: by owning tile (the first tile, in key order, whose core
+holds a listed voxel of the cell's block, else the one whose core holds the
+cell), then by parity class, then lexicographically. On doctored censuses
+the identities must name the first failing cell in that order. border-sum,
+which counts from the free j-cells' side, is compared pair by pair with the
+coface side, counted on the same bitmaps the other way round.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from gridgaps import (
     Cell,
     DigitalObject,
     ShapeSpec,
-    adjacent_voxels,
     block,
     c_bounding,
     census,
@@ -42,8 +42,8 @@ from gridgaps import (
     faces,
     generate,
 )
-from gridgaps import cli, dvo, identities
-from gridgaps.cells import COORD_LIMIT, _mk
+from gridgaps import cli, dvo, gaps, identities, objects
+from gridgaps.cells import COORD_LIMIT, _mk, _parity
 from gridgaps.gaps import (
     HubTag,
     classification_histogram,
@@ -53,6 +53,8 @@ from gridgaps.gaps import (
     is_gap_by_adjacency,
 )
 from gridgaps.identities import (
+    _corners,
+    _cofaces_up,
     border_sum,
     check_object,
     classification_totality,
@@ -60,11 +62,35 @@ from gridgaps.identities import (
     free_face_heredity,
     hub_nub_degree,
 )
-from gridgaps.objects import CellCensus, _PackedCensus
+from gridgaps.bitmaps import _Bitmaps, _ones
+from gridgaps.objects import CellCensus
 
 from oracles import o_border, o_bounds, o_cells, o_is_gap
 
 EDGE = 1 << 59
+
+
+def index(maps: _Bitmaps, e) -> tuple[int, ...]:
+    """The cell's index on each axis, (x - L) >> 1, from its definition."""
+    return tuple((x - L) >> 1 for x, L in zip(e, maps.lo))
+
+
+def tile_of(maps: _Bitmaps, e) -> tuple[int, ...]:
+    return tuple(h // side if side else 0 for h, side in zip(index(maps, e), maps.sides))
+
+
+def owner(maps: _Bitmaps, voxels: frozenset, e) -> tuple[int, ...]:
+    """The tile that owns e: the first whose core holds a listed voxel of
+    its block, else the one whose core holds e."""
+    block_voxels = product(*((x - 1, x + 1) if x & 1 else (x,) for x in e))
+    return min((tile_of(maps, v) for v in block_voxels if v in voxels), default=tile_of(maps, e))
+
+
+def in_order(cen: CellCensus, cells) -> list[Cell]:
+    """The cells in witness order: owning tile, class, then lexicographic."""
+    maps = cen._bitmaps
+    voxels = frozenset(v for v in cen.cells_by_dim[cen.n] if not any(x & 1 for x in v))
+    return sorted(cells, key=lambda e: (owner(maps, voxels, e), _parity(e), tuple(e)))
 
 
 def tuple_b_boundary(cen: CellCensus, e: Cell, j: int) -> int:
@@ -88,7 +114,7 @@ def tuple_hub_nub_degree(obj, cen):
     if n < 2:
         return 0, None
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    free = cen.free_by_dim[n - 2]
+    free = in_order(cen, cen.free_by_dim[n - 2])
     for checked, e in enumerate(free, 1):
         expected = 4 if e in hubs else 2
         got = tuple_b_boundary(cen, e, n - 1)
@@ -100,7 +126,7 @@ def tuple_hub_nub_degree(obj, cen):
 def tuple_free_face_heredity(obj, cen):
     checked = 0
     for j in range(1, obj.n):
-        for f in cen.free_by_dim[j]:
+        for f in in_order(cen, cen.free_by_dim[j]):
             checked += 1
             missing = [e for e in faces(f, j - 1) if e not in cen.free_by_dim[j - 1]]
             if missing:
@@ -109,7 +135,7 @@ def tuple_free_face_heredity(obj, cen):
 
 
 def listed_voxels(cen: CellCensus) -> DigitalObject:
-    """The voxels the census lists, as an object: the block view probes
+    """The voxels the census lists, as an object: the block bitmaps hold
     these, so a doctored census's extra voxels count for both routes."""
     return DigitalObject(cen.n, cen.cells_by_dim[cen.n])
 
@@ -120,7 +146,7 @@ def tuple_detector_equivalence(obj, cen):
         return 0, None
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
     listed = listed_voxels(cen)
-    cells = cen.cells_by_dim[n - 2]
+    cells = in_order(cen, cen.cells_by_dim[n - 2])
     for checked, e in enumerate(cells, 1):
         if (e in hubs) != is_gap_by_adjacency(listed, e):
             return checked, f"cell={tuple(e)}: detectors disagree"
@@ -133,7 +159,7 @@ def tuple_classification_totality(obj, cen):
         return 0, None
     hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
     listed = listed_voxels(cen)
-    free, cells = cen.free_by_dim[n - 2], cen.cells_by_dim[n - 2]
+    free, cells = cen.free_by_dim[n - 2], in_order(cen, cen.cells_by_dim[n - 2])
     tally = {tag: 0 for tag in HubTag}
     for checked, e in enumerate(cells, 1):
         if not block(e) & listed.voxels:
@@ -160,7 +186,7 @@ REFERENCES = (
 )
 
 
-def assert_packed_matches_tuples(obj: DigitalObject, cen: CellCensus, oracle: bool) -> None:
+def assert_bitmaps_match_tuples(obj: DigitalObject, cen: CellCensus, oracle: bool) -> None:
     """With ``oracle``, ``b_boundary`` is also checked against the interval
     oracle: ``o_b_boundary`` with its border computed once per j."""
     n = cen.n
@@ -180,48 +206,58 @@ def assert_packed_matches_tuples(obj: DigitalObject, cen: CellCensus, oracle: bo
         assert result.witness.endswith(f"; {detail}") if detail else not result.witness
 
 
-def assert_steps_decode(cen: CellCensus) -> None:
-    """Every free cell and every +-1 step from it unpacks to its tuple.
+def bits_of(maps: _Bitmaps, listing: str, i: int):
+    """(key, tile, class, bit, cell) for each cell ``listing`` holds at i."""
+    for key, tile in maps.tiles.items():
+        for q, bits in getattr(tile, listing)[i].items():
+            for b in _ones(bits):
+                yield key, tile, q, b, maps.cell(key, q, b)
 
-    The packed cells are listed in no set order, so each is stepped from
-    its own unpacked tuple."""
-    view = cen._packed
-    fmt, packed_free, packed_sets = view.fmt, view.free, view.free_sets
-    for i, free in enumerate(cen.free_by_dim):
-        assert set(map(fmt.unpack, packed_free[i])) == free
-        assert len(packed_free[i]) == len(free)
-        assert packed_sets[i] == frozenset(packed_free[i])
-        for p in packed_free[i]:
-            e = fmt.unpack(p)
-            for k in range(1, cen.n - i + 1):
-                assert {fmt.unpack(p + d) for d in fmt.steps(p, 1, k)} == cofaces(e, i + k)
-            for k in range(1, i + 1):
-                assert {fmt.unpack(p + d) for d in fmt.steps(p, 0, k)} == faces(e, i - k)
+
+def assert_steps_decode(cen: CellCensus) -> None:
+    """Every listed cell decodes to a cell of its listing, in witness order,
+    and every face and coface step from a free cell reads the bit of the
+    face or coface in the tile's free cells in range: set exactly when it
+    is a listed free cell."""
+    n, maps = cen.n, cen._bitmaps
+    for i in range(n + 1):
+        for listing, sets in (("cells", cen.cells_by_dim), ("free", cen.free_by_dim)):
+            got = list(maps.listing(listing, i))
+            assert got == in_order(cen, sets[i]) and len(set(got)) == len(got)
+        for key, tile, q, b, e in bits_of(maps, "free", i):
+            assert _parity(e) == q
+            for m in range(n):
+                w = maps.weights[m]
+                if q[m] == 0 and i:  # faces at x - 1 (same slot) and x + 1 (one up)
+                    below = tile.reach[i - 1].get(q[:m] + (1,) + q[m + 1:], 0)
+                    for up in (0, 1):
+                        face = _mk(Cell, (x + 2 * up - 1 if k == m else x for k, x in enumerate(e)))
+                        assert (below >> b + up * w & 1) == (face in cen.free_by_dim[i - 1]), (e, face)
+                if q[m] == 1 and i < n:  # cofaces at x + 1 (same slot) and x - 1 (one down)
+                    above = tile.reach[i + 1].get(q[:m] + (0,) + q[m + 1:], 0)
+                    for down in (0, 1):
+                        coface = _mk(Cell, (x + 1 - 2 * down if k == m else x for k, x in enumerate(e)))
+                        # one slot down from slot 0 is outside the tile's box
+                        inside = not down or (b // w) % maps.radix[m]
+                        got = above >> b - down * w & 1 if inside else 0
+                        assert got == (coface in cen.free_by_dim[i + 1]), (e, coface)
 
 
 def assert_block_probes_decode(cen: CellCensus) -> None:
-    """Every listed (n-2)-cell and voxel, every +-1 step from such a cell
-    to its block and every +-2 step from such a voxel unpacks to its tuple."""
-    n = cen.n
-    view = cen._packed
-    fmt, packed, vox = view.fmt, view.codim2, view.voxels
-    cells, voxels = cen.cells_by_dim[n - 2], cen.cells_by_dim[n]
-    assert set(map(fmt.unpack, packed)) == cells and len(packed) == len(cells)
-    assert {fmt.unpack(v) for v in vox} == voxels and len(vox) == len(voxels)
-    for p in packed:
-        assert {fmt.unpack(p + d) for d in fmt.steps(p, 1, 2)} == block(fmt.unpack(p))
-    facet, diagonal = fmt.voxel_steps()
-    for v in vox:
-        u = fmt.unpack(v)
-        near = adjacent_voxels(u, n - 1)
-        assert {fmt.unpack(v + f) for f in facet} == near
-        assert {fmt.unpack(v + d) for d in diagonal} == adjacent_voxels(u, n - 2) - near
+    """Every listed (n-2)-cell's block corners read the listed voxels."""
+    n, maps = cen.n, cen._bitmaps
+    voxels = cen.cells_by_dim[n]
+    for key, tile, q, b, e in bits_of(maps, "cells", n - 2):
+        present = {
+            _mk(Cell, map(int.__add__, e, u)) for u in _corners(q) if maps.at(tile.voxels, u) >> b & 1
+        }
+        assert present == (block(e) & voxels if sum(q) == 2 else set()), e
 
 
 def reaching_past(cen: CellCensus) -> CellCensus:
     """The census with a voxel listed one step below its least coordinate
     and a vertex two steps above its greatest, neither of them free: the
-    least coordinate becomes even, and so does the format's origin."""
+    least coordinate becomes even."""
     coords = [x for cells in cen.cells_by_dim for e in cells for x in e] or [1]
     lo, hi = min(coords), max(coords)
     cells = list(cen.cells_by_dim)
@@ -233,8 +269,8 @@ def reaching_past(cen: CellCensus) -> CellCensus:
 
 def listing_free_outside(cen: CellCensus) -> CellCensus:
     """The census with a free vertex near +2**60 and, from n = 2, a free
-    (n-2)-cell at -2**60, neither listed in ``cells_by_dim``: the packed
-    view must span them too. The (n-2)-cell bounds no free facet, so
+    (n-2)-cell at -2**60, neither listed in ``cells_by_dim``: the bitmaps
+    must span them too. The (n-2)-cell bounds no free facet, so
     hub-nub-degree fails on it."""
     n = cen.n
     free = list(cen.free_by_dim)
@@ -256,33 +292,38 @@ def without_least_cell(cen: CellCensus, i: int) -> CellCensus:
     return replace(cen, cells_by_dim=tuple(cells))
 
 
+def least_parity(cen: CellCensus) -> int:
+    """The parity of the least listed coordinate (0 with none)."""
+    return min((x for cells in cen.cells_by_dim for e in cells for x in e), default=0) & 1
+
+
 def assert_all_censuses_agree(
     obj: DigitalObject, oracle: bool = True, drops: bool = True
 ) -> set[int]:
     """Check the census, the one reaching past it and, with ``drops``, the
     census with its least free cell dropped in each dimension in turn and
-    the one with its least (n-2)-cell dropped; return the parities of
-    the format's origin that were seen.
+    the one with its least (n-2)-cell dropped; return the parities of their
+    least listed coordinates.
 
     On a non-empty object the real census and the one reaching past it
-    give the origin both parities."""
+    give both parities."""
     cen = census(obj)
-    assert_packed_matches_tuples(obj, cen, oracle)
+    assert_bitmaps_match_tuples(obj, cen, oracle)
     doctored = [reaching_past(cen)]
-    for c in (cen, doctored[0]):  # origin odd, then even
+    for c in (cen, doctored[0]):  # least coordinate odd, then even
         assert_steps_decode(c)
     if obj.n >= 2:
         for c in (cen, doctored[0]):
             assert_block_probes_decode(c)
         if len(obj):
-            assert {c._packed.fmt._off & 1 for c in (cen, doctored[0])} == {0, 1}
+            assert {least_parity(c) for c in (cen, doctored[0])} == {0, 1}
     if drops:
         doctored += [without_least_free(cen, i) for i in range(obj.n) if cen.free_by_dim[i]]
         if obj.n >= 2 and len(obj):
             doctored.append(without_least_cell(cen, obj.n - 2))
     for d in doctored:
-        assert_packed_matches_tuples(obj, d, oracle=False)
-    return {c._packed[0]._off & 1 for c in [cen, *doctored]}
+        assert_bitmaps_match_tuples(obj, d, oracle=False)
+    return {least_parity(c) for c in [cen, *doctored]}
 
 
 CORNERS = [
@@ -305,8 +346,8 @@ class TestPackedProbes:
         assert parities == {0, 1}
 
     def test_every_object_of_a_222_box_translated(self):
-        # centers move by 1, cell coordinates by 2: the origin keeps its
-        # parity, and only the census reaching past the object flips it
+        # centers move by 1, cell coordinates by 2: the least coordinate
+        # keeps its parity, and only the census reaching past the object flips it
         parities = set()
         for obj in enumerate_all_objects(3, (2, 2, 2)):
             moved = obj.translate((1, 1, 1))
@@ -314,13 +355,15 @@ class TestPackedProbes:
         assert parities == {0, 1}
 
     @pytest.mark.parametrize(
-        "obj, w",
-        list(zip(CORNERS, (62, 62, 4, 62))),
+        "obj, tiles",
+        list(zip(CORNERS, (4, 9, 1, 3))),
         ids=["n2", "n3-with-hubs", "n3-diagonal", "n1-line"],
     )
-    def test_range_corners(self, obj, w):
+    def test_range_corners(self, obj, tiles):
+        # a tile for each corner's voxels (the diagonal pair shares one),
+        # and on the line one for 0, 1 and 5 between the two ends
         assert assert_all_censuses_agree(obj) == {0, 1}
-        assert census(obj)._packed[0].w == w
+        assert len(census(obj)._bitmaps.tiles) == tiles
 
     @pytest.mark.parametrize(
         "obj",
@@ -336,23 +379,30 @@ class TestPackedProbes:
     def test_free_cells_outside_the_listed_span(self, obj):
         cen = listing_free_outside(census(obj))
         assert_steps_decode(cen)
-        assert_packed_matches_tuples(obj, cen, oracle=False)
+        assert_bitmaps_match_tuples(obj, cen, oracle=False)
         if obj.n >= 2 and obj is not CORNERS[2]:
-            witness = hub_nub_degree(obj, cen).witness  # names a far cell, unpacked
+            witness = hub_nub_degree(obj, cen).witness  # names a far cell, decoded
             assert any(f"cell=({x}, " in witness for x in (COORD_LIMIT - 1, 1 - COORD_LIMIT))
 
 
-def assert_view_matches_repacked(obj: DigitalObject) -> None:
-    """``census`` packs as it counts; its view must equal the one packed
-    from its own tuple sets, in the same format, with every list holding
-    the same cells. The census must also equal its tuple-set copy."""
+def assert_bitmaps_match_rebuilt(obj: DigitalObject) -> None:
+    """``census`` builds its bitmaps as it counts; they must hold what the
+    ones built from its own tuple sets hold, on the same grid of tiles, in
+    the same order. The free cells in range, which the census works out
+    from the voxels in range, agree where a step from an owned cell reads
+    them (``assert_steps_decode``), and everywhere on one tile. The census
+    must also equal its tuple-set copy."""
     cen = census(obj)
-    direct, repacked = cen._packed, replace(cen)._packed
-    assert (direct.fmt.w, direct.fmt._off) == (repacked.fmt.w, repacked.fmt._off)
-    for got, want in [*zip(direct.free, repacked.free), (direct.codim2, repacked.codim2)]:
-        assert set(got) == set(want) and len(got) == len(want)
-    assert direct.free_sets == repacked.free_sets
-    assert direct.voxels == repacked.voxels
+    direct, rebuilt = cen._bitmaps, replace(cen)._bitmaps
+    assert (direct.lo, direct.tops, direct.sides) == (rebuilt.lo, rebuilt.tops, rebuilt.sides)
+    assert list(direct.tiles) == list(rebuilt.tiles)
+    for key, tile in direct.tiles.items():
+        other = rebuilt.tiles[key]
+        assert tile.voxels == other.voxels
+        for listing in ("cells", "free", "reach")[: 2 + (len(direct.tiles) == 1)]:
+            got, want = getattr(tile, listing), getattr(other, listing)
+            assert got == want
+            assert [list(by_class) for by_class in got] == [list(by_class) for by_class in want]
     plain = CellCensus(
         cen.n, cen.c, cen.c_star, cen.c_prime,
         tuple(map(frozenset, cen.cells_by_dim)), tuple(map(frozenset, cen.free_by_dim)),
@@ -363,7 +413,7 @@ def assert_view_matches_repacked(obj: DigitalObject) -> None:
 class TestDirectView:
     def test_every_object_of_a_222_box(self):
         for obj in enumerate_all_objects(3, (2, 2, 2)):
-            assert_view_matches_repacked(obj)
+            assert_bitmaps_match_rebuilt(obj)
 
     @pytest.mark.parametrize(
         "obj",
@@ -371,7 +421,7 @@ class TestDirectView:
         ids=["n2", "n3-with-hubs", "n3-diagonal", "n1-corners", "n1-line", "empty"],
     )
     def test_corners_line_and_empty(self, obj):
-        assert_view_matches_repacked(obj)
+        assert_bitmaps_match_rebuilt(obj)
 
     def test_verify_decodes_only_the_codim2_cells(self):
         obj = DigitalObject.from_centers(
@@ -401,33 +451,33 @@ def test_census_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-# The batched probes, each against its per-cell form: ``_PackedCensus.b_each``
-# against ``_PackedCensus.b`` on one cell and ``CellCensus.b_boundary``, the
-# census's block lists against ``cells.block`` met with the voxels, the
-# column decode ``_Packing.unpack_all`` against ``_Packing.unpack``, and
-# ``is_gap`` against the interval oracle ``o_is_gap``.
+# The class-at-a-time probes, each against its per-cell form: the decode of
+# a class against the decode of each of its bits, the bit-sliced coface
+# counts against ``CellCensus.b_boundary``'s tuple count, the block-corner
+# bitmaps against ``cells.block`` met with the voxels, and ``is_gap``
+# against the interval oracle ``o_is_gap``.
 
 
 def assert_batched_probes_match(cen: CellCensus) -> None:
-    n, view = cen.n, cen._packed
-    fmt = view.fmt
-    for cells in (*view.free, view.codim2, tuple(view.voxels)):
-        decoded = list(fmt.unpack_all(cells))
-        assert decoded == list(map(fmt.unpack, cells))
-        assert all(type(e) is Cell for e in decoded)
+    n, maps = cen.n, cen._bitmaps
+    for key, tile in maps.tiles.items():
+        for listing in (tile.cells, tile.free, tile.reach):
+            for by_class in listing:
+                for q, bits in by_class.items():
+                    cells = list(maps.decode(key, q, bits))
+                    assert cells == [maps.cell(key, q, b) for b in _ones(bits)]
+                    assert all(type(e) is Cell for e in cells)
     for i in range(n - 1):
-        listed = tuple(map(fmt.pack, cen.cells_by_dim[i]))
-        for j in range(i + 1, n):
-            got = view.b_each(listed, i, j)
-            assert got == [view.b((p,), i, j) for p in listed], (i, j)
-            assert got == [cen.b_boundary(fmt.unpack(p), j) for p in listed], (i, j)
-    blocks = cen._blocks
-    assert len(blocks) == len(view.codim2)
-    voxels = cen.cells_by_dim[n]
-    for p, present in zip(view.codim2, blocks):
-        assert set(map(fmt.unpack, present)) == block(fmt.unpack(p)) & voxels
-        # in the order of the block's steps, as the tags and pairs read it
-        assert present == tuple(p + d for d in fmt.steps(p, 1, 2) if p + d in view.voxels)
+        for key, tile, q, b, e in bits_of(maps, "cells", i):
+            got = _cofaces_up(maps, tile, q, i).at(b)
+            # a listed cell of another dimension steps up from its own
+            up = [_mk(Cell, (x + d if k == a else x for k, x in enumerate(e)))
+                  for a in range(n) if e[a] & 1 for d in (-1, 1)]
+            assert got == sum(f in cen.free_by_dim[i + 1] for f in up), (e, i)
+            if e.dim == i:
+                assert got == tuple_b_boundary(cen, e, i + 1)
+    if n >= 2:
+        assert_block_probes_decode(cen)
 
 
 def assert_is_gap_matches_oracle(obj: DigitalObject) -> None:
@@ -486,92 +536,92 @@ class TestBatchedProbes:
         assert_is_gap_matches_oracle(obj)
 
     def test_census_lists_each_dimension_one_run_per_class(self):
-        # the batched probes step one run of a parity class at a time, so
-        # a census's lists must not interleave the classes
+        # each tile lists each class of a dimension once, in class order,
+        # and only classes of that dimension; the bits of a class run in
+        # the lexicographic order of its cells
         for seed in range(4):
             obj = generate(ShapeSpec("random", 4, extents=(4,) * 4, density=0.5, seed=seed))
-            view = census(obj)._packed
-            for cells in (*view.free, view.codim2):
-                runs = list(view.classes(cells))
-                assert [p for run in runs for p in run] == list(cells)
-                assert len(runs) == len({p & view.fmt._mask for p in cells})
+            cen = census(obj)
+            for tile in cen._bitmaps.tiles.values():
+                for listing in (tile.cells, tile.free, tile.reach):
+                    for i, by_class in enumerate(listing):
+                        assert list(by_class) == sorted(by_class)
+                        assert all(4 - sum(q) == i for q in by_class)
+            for i in range(5):
+                assert list(cen._bitmaps.listing("cells", i)) == in_order(cen, cen.cells_by_dim[i])
 
 
-# Failure output: a failing identity names the first failing cell in the
-# view's order, with the count checked up to it, exactly as the per-cell
-# loops below do. They are the loops the batched probes replaced.
+# Failure output: a failing identity names the first failing cell in
+# witness order, with the count checked up to it, exactly as the per-cell
+# loops below do. They read the cells the bitmaps hold, decoded, and probe
+# them one by one as tuples.
+
+
+def held(cen: CellCensus) -> tuple[list[set], list[set], set]:
+    """The cells, free cells and voxels the census's bitmaps hold."""
+    maps, n = cen._bitmaps, cen.n
+    cells = [set(maps.listing("cells", i)) for i in range(n + 1)]
+    free = [set(maps.listing("free", i)) for i in range(n + 1)]
+    voxels = {v for key, tile in maps.tiles.items() for v in maps.decode(key, (0,) * n, tile.voxels)}
+    return cells, free, voxels
 
 
 def per_cell_hub_nub_degree(obj, cen):
-    n, view = obj.n, cen._packed
-    hubs = frozenset(map(view.fmt.pack, count_gaps_oracle(obj, n - 2, cen).hubs))
-    for checked, p in enumerate(view.free[n - 2], 1):
-        expected = 4 if p in hubs else 2
-        got = view.b((p,), n - 2, n - 1)
+    n = obj.n
+    cells, free, _ = held(cen)
+    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
+    for checked, e in enumerate(cen._bitmaps.listing("free", n - 2), 1):
+        expected = 4 if e in hubs else 2
+        got = sum(f in free[n - 1] for f in cofaces(e, n - 1))
         if got != expected:
-            return checked, f"cell={tuple(view.fmt.unpack(p))}: b_(n-1)={got}, expected {expected}"
-    return len(view.free[n - 2]), None
-
-
-def per_cell_block(view, p):
-    return [p + d for d in view.fmt.steps(p, 1, 2) if p + d in view.voxels]
+            return checked, f"cell={tuple(e)}: b_(n-1)={got}, expected {expected}"
+    return len(free[n - 2]), None
 
 
 def per_cell_detector_equivalence(obj, cen):
-    view = cen._packed
-    hubs = frozenset(map(view.fmt.pack, count_gaps_oracle(obj, obj.n - 2, cen).hubs))
-    vox = view.voxels
-    facet, diagonal = view.fmt.voxel_steps()
-    for checked, p in enumerate(view.codim2, 1):
-        gap = any(
-            v2 - v1 in diagonal
-            and not any(v1 + f in vox and v2 - v1 - f in facet for f in facet)
-            for v1, v2 in combinations(per_cell_block(view, p), 2)
-        )
-        if (p in hubs) != gap:
-            return checked, f"cell={tuple(view.fmt.unpack(p))}: detectors disagree"
-    return len(view.codim2), None
+    n = obj.n
+    _, _, voxels = held(cen)
+    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
+    listed = DigitalObject(n, voxels)
+    order = list(cen._bitmaps.listing("cells", n - 2))
+    for checked, e in enumerate(order, 1):
+        if (e in hubs) != is_gap_by_adjacency(listed, e):
+            return checked, f"cell={tuple(e)}: detectors disagree"
+    return len(order), None
 
 
 def per_cell_classification_totality(obj, cen):
-    view = cen._packed
-    hubs = frozenset(map(view.fmt.pack, count_gaps_oracle(obj, obj.n - 2, cen).hubs))
-    facet, unpack = view.fmt.voxel_steps()[0], view.fmt.unpack
-    free = view.free_sets[obj.n - 2]
-    by_count = {1: HubTag.SIMPLE, 3: HubTag.L_BLOCK, 4: HubTag.FULL_BLOCK}
+    n = obj.n
+    _, free, voxels = held(cen)
+    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
+    listed = DigitalObject(n, voxels)
+    order = list(cen._bitmaps.listing("cells", n - 2))
     tally = {tag: 0 for tag in HubTag}
-    for checked, p in enumerate(view.codim2, 1):
-        present = per_cell_block(view, p)
-        k = len(present)
-        if k == 0:
-            return checked, f"cell={tuple(unpack(p))}: no voxel in its block"
-        if k == 2:
-            pair_facet = present[1] - present[0] in facet
-            tag = HubTag.FACET_PAIR_BLOCK if pair_facet else HubTag.GAP_TANDEM
-        else:
-            tag = by_count[k]
+    for checked, e in enumerate(order, 1):
+        if not block(e) & listed.voxels:
+            return checked, f"cell={tuple(e)}: no voxel in its block"
+        tag = classify_cell(listed, e).tag
         tally[tag] += 1
-        if (tag is HubTag.FULL_BLOCK) != (p not in free):
-            return checked, f"cell={tuple(unpack(p))}: tag {tag.value} vs free={p in free}"
-        if (tag is HubTag.GAP_TANDEM) != (p in hubs):
-            return checked, f"cell={tuple(unpack(p))}: tag {tag.value} vs gap detector"
+        if (tag is HubTag.FULL_BLOCK) != (e not in free[n - 2]):
+            return checked, f"cell={tuple(e)}: tag {tag.value} vs free={e in free[n - 2]}"
+        if (tag is HubTag.GAP_TANDEM) != (e in hubs):
+            return checked, f"cell={tuple(e)}: tag {tag.value} vs gap detector"
     hist = classification_histogram(obj)
     if hist != tally:
         shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
-        return len(view.codim2), "histogram {} but classify_cell tally {}".format(*shown)
-    return len(view.codim2), None
+        return len(order), "histogram {} but classify_cell tally {}".format(*shown)
+    return len(order), None
 
 
 def per_cell_free_face_heredity(obj, cen):
-    view = cen._packed
-    fmt, checked = view.fmt, 0
+    _, free, _ = held(cen)
+    checked = 0
     for j in range(1, obj.n):
-        for f in view.free[j]:
+        for f in cen._bitmaps.listing("free", j):
             checked += 1
-            missing = [f + d for d in fmt.steps(f, 0, 1) if f + d not in view.free_sets[j - 1]]
+            missing = [e for e in faces(f, j - 1) if e not in free[j - 1]]
             if missing:
-                face = min(map(fmt.unpack, missing))
-                return checked, f"free cell {tuple(fmt.unpack(f))} has non-free face {tuple(face)}"
+                return checked, f"free cell {tuple(f)} has non-free face {tuple(min(missing))}"
     return checked, None
 
 
@@ -587,18 +637,29 @@ def every_other(cells):
     return set(sorted(cells)[::2])
 
 
-def with_view(cen: CellCensus, **fields) -> CellCensus:
-    """A copy of the census whose packed view keeps the census's own order
-    but has ``fields`` replaced; the tuple sets are the census's."""
+def with_bitmaps(cen: CellCensus, dropped: set, voxels: bool = False) -> CellCensus:
+    """A copy of the census whose bitmaps lose ``dropped``: from its free
+    cells (every tile that holds them) or, with ``voxels``, from its voxel
+    bitmaps; the tuple sets are the census's."""
     copy = replace(cen)
-    vars(copy)["_packed"] = cen._packed._replace(**fields)
+    maps = copy._bitmaps
+    for e in dropped:
+        for key, bit in maps.covering(maps.h(e)):
+            tile = maps.tiles[key]
+            if voxels:
+                tile.voxels &= ~(1 << bit)
+            else:
+                for listing in (tile.free, tile.reach):
+                    by_class = listing[e.dim]
+                    if _parity(e) in by_class:
+                        by_class[_parity(e)] &= ~(1 << bit)
     return copy
 
 
 def doctored_censuses(cen: CellCensus) -> dict[str, CellCensus]:
-    """Censuses on which several cells fail, the view in set order (made
-    with ``dataclasses.replace``) and in the census's own order."""
-    n, view = cen.n, cen._packed
+    """Censuses on which several cells fail, doctored in their tuple sets
+    (made with ``dataclasses.replace``) and in their bitmaps alone."""
+    n = cen.n
     free, cells = list(cen.free_by_dim), list(cen.cells_by_dim)
     out = {}
     for name, i in (("facets", n - 1), ("codim2", n - 2), ("vertices", 0)):
@@ -606,18 +667,12 @@ def doctored_censuses(cen: CellCensus) -> dict[str, CellCensus]:
         out[f"replace-free-{name}"] = replace(
             cen, free_by_dim=tuple(f - dropped if k == i else f for k, f in enumerate(free))
         )
-        packed = frozenset(map(view.fmt.pack, dropped))
-        kept = tuple(p for p in view.free[i] if p not in packed)
-        out[f"view-free-{name}"] = with_view(
-            cen,
-            free=tuple(kept if k == i else f for k, f in enumerate(view.free)),
-            free_sets=tuple(frozenset(kept) if k == i else f for k, f in enumerate(view.free_sets)),
-        )
+        out[f"view-free-{name}"] = with_bitmaps(cen, dropped)
     dropped = every_other(cells[n])
     out["replace-voxels"] = replace(
         cen, cells_by_dim=tuple(c - dropped if k == n else c for k, c in enumerate(cells))
     )
-    out["view-voxels"] = with_view(cen, voxels=view.voxels - set(map(view.fmt.pack, dropped)))
+    out["view-voxels"] = with_bitmaps(cen, dropped, voxels=True)
     return out
 
 
@@ -643,49 +698,84 @@ class TestFailureOutput:
         assert {(i.__name__, kind) for i, _ in PER_CELL for kind in ("replace", "view")} <= failed
 
     def test_wrong_diagonal_step_in_the_block_lists_fails_verify(self, tmp_path, monkeypatch, capsys):
-        # the (+1, +1) step of each block is taken as (+2, +2), which is no
-        # voxel, so a cell's voxel on that diagonal is never listed
-        def wrong_blocks(view):
-            vox, out = view.voxels, []
-            for p in view.codim2:
-                steps = list(view.fmt.steps(p, 1, 2))
-                steps[-1] *= 2
-                out.append(tuple(p + d for d in steps if p + d in vox))
-            return out
+        # the (+1, +1) corner of each block is read as (+3, +3), which is no
+        # voxel of the block, so a cell's voxel on that diagonal is never seen
+        real = _Bitmaps.at
+
+        def wrong_at(maps, voxels, offset):
+            if all(d > 0 for d in offset if d):
+                offset = [3 * d for d in offset]
+            return real(maps, voxels, offset)
 
         path = tmp_path / "r.dvo"
         path.write_text(dvo.dumps(FAILING[2]), encoding="utf-8")
         assert cli.main(["verify", str(path)]) == cli.EXIT_OK
         capsys.readouterr()
-        monkeypatch.setattr(_PackedCensus, "blocks", wrong_blocks)
+        monkeypatch.setattr(_Bitmaps, "at", wrong_at)
         assert cli.main(["verify", str(path)]) == cli.EXIT_DISAGREEMENT
         failed = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
         assert {"FAIL detector-equivalence", "FAIL classification-totality"} <= failed
 
+    def test_tandem_tag_on_a_facet_pair_fails_verify(self, tmp_path, monkeypatch, capsys):
+        # the window pass calls the block trace 0b0011, a facet-adjacent
+        # pair, a gap tandem: every identity that reads its hubs fails
+        tags = list(gaps._TRACE_TAG)
+        tags[0b0011] = HubTag.GAP_TANDEM
+        path = tmp_path / "r.dvo"
+        path.write_text(dvo.dumps(FAILING[2]), encoding="utf-8")
+        monkeypatch.setattr(gaps, "_TRACE_TAG", tuple(tags))
+        identities._window_counts.cache_clear()
+        assert cli.main(["verify", str(path)]) == cli.EXIT_DISAGREEMENT
+        identities._window_counts.cache_clear()
+        failed = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
+        assert {
+            "FAIL hub-nub-degree",
+            "FAIL gap-triple-agreement",
+            "FAIL detector-equivalence",
+            "FAIL classification-totality",
+        } <= failed
+
     def test_verify_builds_each_census_block_lists_once(self, monkeypatch):
-        real, built = _PackedCensus.blocks, []
+        # the window pass's hubs are mapped into each census's tiles once,
+        # and shared by the three identities that read them
+        real, mapped = _Bitmaps.place, []
 
-        def counted(view):
-            built.append(len(view.codim2))
-            return real(view)
+        def counted(maps, cells):
+            cells = list(cells)
+            mapped.append(len(cells))
+            return real(maps, cells)
 
-        monkeypatch.setattr(_PackedCensus, "blocks", counted)
+        monkeypatch.setattr(_Bitmaps, "place", counted)
         assert cli.main(["verify", "--random", "4", "3", "0.5", "1", "3", "--json"]) == cli.EXIT_OK
-        assert len(built) == 3 and all(built)
+        assert len(mapped) == 3 and all(mapped)
 
 
-# border-sum counts its pairs from the free j-cells' side: each free j-cell
-# is stepped to its i-faces. Every (i, j) sum it reaches is compared with
-# the coface side, ``_PackedCensus.b`` over the free i-cells, and with the
-# tuple route; its result is compared with the coface-side identity it
-# replaced, so ``checked`` and the witness stay as they were.
+# border-sum counts its pairs from the free j-cells' side: each free
+# j-class is shifted to its i-faces. Every (i, j) sum it reaches is compared
+# with the coface side, each free i-class met with the free j-classes
+# shifted the other way, and with the tuple route; its result is compared
+# with what the coface side reports, so ``checked`` and the witness stay
+# as they were.
 
 
 def coface_sums(cen: CellCensus) -> dict[tuple[int, int], int]:
-    """Each (i, j) sum counted from the free i-cells' side, by
-    ``_PackedCensus.b``, as border-sum counted it before."""
-    view = cen._packed
-    return {(i, j): view.b(view.free[i], i, j) for j in range(1, cen.n) for i in range(j)}
+    """Each (i, j) sum counted from the free i-cells' side on the bitmaps:
+    the free i-cells a tile owns, met with the free j-cells in its range
+    one coface step up along j - i of their flat axes."""
+    n, maps = cen.n, cen._bitmaps
+    sums = {}
+    for j in range(1, n):
+        for i in range(j):
+            total = 0
+            for tile in maps.tiles.values():
+                for q, free in tile.free[i].items():
+                    for axes in combinations([k for k in range(n) if q[k]], j - i):
+                        up = tile.reach[j].get(tuple(0 if k in axes else f for k, f in enumerate(q)), 0)
+                        for signs in product((0, 1), repeat=len(axes)):
+                            shift = sum(s * maps.weights[k] for s, k in zip(signs, axes))
+                            total += ((up << shift) & free).bit_count()
+            sums[i, j] = total
+    return sums
 
 
 def border_sum_outcome(cen: CellCensus, sums: dict[tuple[int, int], int]) -> tuple[int, str | None]:
@@ -828,13 +918,13 @@ class TestBorderSumFromTheFaceSide:
         assert_border_sum_on_doctored(SMALL_N8, [(2, 5)], tuples=False)
 
     def test_border_sum_does_not_step_to_cofaces(self, monkeypatch):
-        # the coface side is left to b_boundary alone
-        def refused(view, cells, i, j):
+        # the tuple coface side is left to b_boundary alone
+        def refused(e, j):
             raise AssertionError("coface-side b_j")
 
         obj = FAILING[2]
         cen = census(obj)
-        monkeypatch.setattr(_PackedCensus, "b", refused)
+        monkeypatch.setattr(objects, "cofaces", refused)
         result = border_sum(obj, cen)
         assert result.passed and result.checked == 6
         with pytest.raises(AssertionError, match="coface-side"):
