@@ -5,24 +5,26 @@ On axis k a cell's doubled coordinate x has the index h = (x - L_k) >> 1,
 with L_k odd and at most the least cell coordinate: a voxel and its face
 below share an index, and its face above is one index up. So the cells of
 one parity class (the axes they are flat on) fill a sublattice, and a
-face, coface or block step is a shift of a whole class. The ints are cut
-into tiles, a sparse map of small dense boxes after VDB (Museth 2013,
-"VDB: High-resolution sparse volumes with dynamic topology"): only tiles
-that hold a voxel exist, so clusters far apart and long diagonals cost
-about what their cells cost, not what their bounding box does. A dense
-object is one tile (``_sides``).
+face, coface or block step is a shift of a whole class. This module alone
+turns a step into a shift (``_Bitmaps.steps``, ``_Bitmaps.at``); the
+identities speak only of cell offsets. The ints are cut into tiles, a
+sparse map of small dense boxes after VDB (Museth 2013, "VDB:
+High-resolution sparse volumes with dynamic topology"): only tiles that
+hold a voxel exist, so clusters far apart and long diagonals cost about
+what their cells cost, not what their bounding box does. A dense object
+is one tile (``_sides``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import compress, product, repeat
+from itertools import combinations, compress, product, repeat
 from math import prod
 from operator import add, floordiv, le, mod, mul, rshift, sub
 from typing import Callable, Iterable, Iterator
 
-from .cells import Cell, _mk, _parity
+from .cells import Cell, _along, _mk, _parity
 
 #: the least bits a tile is charged when the tiles are chosen (``_sides``):
 #: about the big-int work that a tile's own Python overhead costs
@@ -34,6 +36,13 @@ _BITS01 = bytes.maketrans(b"01", b"\0\1")
 Class = tuple[int, ...]
 #: a tile's position on the grid of tiles
 Key = tuple[int, ...]
+#: a step from a cell, in doubled coordinates
+Offset = tuple[int, ...]
+#: steps, each with its shift (``_Bitmaps.steps``)
+Steps = tuple[tuple[Offset, int], ...]
+#: the step rule: a -1 and a +1 step on an axis move a cell's index by 0 and
+#: 1 from a cell extending on the axis (0), by -1 and 0 from one flat on it (1)
+_MOVES = ((0, 1), (-1, 0))
 
 
 def _bitmap(positions: list[int]) -> int:
@@ -63,9 +72,10 @@ def _levels(n: int) -> tuple[tuple[tuple[Class, int], ...], ...]:
 
 
 def _block(h: tuple[int, ...], q: Class) -> Iterator[tuple[int, ...]]:
-    """The indices of the block voxels of the cell at index h in class q: a
-    flat cell's block voxels sit at its index and one below."""
-    return product(*((x - 1, x) if f else (x,) for x, f in zip(h, q)))
+    """The indices of the block voxels of the cell at index h in class q:
+    on each flat axis, its -1 and +1 steps' index moves (``_MOVES``)."""
+    down, up = _MOVES[1]
+    return product(*((x + down, x + up) if f else (x,) for x, f in zip(h, q)))
 
 
 def _sides(tops: tuple[int, ...], points: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -119,13 +129,25 @@ class _Counts(list):
         return sum((s >> bit & 1) << k for k, s in enumerate(self))
 
 
-@lru_cache(maxsize=None)
-def _subset_sums(weights: tuple[int, ...]) -> tuple[int, ...]:
-    """The sum of each subset of the weights."""
-    sums = [0]
-    for w in weights:
-        sums += [s + w for s in sums]
-    return tuple(sums)
+@lru_cache(maxsize=1 << 12)
+def _step_table(weights: tuple[int, ...], q: Class, flat: int, k: int) -> dict[Class, Steps]:
+    """``_Bitmaps.steps`` for the radix with these weights, kept per radix."""
+    table = {}
+    for axes in combinations([a for a, f in enumerate(q) if f == flat], k):
+        p = list(q)  # the class reached: q with the axes stepped on switched
+        for a in axes:
+            p[a] ^= 1
+        table[tuple(p)] = _steps_along(weights, axes, flat)
+    return table
+
+
+@lru_cache(maxsize=1 << 12)
+def _steps_along(weights: tuple[int, ...], axes: tuple[int, ...], flat: int) -> Steps:
+    """The steps of +-1 on ``axes`` (``cells._along``) from a cell of parity
+    ``flat`` there, each with its index moves (``_MOVES``) times the weights."""
+    down, up = _MOVES[flat]
+    shifts = map(sum, product(*((down * weights[a], up * weights[a]) for a in axes)))
+    return tuple(zip(_along(len(weights), axes), shifts))
 
 
 class _Tile:
@@ -151,7 +173,7 @@ class _Bitmaps:
     Index. A cell x has h_k = (x_k - L_k) >> 1 on axis k (``lo`` holds the
     L_k, ``tops`` the greatest h_k over the census). A voxel's faces on an
     extending axis are at h and h + 1 and a flat cell's cofaces at h and
-    h - 1, so every step is a left shift of one bitmap or the other.
+    h - 1, so every step moves a whole class by one shift (``steps``).
 
     Tiles. The indices are cut on a grid of tiles anchored at 0, with core
     side ``sides[k]`` on axis k (0 where one tile spans the axis; see
@@ -259,38 +281,35 @@ class _Bitmaps:
                     core.append(p)
                 elif own < key:
                     earlier.append(p)
-        split = len(spots) > 1
         for key, bits in spots.items():
             tile = maps.tiles[key] = _Tile(n)
             tile.voxels, core, earlier = map(_bitmap, bits)
-            maps._count_classes(tile, (tile.voxels,) * 2 + ((core, earlier) if split else ()))
+            maps._count_classes(tile, (tile.voxels, tile.voxels, core, earlier))
         return maps
 
-    def _count_classes(self, tile: _Tile, chains: tuple[int, ...]) -> None:
-        """Fill the tile's bitmaps from its voxels: ``chains`` starts each
-        class's chains at the voxels (all, for its cells and its non-free
-        cells; with more tiles, also the core's and earlier tiles')."""
-        n, weights = self.n, self.weights
+    def _count_classes(self, tile: _Tile, chains: tuple[int, int, int, int]) -> None:
+        """Fill the tile's bitmaps from its chains of voxels: all, for its cells
+        and non-free cells, the core's and the earlier tiles' (on one tile, all
+        and none). A face is in a chain if a cell either side is, non-free if both."""
+        n, at = self.n, self.at
         prev = {(0,) * n: chains}
         self._store(tile, (0,) * n, chains)
         for level in _levels(n)[1:]:
             cur = {}
             for q, k in level:
-                w = weights[k]
-                c, nonfree, *own = prev[q[:k] + (0,) + q[k + 1:]]
-                cur[q] = (c | c << w, nonfree & nonfree << w, *(a | a << w for a in own))
+                p = q[:k] + (0,) + q[k + 1:]
+                (_, a), (_, b) = self.steps(p, 0, 1)[q]
+                c, nonfree, core, earlier = prev[p]
+                cur[q] = (at(c, a) | at(c, b), at(nonfree, a) & at(nonfree, b),
+                          at(core, a) | at(core, b), at(earlier, a) | at(earlier, b))
                 self._store(tile, q, cur[q])
             prev = cur
 
-    def _store(self, tile: _Tile, q: Class, chains: tuple[int, ...]) -> None:
+    def _store(self, tile: _Tile, q: Class, chains: tuple[int, int, int, int]) -> None:
         i = self.n - sum(q)
-        cells, nonfree, *own = chains
-        free = reach = cells & ~nonfree
-        if own:
-            core, earlier = own
-            cells = core & ~earlier
-            free = cells & reach
-        for listing, bits in ((tile.cells, cells), (tile.reach, reach), (tile.free, free)):
+        every, nonfree, core, earlier = chains
+        cells, reach = core & ~earlier, every & ~nonfree
+        for listing, bits in ((tile.cells, cells), (tile.reach, reach), (tile.free, cells & reach)):
             if bits:
                 listing[i][q] = bits
 
@@ -352,16 +371,17 @@ class _Bitmaps:
                 checked += bits.bit_count()
         return checked, None
 
-    def at(self, voxels: int, offset: Sequence[int]) -> int:
-        """The voxel bitmap moved so that each cell's bit reads the voxel at
-        ``offset`` (doubled coordinates) from the cell."""
-        shift = sum((d >> 1) * w for d, w in zip(offset, self.weights))
-        return voxels >> shift if shift >= 0 else voxels << -shift
+    def steps(self, q: Class, flat: int, k: int) -> dict[Class, Steps]:
+        """The steps ``cells._offsets(q, flat, k)`` from a class-q cell, in
+        order and by the class each reaches, each with its shift."""
+        return _step_table(self.weights, q, flat, k)
 
-    def shifts(self, axes: Iterable[int]) -> tuple[int, ...]:
-        """The shift of each +-1 step along ``axes``: one index up on the
-        axes of each subset."""
-        return _subset_sums(tuple(self.weights[k] for k in axes))
+    @staticmethod
+    def at(bits: int, shift: int) -> int:
+        """The bits moved up by ``shift`` (down, if negative): a class moved
+        by a step's shift sets each cell's bit at the cell the step reaches,
+        and the class reached, moved back, reads it at each cell's bit."""
+        return bits << shift if shift > 0 else bits >> -shift if shift else bits
 
     @staticmethod
     def tally(bitmaps: Iterable[int]) -> _Counts:
@@ -411,36 +431,3 @@ class _Bitmaps:
         for key, tile in self.tiles.items():
             for q, bits in getattr(tile, listing)[i].items():
                 yield from self.decode(key, q, bits)
-
-
-class _Decoded(Sequence):
-    """Cell sets per dimension, held as bitmaps and each decoded to a
-    ``frozenset[Cell]`` the first time it is read, then kept.
-
-    It compares equal to the tuple of those frozensets.
-    """
-
-    __slots__ = ("_maps", "_listing", "_sets")
-
-    def __init__(self, maps: _Bitmaps, listing: str) -> None:
-        self._maps, self._listing = maps, listing
-        self._sets: list[frozenset[Cell] | None] = [None] * (maps.n + 1)
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        cells = self._sets[i]
-        if cells is None:
-            cells = self._sets[i] = frozenset(self._maps.listing(self._listing, i))
-        return cells
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _Decoded)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import add, mul
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 #: Construction rejects components beyond this magnitude. Face/coface offsets
 #: are +-1, so valid inputs can never collide with the guard band.
@@ -212,6 +212,12 @@ def dual_bounds(a: DualCell, b: DualCell) -> bool:
     return _contains(b.coords, a.coords, False) and a.dim < b.dim
 
 
+def _along(n: int, axes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The 2^k steps of +-1 on each of the k ``axes`` of the n-lattice, the
+    first axis slowest and -1 before +1 on each."""
+    return product(*((-1, 1) if a in axes else (0,) for a in range(n)))
+
+
 @lru_cache(maxsize=None)
 def _offsets(parity: tuple[int, ...], flat: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Every +-1 step along k of the axes whose parity bit equals ``flat``.
@@ -220,14 +226,7 @@ def _offsets(parity: tuple[int, ...], flat: int, k: int) -> tuple[tuple[int, ...
     steps along extending axes (``flat=0``) reach the faces k dimensions down.
     """
     pool = [a for a, p in enumerate(parity) if p == flat]
-    out = []
-    for axes in combinations(pool, k):
-        for signs in product((-1, 1), repeat=k):
-            delta = [0] * len(parity)
-            for a, s in zip(axes, signs):
-                delta[a] = s
-            out.append(tuple(delta))
-    return tuple(out)
+    return tuple(chain.from_iterable(_along(len(parity), axes) for axes in combinations(pool, k)))
 
 
 def _parity(cell) -> tuple[int, ...]:

@@ -245,7 +245,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         density=args.density,
         seed=args.seed,
     )
-    _check_caps(sites=spec.extents or ())
+    _check_caps(n=spec.n, sites=spec.extents or ())
     obj = generate(spec)
     text = dvo.dumps(obj, comments=[describe(spec)])
     if args.out is None:

@@ -7,9 +7,12 @@ input. ``check_object`` accepts an externally supplied census precisely so
 callers can verify that a corrupted census is caught.
 
 The census-side identities run on the census's bitmaps (``bitmaps._Bitmaps``):
-each steps a whole parity class at once with shifts, ANDs and bit counts,
-and walks a class cell by cell only to name a failure's witness, the first
-failing cell in witness order (tile key, class, bit).
+each steps a whole parity class at once with ANDs and bit counts, and walks
+a class cell by cell only to name a failure's witness, the first failing
+cell in witness order (tile key, class, bit). They name a step by its cell
+offset, as ``cells._offsets`` gives it; the bitmaps' step table
+(``_Bitmaps.steps``) says which class it reaches and how far it moves a
+bit, and ``_Bitmaps.at`` moves a bitmap that far.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
 from operator import add, sub
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .cells import Cell, _mk, _offsets
+from .cells import Cell, _mk
 from .counting import c_bounding
 from .gaps import (
     HubTag,
@@ -33,7 +36,7 @@ from .gaps import (
 from .objects import CellCensus, DigitalObject, _census_of, census  # noqa: F401
 
 if TYPE_CHECKING:
-    from .bitmaps import Class, Key, _Bitmaps, _Counts, _Tile
+    from .bitmaps import Class, Key, Offset, _Bitmaps, _Counts, _Tile
 
 #: five identities check against the vertex-window pass, so the most
 #: recent object's pass is kept for the later ones; ``count`` and
@@ -79,39 +82,24 @@ def _identity(name: str, codim2: bool = False) -> Callable[[_Check], _Identity]:
     return wrap
 
 
-def _with(q: Class, axes: Iterable[int], flat: int = 1) -> Class:
-    """Class q with ``axes`` made flat (or, with ``flat=0``, extending)."""
-    out = list(q)
-    for k in axes:
-        out[k] = flat
-    return tuple(out)
-
-
-def _axes(q: Class, flat: int) -> list[int]:
-    return [k for k, f in enumerate(q) if f == flat]
-
-
-#: a voxel's offset from a cell, in doubled coordinates
-_Offset = tuple[int, ...]
-
-
-def _corners(q: Class) -> tuple[_Offset, ...]:
-    """The block voxels of a cell of class q, as offsets in ``cofaces``
-    order: +-1 on its two flat axes. A cell with more or fewer flat axes
-    lists no (n-2)-block voxel."""
-    return _offsets(q, 1, 2) if sum(q) == 2 else ()
+def _block_voxels(maps: _Bitmaps, voxels: int, q: Class) -> dict[Offset, int]:
+    """The block voxels of a class-q cell, each by its offset with the voxel
+    bitmap moved so that each cell's bit reads it: +-1 on the cell's two
+    flat axes. A cell with more or fewer flat axes has no (n-2)-block voxel."""
+    block = maps.steps(q, 1, 2).get((0,) * len(q), ())
+    return {d: maps.at(voxels, -shift) for d, shift in block}
 
 
 @lru_cache(maxsize=None)
-def _tandem_pairs(q: Class) -> tuple[tuple[_Offset, _Offset, tuple[_Offset, ...]], ...]:
-    """The strictly (n-2)-adjacent pairs (v1, v2) of a class-q cell's block
-    voxels, each with the voxels facet-adjacent to both, found from the
+def _tandem_pairs(corners: tuple[Offset, ...]) -> tuple[tuple[Offset, Offset, tuple[Offset, ...]], ...]:
+    """The strictly (n-2)-adjacent pairs (v1, v2) of a cell's block voxels
+    ``corners``, each with the voxels facet-adjacent to both, found from the
     offsets: v2 - v1 is +-2 on two axes, and u = v1 + f with f and v2 - u
     each +-2 on one axis."""
-    n = len(q)
+    n = len(corners[0]) if corners else 0
     facet = [tuple(s * 2 * (a == k) for a in range(n)) for k in range(n) for s in (-1, 1)]
     pairs = []
-    for v1, v2 in combinations(_corners(q), 2):
+    for v1, v2 in combinations(corners, 2):
         d = tuple(map(sub, v2, v1))
         if sum(map(bool, d)) == 2:
             common = tuple(tuple(map(add, v1, f)) for f in facet if tuple(map(sub, d, f)) in facet)
@@ -187,11 +175,11 @@ def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 
     The sum counts the pairs (e, f) of a free i-cell e and a free j-cell f
     with f - e = +-1 on exactly j - i axes, and it is counted from the j
-    side: each free j-class F is shifted by each of its face steps s, and
-    ((F << s) & E).bit_count() counts the pairs with E, the free i-class
-    the step lands in. Either side counts the same pairs, whatever
-    dimension a listed cell has: on the j - i axes where e and f differ, e
-    is flat exactly where f extends.
+    side: each free j-class F, moved by each face step's shift (once per
+    shift), meets E, the free i-class the step reaches, in a bit per pair.
+    Either side counts the same pairs, whatever dimension a listed cell
+    has: on the j - i axes where e and f differ, e is flat exactly where f
+    extends.
     """
     n, maps = obj.n, cen._bitmaps
     checked = 0
@@ -199,17 +187,16 @@ def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
         sums = [0] * j
         for tile in maps.tiles.values():
             for q, free in tile.free[j].items():
-                extending = _axes(q, 0)
-                shifted = {0: free}
-                for i in range(max(0, j - len(extending)), j):
+                moved = {}
+                for i in range(j):
                     reach = tile.reach[i]
-                    for axes in combinations(extending, j - i):
-                        target = reach.get(_with(q, axes), 0)
+                    for p, steps in maps.steps(q, 0, j - i).items():
+                        target = reach.get(p, 0)
                         if target:
-                            for s in maps.shifts(axes):
-                                if s not in shifted:
-                                    shifted[s] = free << s
-                                sums[i] += (shifted[s] & target).bit_count()
+                            for _, shift in steps:
+                                if shift not in moved:
+                                    moved[shift] = maps.at(free, shift)
+                                sums[i] += (moved[shift] & target).bit_count()
         for i in range(j):
             checked += 1
             lhs = sums[i]
@@ -221,14 +208,11 @@ def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 
 def _cofaces_up(maps: _Bitmaps, tile: _Tile, q: Class, i: int) -> _Counts:
     """Bit slices of how many free (i + 1)-cells of the tile each class-q
-    cell bounds: its cofaces one step up each flat axis a, at its own slot
-    and one below on a."""
+    cell bounds: its cofaces one +-1 step along a flat axis."""
     facets = tile.reach[i + 1]
-    ups = []
-    for a in _axes(q, 1):
-        up = facets.get(_with(q, (a,), 0), 0)
-        ups += (up, up << maps.weights[a])
-    return maps.tally(ups)
+    return maps.tally(
+        maps.at(facets.get(p, 0), -shift) for p, steps in maps.steps(q, 1, 1).items() for _, shift in steps
+    )
 
 
 @_identity("hub-nub-degree", codim2=True)
@@ -293,11 +277,12 @@ def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     hubs = _window_hubs(obj, maps)
 
     def fail(key: Key, tile: _Tile, q: Class, cells: int) -> int:
+        block = _block_voxels(maps, tile.voxels, q)
         gap = 0
-        for v1, v2, common in _tandem_pairs(q):
-            pair = maps.at(tile.voxels, v1) & maps.at(tile.voxels, v2)
+        for v1, v2, common in _tandem_pairs(tuple(block)):
+            pair = block[v1] & block[v2]
             for u in common:
-                pair &= ~maps.at(tile.voxels, u)
+                pair &= ~block[u]
             gap |= pair
         return cells & (gap ^ hubs.get((key, q), 0))
 
@@ -311,7 +296,7 @@ def _tags(maps: _Bitmaps, voxels: int, q: Class) -> tuple[int, dict[HubTag, int]
     """The cells of class q with no block voxel present, and those of each
     tag: by how many of the four block voxels are present, and for a pair
     whether it is facet-adjacent."""
-    corners = [(u, maps.at(voxels, u)) for u in _corners(q)]
+    corners = list(_block_voxels(maps, voxels, q).items())
     counts = maps.tally(bits for _, bits in corners)
     facet_pair = 0
     for (u1, b1), (u2, b2) in combinations(corners, 2):
@@ -375,26 +360,25 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     """Every (j-1)-face of a free j-cell is itself free (hence every face is).
 
-    Each free j-class F is tested against the free (j-1)-class E of each
-    face step s: F & ~(E >> s) must be 0. The witness names the first free
-    cell in witness order with a non-free face, and its least non-free face.
+    Each free j-class F is tested against the free (j-1)-class E each face
+    step reaches, read at F's bits: F must lie within it. The witness names
+    the first free cell in witness order with a non-free face, and its
+    least non-free face.
     """
     n, maps = obj.n, cen._bitmaps
-    weights = maps.weights
     checked = 0
     for j in range(1, n):
 
-        def faces(tile: _Tile, q: Class) -> Iterator[tuple[int, int, int]]:
-            """Each face step of class q: its axis, the slot step (0 or 1)
-            and the free faces' bitmap."""
-            for m in _axes(q, 0):
-                below = tile.reach[j - 1].get(_with(q, (m,)), 0)
-                yield m, 0, below
-                yield m, 1, below >> weights[m]
+        def faces(tile: _Tile, q: Class) -> Iterator[tuple[Offset, int]]:
+            """Each face step of class q, with the free faces read at its bits."""
+            for p, steps in maps.steps(q, 0, 1).items():
+                below = tile.reach[j - 1].get(p, 0)
+                for d, shift in steps:
+                    yield d, maps.at(below, -shift)
 
         def fail(key: Key, tile: _Tile, q: Class, free: int) -> int:
             kept = free
-            for _, _, below in faces(tile, q):
+            for _, below in faces(tile, q):
                 kept &= below
             return free ^ kept
 
@@ -403,9 +387,7 @@ def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> _Outcome:
             key, q, bit = where
             f = maps.cell(*where)
             missing = [
-                _mk(Cell, (x + 2 * up - 1 if k == m else x for k, x in enumerate(f)))
-                for m, up, below in faces(maps.tiles[key], q)
-                if not below >> bit & 1
+                _mk(Cell, map(add, f, d)) for d, below in faces(maps.tiles[key], q) if not below >> bit & 1
             ]
             return checked, f"free cell {tuple(f)} has non-free face {tuple(min(missing))}"
     return checked, None

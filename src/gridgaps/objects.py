@@ -176,6 +176,37 @@ class CellCensus:
         return _Bitmaps.of_sets(self.n, self.cells_by_dim, self.free_by_dim)
 
 
+class _Decoded(Sequence):
+    """Cell sets per dimension, held as bitmaps and each decoded to a
+    ``frozenset[Cell]`` the first time it is read, then kept. It compares
+    equal to the tuple of those frozensets."""
+
+    __slots__ = ("_maps", "_listing", "_sets")
+
+    def __init__(self, maps: _Bitmaps, listing: str) -> None:
+        self._maps, self._listing = maps, listing
+        self._sets: list[frozenset[Cell] | None] = [None] * (maps.n + 1)
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        cells = self._sets[i]
+        if cells is None:
+            cells = self._sets[i] = frozenset(self._maps.listing(self._listing, i))
+        return cells
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _Decoded)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 def census(obj: DigitalObject) -> CellCensus:
     """Full per-dimension census with free/non-free classification.
 
@@ -185,7 +216,7 @@ def census(obj: DigitalObject) -> CellCensus:
     counts of its bitmaps. A voxel's block is itself, so n-cells are never
     free. The cell sets are decoded to tuples only when read.
     """
-    from .bitmaps import _Bitmaps, _Decoded
+    from .bitmaps import _Bitmaps
 
     n = obj.n
     maps = _Bitmaps.of_voxels(n, obj.voxels)

@@ -1,5 +1,5 @@
-"""The tiled bitmap census against the interval oracles, and tilings
-against each other.
+"""The tiled bitmap census against the interval oracles, tilings against
+each other, and the step table against the decode of the bits it moves to.
 
 A census's bitmaps are cut into tiles only where the object is sparse, so
 the small objects of the other tests are mostly one tile. Here the tiling
@@ -11,7 +11,10 @@ are compared with the oracles and across tilings.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,8 @@ from gridgaps import (
     generate,
 )
 from gridgaps import bitmaps
-from gridgaps.cells import Cell, _mk
+from gridgaps.bitmaps import _ones
+from gridgaps.cells import Cell, _mk, _offsets, _parity
 
 from oracles import o_b_boundary, o_border, o_bounds, o_census, o_cells, o_is_free
 from test_packed import assert_steps_decode, face_side_sums, in_order
@@ -63,6 +67,46 @@ def assert_census_matches_oracle(obj: DigitalObject) -> None:
         border = o_border(n, vox, j)
         assert got == sum(o_bounds(e, f) for e in o_border(n, vox, i) for f in border), (i, j)
     assert all(r.passed for r in check_object(obj, cen))
+
+
+def assert_steps_land(maps: bitmaps._Bitmaps) -> Counter:
+    """Every step of ``_Bitmaps.steps`` from every cell a tile owns, for
+    every flat value and every k: the table lists exactly the steps of
+    ``cells._offsets`` under the class each reaches, and a one-bit bitmap
+    moved by a step's shift is the one bit that decodes to the cell plus
+    the step, wherever that cell lies in the tile's bitmaps. Returns how
+    many steps moved a bit down, kept it and moved it up."""
+    n, seen, every = maps.n, Counter(), (1 << prod(maps.radix)) - 1
+    classes = list(product((0, 1), repeat=n))
+    for key, tile in maps.tiles.items():
+        # the bit of each cell in the tile's bitmaps, decoded once per class
+        slots = {p: {e: b for b, e in enumerate(maps.decode(key, p, every))} for p in classes}
+        owned = [(q, b) for by_class in tile.cells for q, bits in by_class.items() for b in _ones(bits)]
+        for (q, b), flat, k in product(owned, (0, 1), range(n + 1)):
+            e, table = maps.cell(key, q, b), maps.steps(q, flat, k)
+            assert sorted(d for steps in table.values() for d, _ in steps) == sorted(_offsets(q, flat, k))
+            for p, steps in table.items():
+                for d, shift in steps:
+                    target = _mk(Cell, map(int.__add__, e, d))
+                    assert _parity(target) == p, (e, d)
+                    if target in slots[p]:
+                        assert bitmaps._Bitmaps.at(1 << b, shift) == 1 << slots[p][target], (e, d)
+                        seen[(shift > 0) - (shift < 0)] += 1
+    return seen
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("side", [None, 1], ids=["one-tile", "tiles-of-one"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_step_lands_on_its_cell(self, n, side, monkeypatch):
+        if side:
+            monkeypatch.setattr(bitmaps, "_sides", tiled(side))
+        maps = census(DigitalObject.from_centers(n, product(range(2), repeat=n)))._bitmaps
+        assert len(maps.tiles) == (2**n if side else 1)
+        classes = {q for tile in maps.tiles.values() for by_class in tile.cells for q in by_class}
+        assert classes == set(product((0, 1), repeat=n))
+        seen = assert_steps_land(maps)
+        assert seen[-1] and seen[0] and seen[1]
 
 
 class TestOracles:

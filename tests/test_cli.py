@@ -406,6 +406,16 @@ class TestGen:
         )
         assert code == EXIT_CAP
 
+    @pytest.mark.parametrize("shape, n", [("single", 9), ("diagonal_pair", 200000)])
+    def test_dimension_cap_writes_nothing(self, shape, n, tmp_path, capsys):
+        # count, classify and verify refuse n > 8, so gen makes no such file
+        out = tmp_path / "big.dvo"
+        assert main(["gen", "--shape", shape, "--n", str(n), "--out", str(out)]) == EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.err == f"error: n={n} exceeds the full-census cap n <= 8\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "extra",
         [["--density", "0.3"], ["--seed", "5"], ["--extents", "2,2"]],

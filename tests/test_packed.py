@@ -53,7 +53,7 @@ from gridgaps.gaps import (
     is_gap_by_adjacency,
 )
 from gridgaps.identities import (
-    _corners,
+    _block_voxels,
     _cofaces_up,
     border_sum,
     check_object,
@@ -244,14 +244,17 @@ def assert_steps_decode(cen: CellCensus) -> None:
 
 
 def assert_block_probes_decode(cen: CellCensus) -> None:
-    """Every listed (n-2)-cell's block corners read the listed voxels."""
+    """Every listed (n-2)-cell's block corners are its four block voxels,
+    and read the listed voxels; a cell with other than two flat axes has no
+    block corner."""
     n, maps = cen.n, cen._bitmaps
     voxels = cen.cells_by_dim[n]
     for key, tile, q, b, e in bits_of(maps, "cells", n - 2):
-        present = {
-            _mk(Cell, map(int.__add__, e, u)) for u in _corners(q) if maps.at(tile.voxels, u) >> b & 1
-        }
-        assert present == (block(e) & voxels if sum(q) == 2 else set()), e
+        block_voxels = _block_voxels(maps, tile.voxels, q)
+        corners = {_mk(Cell, map(int.__add__, e, u)): bits for u, bits in block_voxels.items()}
+        assert set(corners) == (block(e) if sum(q) == 2 else set()), e
+        present = {v for v, bits in corners.items() if bits >> b & 1}
+        assert present == block(e) & voxels if sum(q) == 2 else not present, e
 
 
 def reaching_past(cen: CellCensus) -> CellCensus:
@@ -699,19 +702,27 @@ class TestFailureOutput:
 
     def test_wrong_diagonal_step_in_the_block_lists_fails_verify(self, tmp_path, monkeypatch, capsys):
         # the (+1, +1) corner of each block is read as (+3, +3), which is no
-        # voxel of the block, so a cell's voxel on that diagonal is never seen
-        real = _Bitmaps.at
+        # voxel of the block, so a cell's voxel on that diagonal is never
+        # seen: from a flat coordinate, +3 is one index up where +1 is none
+        real = _Bitmaps.steps
 
-        def wrong_at(maps, voxels, offset):
-            if all(d > 0 for d in offset if d):
-                offset = [3 * d for d in offset]
-            return real(maps, voxels, offset)
+        def wrong_steps(maps, q, flat, k):
+            table = real(maps, q, flat, k)
+            if (flat, k) != (1, 2):
+                return table
+            return {
+                p: tuple(
+                    (d, shift + sum(w for x, w in zip(d, maps.weights) if x > 0) if min(d) >= 0 else shift)
+                    for d, shift in steps
+                )
+                for p, steps in table.items()
+            }
 
         path = tmp_path / "r.dvo"
         path.write_text(dvo.dumps(FAILING[2]), encoding="utf-8")
         assert cli.main(["verify", str(path)]) == cli.EXIT_OK
         capsys.readouterr()
-        monkeypatch.setattr(_Bitmaps, "at", wrong_at)
+        monkeypatch.setattr(_Bitmaps, "steps", wrong_steps)
         assert cli.main(["verify", str(path)]) == cli.EXIT_DISAGREEMENT
         failed = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
         assert {"FAIL detector-equivalence", "FAIL classification-totality"} <= failed
