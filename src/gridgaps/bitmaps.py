@@ -195,7 +195,7 @@ class _Bitmaps:
     class, then lexicographically.
     """
 
-    __slots__ = ("n", "lo", "tops", "sides", "radix", "weights", "_half", "tiles", "hubs")
+    __slots__ = ("n", "lo", "tops", "sides", "radix", "weights", "_half", "tiles", "window")
 
     def __init__(self, n: int, lows: Iterable[int], highs: Iterable[int]) -> None:
         """Bitmaps with no tile yet, whose index fits coordinates
@@ -205,8 +205,8 @@ class _Bitmaps:
         self._half = tuple((L + 1) >> 1 for L in self.lo)
         self.tops = tuple(map(sub, map(rshift, map(add, highs, repeat(1)), repeat(1)), self._half))
         self.tiles: dict[Key, _Tile] = {}
-        #: the (object, bitmaps per (tile, class)) of the window pass's hubs, mapped by ``identities``
-        self.hubs: tuple[object, dict[tuple[Key, Class], int]] | None = None
+        #: (object, its window pass, the pass's hubs as bitmaps per (tile, class)), kept by ``identities``
+        self.window: tuple | None = None
 
     def _cut(self, points: list[tuple[int, ...]]) -> None:
         """Choose the tiles for the indices ``points``, and their radix."""

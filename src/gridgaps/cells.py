@@ -258,13 +258,13 @@ class _Packing:
         self._base = self._off * sum(self.lanes)
 
     @classmethod
-    def spanning(cls, n: int, cell_sets: Iterable[Iterable[Cell]]) -> "_Packing":
-        """The format that fits every coordinate of the cells in
-        ``cell_sets`` and 2 steps beyond it."""
-        sets = [cells for cells in cell_sets if cells]
-        lo = min((min(chain.from_iterable(cells)) for cells in sets), default=0)
-        hi = max((max(chain.from_iterable(cells)) for cells in sets), default=0)
-        return cls(n, lo, (hi - lo + 4).bit_length())
+    def spanning(cls, n: int, cells: Iterable[Cell]) -> "_Packing":
+        """The format that fits every coordinate of the cells and 2 steps
+        beyond it (origin 0 with no cells). Each coordinate is read once,
+        into the set of distinct values."""
+        coords = set(chain.from_iterable(cells)) or {0}
+        lo = min(coords)
+        return cls(n, lo, (max(coords) - lo + 4).bit_length())
 
     def pack(self, cell: Iterable[int]) -> int:
         return sum(map(mul, cell, self.lanes)) - self._base

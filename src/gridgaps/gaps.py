@@ -269,7 +269,7 @@ def _windows(obj: DigitalObject) -> tuple[_Packing, dict[int, int]]:
     mask 1 at its own point, and at axis k each partial mask m at p goes to
     p + lane_k as m and to p - lane_k as ``m << 2^k`` (the + side).
     """
-    fmt = _Packing.spanning(obj.n, [obj.voxels])
+    fmt = _Packing.spanning(obj.n, obj.voxels)
     windows = dict.fromkeys(map(fmt.pack, obj.voxels), 1)
     for k, lane in enumerate(fmt.lanes):
         shift = 1 << k

@@ -37,11 +37,7 @@ from .objects import CellCensus, DigitalObject, _census_of, census  # noqa: F401
 
 if TYPE_CHECKING:
     from .bitmaps import Class, Key, Offset, _Bitmaps, _Counts, _Tile
-
-#: five identities check against the vertex-window pass, so the most
-#: recent object's pass is kept for the later ones; ``count`` and
-#: ``classify`` call the pass in ``gaps`` directly and keep nothing
-_window_counts = lru_cache(maxsize=1)(_window_counts)
+    from .gaps import _WindowCounts
 
 
 @dataclass(frozen=True)
@@ -107,13 +103,18 @@ def _tandem_pairs(corners: tuple[Offset, ...]) -> tuple[tuple[Offset, Offset, tu
     return tuple(pairs)
 
 
-def _window_hubs(obj: DigitalObject, maps: _Bitmaps) -> dict[tuple[Key, Class], int]:
-    """The vertex-window pass's (n-2)-hubs as bitmaps in the census's tiles
-    (``_Bitmaps.place``), mapped once per object and kept with the bitmaps.
-    A hub the census does not list sets no bit of a listed cell."""
-    if maps.hubs is None or maps.hubs[0] is not obj:
-        maps.hubs = (obj, maps.place(_window_counts(obj).hubs))
-    return maps.hubs[1]
+def _window(obj: DigitalObject, maps: _Bitmaps) -> tuple[_WindowCounts, dict[tuple[Key, Class], int]]:
+    """The object's vertex-window pass, and its (n-2)-hubs as bitmaps in
+    the census's tiles (``_Bitmaps.place``). Five identities check against
+    the pass: it runs on first use and is kept with the census's bitmaps,
+    so it is freed with the census, and an equal object checked with
+    another census gets a pass of its own. ``count`` and ``classify`` call
+    the pass in ``gaps`` directly and keep nothing. A hub the census does
+    not list sets no bit of a listed cell."""
+    if maps.window is None or maps.window[0] is not obj:
+        win = _window_counts(obj)
+        maps.window = (obj, win, maps.place(win.hubs))
+    return maps.window[1:]
 
 
 @_identity("census-partition")
@@ -147,7 +148,7 @@ def census_partition(obj: DigitalObject, cen: CellCensus) -> _Outcome:
             got = maps.count(listing, i)
             if got != want:
                 return checked, f"dim {i}: {got} {listing} listed but {label}={want}"
-    win = _window_counts(obj)
+    win = _window(obj, maps)[0]
     for name, got, want in (
         ("c", win.c, cen.c),
         ("c*", win.c_star, cen.c_star),
@@ -222,7 +223,7 @@ def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     The facets each cell bounds are counted a class at a time, in bit
     slices over the four coface bitmaps, and met with the hub bitmap."""
     n, maps = obj.n, cen._bitmaps
-    hubs = _window_hubs(obj, maps)
+    hubs = _window(obj, maps)[1]
 
     def fail(key: Key, tile: _Tile, q: Class, free: int) -> int:
         counts = _cofaces_up(maps, tile, q, n - 2)
@@ -253,7 +254,7 @@ def gap_triple_agreement(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     block_formula = count_gaps_block_formula(obj, cen)
     if not g == formula == block_formula:
         return 1, f"scan={g} formula={formula} block-formula={block_formula}"
-    hubs = _window_counts(obj).hubs
+    hubs = _window(obj, cen._bitmaps)[0].hubs
     if hubs != scan:
         win_only, scan_only = (
             sorted(map(tuple, set(a) - set(b)))[:3] for a, b in ((hubs, scan), (scan, hubs))
@@ -274,7 +275,7 @@ def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     compared with are the vertex-window pass's, which reads no census.
     """
     n, maps = obj.n, cen._bitmaps
-    hubs = _window_hubs(obj, maps)
+    hubs = _window(obj, maps)[1]
 
     def fail(key: Key, tile: _Tile, q: Class, cells: int) -> int:
         block = _block_voxels(maps, tile.voxels, q)
@@ -326,7 +327,7 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     histogram of that pass, the block-trace route behind ``classify``.
     """
     n, maps = obj.n, cen._bitmaps
-    hubs = _window_hubs(obj, maps)
+    hubs = _window(obj, maps)[1]
     tally = {tag: 0 for tag in HubTag}
 
     def fail(key: Key, tile: _Tile, q: Class, cells: int) -> int:
@@ -349,7 +350,7 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
         if (tag is HubTag.FULL_BLOCK) == free:
             return checked, f"cell={cell}: tag {tag.value} vs free={free}"
         return checked, f"cell={cell}: tag {tag.value} vs gap detector"
-    hist = _window_counts(obj).histogram
+    hist = _window(obj, maps)[0].histogram
     if hist != tally:
         shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
         return checked, "histogram {} but classify_cell tally {}".format(*shown)

@@ -10,11 +10,9 @@ import functools
 import json
 import random
 import time
-from itertools import product
 
 from gridgaps import (
     Cell,
-    DigitalObject,
     ShapeSpec,
     bounds,
     c_bounded,
@@ -69,12 +67,6 @@ def criterion(number: int, title: str, budget: float | None = None):
         return wrapper
 
     return decorate
-
-
-def _random_object(n: int, extents: tuple[int, ...], seed: int) -> DigitalObject:
-    return generate(
-        ShapeSpec(kind="random", n=n, extents=extents, density=0.5, seed=seed)
-    )
 
 
 @criterion(1, "closed-form face/coface counts, n <= 6", budget=10.0)
@@ -157,7 +149,7 @@ def test_criterion_5_randomized_suite():
         extent_rng = random.Random(BASE_SEED + n)
         for trial in range(200):
             extents = tuple(extent_rng.randint(2, 5) for _ in range(n))
-            obj = _random_object(n, extents, seed=BASE_SEED + 1000 * n + trial)
+            obj = generate(ShapeSpec("random", n, extents, 0.5, BASE_SEED + 1000 * n + trial))
             cen = census(obj)
             for check in checks:
                 result = check(obj, cen)
@@ -170,7 +162,7 @@ def test_criterion_6_dual_pair_property():
     for trial in range(20):
         n = 3
         extents = tuple(rng.randint(1, 3) for _ in range(n))
-        obj = _random_object(n, extents, seed=BASE_SEED + 77 * trial)
+        obj = generate(ShapeSpec("random", n, extents, 0.5, BASE_SEED + 77 * trial))
         cen = census(obj)
         closure = [e for cells_i in cen.cells_by_dim for e in cells_i]
         duals = {e: dual(e) for e in closure}

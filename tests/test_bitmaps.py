@@ -6,13 +6,14 @@ the small objects of the other tests are mostly one tile. Here the tiling
 is forced (``bitmaps._sides`` monkeypatched to a small side) on drawn
 objects, and the results must equal the one-tile run; objects that cannot
 be one tile (the +-2**59 corners, clusters 2**40 apart, diagonal lines)
-are compared with the oracles and across tilings.
+are compared with the oracles and across tilings. The oracle check, the
+step decode, border-sum's sums and the stray free cell come from
+``references.py``, shared with the other census tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from itertools import product
 from math import prod
 
@@ -33,8 +34,14 @@ from gridgaps import bitmaps
 from gridgaps.bitmaps import _ones
 from gridgaps.cells import Cell, _mk, _offsets, _parity
 
-from oracles import o_b_boundary, o_border, o_bounds, o_census, o_cells, o_is_free
-from test_packed import assert_steps_decode, face_side_sums, in_order
+from oracles import o_b_boundary, o_border
+from references import (
+    assert_census_matches_oracle,
+    assert_steps_decode,
+    face_side_sums,
+    in_order,
+    with_stray,
+)
 
 EDGE = 1 << 59
 
@@ -50,23 +57,6 @@ def outcome(obj: DigitalObject, cen=None) -> tuple:
     sets = tuple(tuple(map(frozenset, listing)) for listing in (cen.cells_by_dim, cen.free_by_dim))
     results = [(r.name, r.passed, r.checked, r.witness) for r in check_object(obj, cen)]
     return (cen.c, cen.c_star, cen.c_prime, sets, results)
-
-
-def assert_census_matches_oracle(obj: DigitalObject) -> None:
-    """Counts, cell sets and each (i, j) sum border-sum counts against the
-    interval oracles; every identity holds."""
-    n = obj.n
-    vox = frozenset(map(tuple, obj.voxels))
-    cen = census(obj)
-    assert (cen.c, cen.c_star, cen.c_prime) == o_census(n, vox)
-    for i in range(n + 1):
-        cells = o_cells(vox, i)
-        assert cen.cells_by_dim[i] == cells
-        assert cen.free_by_dim[i] == {e for e in cells if o_is_free(vox, e)}
-    for (i, j), got in face_side_sums(obj, cen).items():
-        border = o_border(n, vox, j)
-        assert got == sum(o_bounds(e, f) for e in o_border(n, vox, i) for f in border), (i, j)
-    assert all(r.passed for r in check_object(obj, cen))
 
 
 def assert_steps_land(maps: bitmaps._Bitmaps) -> Counter:
@@ -113,11 +103,10 @@ class TestOracles:
     def test_every_object_of_a_33_box(self):
         # o_b_boundary works its border out afresh for each cell
         for obj in enumerate_all_objects(2, (3, 3)):
-            cen = census(obj)
+            assert_census_matches_oracle(obj)
             vox = frozenset(map(tuple, obj.voxels))
-            assert (cen.c, cen.c_star, cen.c_prime) == o_census(2, vox)
             want = sum(o_b_boundary(2, vox, e, 1) for e in o_border(2, vox, 0))
-            assert face_side_sums(obj, cen) == {(0, 1): want}
+            assert face_side_sums(obj, census(obj)) == {(0, 1): want}
 
     def test_every_object_of_a_222_box(self):
         for obj in enumerate_all_objects(3, (2, 2, 2)):
@@ -136,14 +125,6 @@ def drawn_objects():
             lambda centers: DigitalObject.from_centers(n, centers)
         )
     )
-
-
-def with_stray(cen, i):
-    """``free_by_dim[i]`` with its least cell moved two steps down axis 0."""
-    free = list(cen.free_by_dim)
-    e = min(free[i])
-    free[i] = free[i] | {_mk(Cell, (e[0] - 2, *e[1:]))}
-    return replace(cen, free_by_dim=tuple(free))
 
 
 class TestTilings:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import gridgaps
 from gridgaps import DigitalObject, census
 from gridgaps.cli import (
     EXIT_CAP,
@@ -436,10 +439,13 @@ class TestUsageErrors:
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "obj.dvo"
         path.write_text("dvo 2\n0 0\n1 1\n", encoding="utf-8")
+        # the child imports the package this process imported, from its source root
+        paths = [str(Path(gridgaps.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "gridgaps", "count", str(path), "--json"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["gaps"]["oracle"] == 1

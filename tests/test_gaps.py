@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import fields, replace
 from itertools import product
 from operator import add
@@ -16,6 +15,7 @@ from gridgaps import (
     DigitalObject,
     GapReport,
     HubTag,
+    ShapeSpec,
     census,
     classification_histogram,
     classify_cell,
@@ -23,6 +23,7 @@ from gridgaps import (
     count_gaps_formula,
     count_gaps_oracle,
     enumerate_all_objects,
+    generate,
     hub_nub_partition,
     is_gap,
     is_gap_by_adjacency,
@@ -42,12 +43,6 @@ DIAG2 = DigitalObject.from_centers(2, [(0, 0), (1, 1)])
 EMPTY3 = DigitalObject(3)
 
 HUB_EDGE = Cell((1, 1, 0))  # shared edge of the diagonal pair
-
-
-def random_object(n: int, extent: int, density: float, seed: int) -> DigitalObject:
-    rng = random.Random(seed)
-    centers = [c for c in product(range(extent), repeat=n) if rng.random() < density]
-    return DigitalObject.from_centers(n, centers)
 
 
 class TestClassify:
@@ -97,7 +92,7 @@ class TestClassify:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exactly_one_tag_consistent_with_freeness(self, n):
         for seed in range(15):
-            obj = random_object(n, 3, 0.5, 31 * n + seed)
+            obj = generate(ShapeSpec("random", n, (3,) * n, 0.5, 31 * n + seed))
             cen = census(obj)
             free = cen.free_by_dim[n - 2]
             for e in cen.cells_by_dim[n - 2]:
@@ -272,7 +267,7 @@ class TestWindowPass:
     @pytest.mark.parametrize("n, seed", [(7, 1), (7, 2), (8, 1), (8, 2)])
     def test_masks_past_64_and_128_bits(self, n, seed):
         # a 2^n box at density 0.5: masks of 2^7 and 2^8 bits
-        obj = random_object(n, 2, 0.5, seed)
+        obj = generate(ShapeSpec("random", n, (2,) * n, 0.5, seed))
         assert len(obj)
         assert_masks_match_corners(obj)
 
@@ -319,7 +314,7 @@ class TestAdjacencyDetector:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_equivalence_with_block_inspection(self, n):
         for seed in range(25):
-            obj = random_object(n, 3, 0.5, 77 * n + seed)
+            obj = generate(ShapeSpec("random", n, (3,) * n, 0.5, 77 * n + seed))
             for e in census(obj).cells_by_dim[n - 2]:
                 assert is_gap(obj, e, n - 2) == is_gap_by_adjacency(obj, e)
 
@@ -361,7 +356,7 @@ class TestCounts:
     @pytest.mark.parametrize("n", [2, 3])
     def test_triple_agreement_matches_interval_oracle(self, n):
         for seed in range(30):
-            obj = random_object(n, 3, 0.5, 13 * n + seed)
+            obj = generate(ShapeSpec("random", n, (3,) * n, 0.5, 13 * n + seed))
             vox = frozenset(tuple(v) for v in obj.voxels)
             expected = o_gap_count(n, vox, n - 2)
             assert count_gaps_oracle(obj, n - 2).g == expected
@@ -369,7 +364,7 @@ class TestCounts:
             assert count_gaps_block_formula(obj) == expected
 
     def test_invariance_under_translation_and_permutation(self):
-        obj = random_object(3, 4, 0.5, 99)
+        obj = generate(ShapeSpec("random", 3, (4,) * 3, 0.5, 99))
         base = count_gaps_formula(obj)
         assert count_gaps_formula(obj.translate((5, -2, 1))) == base
         assert count_gaps_formula(obj.permute_axes((2, 0, 1))) == base
@@ -384,7 +379,7 @@ class TestCounts:
             return tuple(-x if k == axis else x for k, x in enumerate(coords))
 
         for seed in range(4):
-            obj = random_object(n, 4, 0.5, 41 * n + seed)
+            obj = generate(ShapeSpec("random", n, (4,) * n, 0.5, 41 * n + seed))
             cen = census(obj)
             base = count_gaps_oracle(obj, n - 2, cen)
             formulas = count_gaps_formula(obj, cen), count_gaps_block_formula(obj, cen)
@@ -456,7 +451,7 @@ class TestHubNubPartition:
 
     def test_counts_match_formula(self):
         for seed in range(10):
-            obj = random_object(3, 4, 0.5, seed)
+            obj = generate(ShapeSpec("random", 3, (4,) * 3, 0.5, seed))
             cen = census(obj)
             hubs, nubs = hub_nub_partition(obj, cen)
             assert len(hubs) == count_gaps_formula(obj, cen)
@@ -468,7 +463,7 @@ class TestHubNubPartition:
         # 2(n-1)c*_{n-1} from the incidence structure, 4g + 2(c*-g) from
         # the hub/nub split; equating them is the gap formula itself
         for seed in range(10):
-            obj = random_object(n, 4, 0.5, 17 * n + seed)
+            obj = generate(ShapeSpec("random", n, (4,) * n, 0.5, 17 * n + seed))
             cen = census(obj)
             hubs, nubs = hub_nub_partition(obj, cen)
             total = sum(cen.b_boundary(e, n - 1) for e in cen.free_by_dim[n - 2])

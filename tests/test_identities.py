@@ -2,9 +2,11 @@
 
 Only gap-triple-agreement runs the ``is_gap`` scan; hub-nub-degree,
 detector-equivalence and classification-totality test hubness against the
-vertex-window pass's hubs, mapped into the census's bitmaps. A failing
-identity names the first failing cell in witness order (tile key, class,
-bit; ``bitmaps._Bitmaps``).
+vertex-window pass's hubs, mapped into the census's bitmaps. The pass runs
+once per census and is kept with it, so an equal object checked with a
+census of its own runs its own pass. A failing identity names the first
+failing cell in witness order (tile key, class, bit; ``bitmaps._Bitmaps``).
+The census doctors come from ``references.py``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from gridgaps.identities import (
 from gridgaps.objects import CellCensus
 from gridgaps.shapes import ShapeSpec, generate
 
+from references import bump, with_count_off, with_listing, with_stray
+
 DIAG3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0)])
 PREFIX = "object n=3 centers=[(0, 0, 0), (1, 1, 0)]; "
 #: DIAG3 moved to the -2**59 corner; its cell coordinates lie near -2**60
@@ -38,16 +42,6 @@ FAR_DIAG3 = DIAG3.translate((-(1 << 59),) * 3)
 F = 1 << 60
 H = 1 << 59
 FAR_PREFIX = f"object n=3 centers=[({-H}, {-H}, {-H}), ({1 - H}, {1 - H}, {-H})]; "
-
-
-def _bump(counts: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return tuple(v + 1 if k == i else v for k, v in enumerate(counts))
-
-
-def _drop_free(cen: CellCensus, i: int) -> CellCensus:
-    free = list(cen.free_by_dim)
-    free[i] = frozenset()
-    return replace(cen, free_by_dim=tuple(free))
 
 
 class TestFailureResults:
@@ -58,42 +52,42 @@ class TestFailureResults:
         [
             (
                 facet_count,
-                lambda cen: replace(cen, c_prime=_bump(cen.c_prime, 2)),
+                lambda cen: with_count_off(cen, "c_prime", 2),
                 "facet-count",
                 1,
                 "c_(n-1)=12 but 2n*c_n - c'_(n-1)=11",
             ),
             (
                 border_sum,
-                lambda cen: replace(cen, c_star=_bump(cen.c_star, 2)),
+                lambda cen: with_count_off(cen, "c_star", 2),
                 "border-sum",
                 2,
                 "(i=0, j=2): sum=48 formula=52",
             ),
             (
                 gap_triple_agreement,
-                lambda cen: replace(cen, c_star=_bump(cen.c_star, 2)),
+                lambda cen: with_count_off(cen, "c_star", 2),
                 "gap-triple-agreement",
                 1,
                 "scan=1 formula=3 block-formula=1",
             ),
             (
                 hub_nub_degree,
-                lambda cen: _drop_free(cen, 2),
+                lambda cen: with_listing(cen, 2, free=()),
                 "hub-nub-degree",
                 1,
                 "cell=(0, -1, -1): b_(n-1)=0, expected 2",
             ),
             (
                 classification_totality,
-                lambda cen: _drop_free(cen, 1),
+                lambda cen: with_listing(cen, 1, free=()),
                 "classification-totality",
                 1,
                 "cell=(0, -1, -1): tag simple vs free=False",
             ),
             (
                 free_face_heredity,
-                lambda cen: _drop_free(cen, 0),
+                lambda cen: with_listing(cen, 0, free=()),
                 "free-face-heredity",
                 1,
                 "free cell (0, -1, -1) has non-free face (-1, -1, -1)",
@@ -109,13 +103,13 @@ class TestFailureResults:
         [
             (
                 hub_nub_degree,
-                lambda cen: _drop_free(cen, 2),
+                lambda cen: with_listing(cen, 2, free=()),
                 "hub-nub-degree",
                 f"cell=({-F}, {-1 - F}, {-1 - F}): b_(n-1)=0, expected 2",
             ),
             (
                 free_face_heredity,
-                lambda cen: _drop_free(cen, 0),
+                lambda cen: with_listing(cen, 0, free=()),
                 "free-face-heredity",
                 f"free cell ({-F}, {-1 - F}, {-1 - F})"
                 f" has non-free face ({-1 - F}, {-1 - F}, {-1 - F})",
@@ -136,7 +130,7 @@ class TestFailureResults:
     )
     def test_window_counts_disagree(self, monkeypatch, field, detail):
         real = gaps._window_counts(DIAG3)
-        doctored = real._replace(**{field: _bump(getattr(real, field), 1)})
+        doctored = real._replace(**{field: bump(getattr(real, field), 1)})
         monkeypatch.setattr(identities, "_window_counts", lambda obj: doctored)
         result = census_partition(DIAG3, census(DIAG3))
         assert result == IdentityResult("census-partition", False, 4, PREFIX + detail)
@@ -189,9 +183,8 @@ class TestFailureResults:
 
     def test_cell_with_no_voxel_in_its_block_is_reported(self):
         cen = census(DIAG3)
-        cells = list(cen.cells_by_dim)
-        cells[1] = cells[1] | {Cell((9, 9, 0))}
-        results = {r.name: r for r in check_object(DIAG3, replace(cen, cells_by_dim=tuple(cells)))}
+        doctored = with_listing(cen, 1, cells=cen.cells_by_dim[1] | {Cell((9, 9, 0))})
+        results = {r.name: r for r in check_object(DIAG3, doctored)}
         # the stray is the greatest cell of the last class, so last in witness order
         assert results["classification-totality"] == IdentityResult(
             "classification-totality", False, 24, PREFIX + "cell=(9, 9, 0): no voxel in its block"
@@ -246,9 +239,7 @@ class TestFailureResults:
         # failure
         obj = generate(ShapeSpec("random", 4, extents=(3,) * 4, density=0.5, seed=1))
         cen = census(obj)
-        cells = list(cen.cells_by_dim)
-        cells[2] = cells[2] | {max(cells[3])}
-        doctored = replace(cen, cells_by_dim=tuple(cells))
+        doctored = with_listing(cen, 2, cells=cen.cells_by_dim[2] | {max(cen.cells_by_dim[3])})
         assert doctored._bitmaps.count("cells", 2) == 654
         results = check_object(obj, doctored)
         got = {r.name: (r.passed, r.checked, r.witness.partition("; ")[2]) for r in results}
@@ -270,7 +261,7 @@ class TestFailureResults:
     def test_long_object_witness_is_cut_at_24_centers(self):
         obj = DigitalObject.from_centers(2, [(x, 0) for x in range(30)])
         cen = census(obj)
-        result = facet_count(obj, replace(cen, c_prime=_bump(cen.c_prime, 1)))
+        result = facet_count(obj, with_count_off(cen, "c_prime", 1))
         shown = [(x, 0) for x in range(24)] + ["..."]
         assert result.witness == f"object n=2 centers={shown}; c_(n-1)=91 but 2n*c_n - c'_(n-1)=90"
 
@@ -292,35 +283,19 @@ class TestFailureResults:
 RANDOM4 = generate(ShapeSpec("random", 4, extents=(3,) * 4, density=0.5, seed=1))
 
 
-def _listing(cen: CellCensus, i: int, cells=None, free=None) -> CellCensus:
-    """The census with ``cells_by_dim[i]`` and ``free_by_dim[i]`` replaced."""
-    out = [list(cen.cells_by_dim), list(cen.free_by_dim)]
-    for listing, new in zip(out, (cells, free)):
-        if new is not None:
-            listing[i] = frozenset(new)
-    return replace(cen, cells_by_dim=tuple(out[0]), free_by_dim=tuple(out[1]))
-
-
-def _stray(cen: CellCensus, i: int) -> CellCensus:
-    """A free i-cell below the object, listed as free only: the least free
-    one moved two steps down axis 0."""
-    e = min(cen.free_by_dim[i])
-    return _listing(cen, i, free=cen.free_by_dim[i] | {Cell((e[0] - 2, *e[1:]))})
-
-
 def _far_cell(cen: CellCensus, i: int) -> CellCensus:
     """One more i-cell, the greatest moved 2^40 along axis 0, listed as a cell only."""
     e = max(cen.cells_by_dim[i])
-    return _listing(cen, i, cells=cen.cells_by_dim[i] | {Cell((e[0] + (1 << 40), *e[1:]))})
+    return with_listing(cen, i, cells=cen.cells_by_dim[i] | {Cell((e[0] + (1 << 40), *e[1:]))})
 
 
 def _unlisted_free(cen: CellCensus, i: int) -> CellCensus:
-    return _listing(cen, i, cells=cen.cells_by_dim[i] - {min(cen.free_by_dim[i])})
+    return with_listing(cen, i, cells=cen.cells_by_dim[i] - {min(cen.free_by_dim[i])})
 
 
 def _wrong_dimension(cen: CellCensus, i: int) -> CellCensus:
     """The least (i+1)-cell listed among the i-cells too."""
-    return _listing(cen, i, cells=cen.cells_by_dim[i] | {min(cen.cells_by_dim[i + 1])})
+    return with_listing(cen, i, cells=cen.cells_by_dim[i] | {min(cen.cells_by_dim[i + 1])})
 
 
 class TestCensusPartitionChecks:
@@ -332,10 +307,10 @@ class TestCensusPartitionChecks:
     @pytest.mark.parametrize(
         "doctor, i, detail",
         [
-            (_stray, 0, "dim 0: free cell (-3, -1, -1, -1) is not a listed cell"),
-            (_stray, 1, "dim 1: free cell (-3, -1, -1, 0) is not a listed cell"),
-            (_stray, 2, "dim 2: free cell (-3, -1, 0, 0) is not a listed cell"),
-            (_stray, 3, "dim 3: free cell (-3, 0, 0, 0) is not a listed cell"),
+            (with_stray, 0, "dim 0: free cell (-3, -1, -1, -1) is not a listed cell"),
+            (with_stray, 1, "dim 1: free cell (-3, -1, -1, 0) is not a listed cell"),
+            (with_stray, 2, "dim 2: free cell (-3, -1, 0, 0) is not a listed cell"),
+            (with_stray, 3, "dim 3: free cell (-3, 0, 0, 0) is not a listed cell"),
             (_far_cell, 0, "dim 0: 231 cells listed but c=230"),
             (_far_cell, 1, "dim 1: 648 cells listed but c=647"),
             (_far_cell, 2, "dim 2: 654 cells listed but c=653"),
@@ -350,6 +325,8 @@ class TestCensusPartitionChecks:
             (_wrong_dimension, 2, "dim 2: listed cell (-1, 0, 0, 0) has dimension 3"),
             (_wrong_dimension, 3, "dim 3: listed cell (0, 0, 0, 0) has dimension 4"),
         ],
+        # the ids name the shared stray doctor as the doctors of this module are named
+        ids=lambda v: "_stray" if v is with_stray else None,
     )
     def test_doctored_listing_fails(self, doctor, i, detail):
         results = {r.name: r for r in check_object(RANDOM4, doctor(census(RANDOM4), i))}
@@ -358,7 +335,7 @@ class TestCensusPartitionChecks:
 
     def test_free_listed_under_another_dimension(self):
         cen = census(RANDOM4)
-        doctored = _listing(cen, 1, free=cen.free_by_dim[1] | {min(cen.free_by_dim[2])})
+        doctored = with_listing(cen, 1, free=cen.free_by_dim[1] | {min(cen.free_by_dim[2])})
         got = census_partition(RANDOM4, doctored)
         assert got.witness.partition("; ")[2] == "dim 1: listed cell (-1, -1, 0, 0) has dimension 2"
 
@@ -407,10 +384,26 @@ class TestOneScan:
             return real(obj)
 
         monkeypatch.setattr(gaps, "_windows", counted)
-        # an object no other test builds, so no earlier pass is kept for it
-        obj = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (2, 2, 1)])
-        assert all(r.passed for r in check_object(obj))
-        assert len(passes) == 1
+        assert all(r.passed for r in check_object(DIAG3))
+        assert passes == [DIAG3]
+
+    def test_equal_object_gets_a_pass_of_its_own(self, monkeypatch):
+        # the pass is kept with its census: an equal object checked after
+        # the window tags change runs the changed pass, and the trace
+        # 0b0011 (a facet-adjacent pair, here along the last axis) read as
+        # a gap tandem fails every identity that reads the pass's hubs
+        centers = [(0, 0, 0), (0, 0, 1), (1, 1, 0)]
+        assert all(r.passed for r in check_object(DigitalObject.from_centers(3, centers)))
+        tags = list(gaps._TRACE_TAG)
+        tags[0b0011] = HubTag.GAP_TANDEM
+        monkeypatch.setattr(gaps, "_TRACE_TAG", tuple(tags))
+        results = check_object(DigitalObject.from_centers(3, centers))
+        assert {r.name for r in results if not r.passed} == {
+            "hub-nub-degree",
+            "gap-triple-agreement",
+            "detector-equivalence",
+            "classification-totality",
+        }
 
     def test_alternating_objects_get_their_own_hubs(self):
         a = DIAG3
@@ -425,9 +418,7 @@ class TestOneScan:
     def test_hubs_follow_the_census_cells(self):
         cen = census(DIAG3)
         assert count_gaps_oracle(DIAG3, 1, cen).hubs == (Cell((1, 1, 0)),)
-        cells = list(cen.cells_by_dim)
-        cells[1] = cells[1] - {Cell((1, 1, 0))}
-        fewer = replace(cen, cells_by_dim=tuple(cells))
+        fewer = with_listing(cen, 1, cells=cen.cells_by_dim[1] - {Cell((1, 1, 0))})
         report = count_gaps_oracle(DIAG3, 1, fewer)
         assert report.hubs == () and report.g == 0
         assert count_gaps_oracle(DIAG3, 1, cen).hubs == (Cell((1, 1, 0)),)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from itertools import product
 
 import pytest
@@ -12,13 +11,15 @@ from hypothesis import strategies as st
 from gridgaps import (
     Cell,
     DigitalObject,
+    ShapeSpec,
     census,
-    enumerate_all_objects,
     faces,
+    generate,
 )
 from gridgaps.dvo import dumps, loads
 
-from oracles import o_b_boundary, o_cells, o_census, o_is_free
+from oracles import o_b_boundary, o_census
+from references import assert_census_matches_oracle
 
 SINGLE3 = DigitalObject.from_centers(3, [(0, 0, 0)])
 DOMINO3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 0, 0)])
@@ -27,16 +28,6 @@ LBLOCK3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 CUBE222 = DigitalObject.from_centers(3, list(product((0, 1), repeat=3)))
 SQUARE22 = DigitalObject.from_centers(2, list(product((0, 1), repeat=2)))
 EMPTY3 = DigitalObject(3)
-
-
-def random_object(n: int, extent: int, density: float, seed: int) -> DigitalObject:
-    rng = random.Random(seed)
-    centers = [
-        c
-        for c in product(range(extent), repeat=n)
-        if rng.random() < density
-    ]
-    return DigitalObject.from_centers(n, centers)
 
 
 class TestConstruction:
@@ -212,14 +203,14 @@ class TestCensus:
     @pytest.mark.parametrize("n", [2, 3])
     def test_random_objects_match_interval_oracle(self, n):
         for seed in range(12):
-            obj = random_object(n, 3, 0.5, seed)
+            obj = generate(ShapeSpec("random", n, (3,) * n, 0.5, seed))
             vox = frozenset(tuple(v) for v in obj.voxels)
             assert (census(obj).c, census(obj).c_star, census(obj).c_prime) == o_census(n, vox)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_facet_count_identity_on_random_objects(self, n):
         for seed in range(200):
-            obj = random_object(n, 3, 0.5, 1000 * n + seed)
+            obj = generate(ShapeSpec("random", n, (3,) * n, 0.5, 1000 * n + seed))
             cen = census(obj)
             assert cen.c[n - 1] == 2 * n * cen.c[n] - cen.c_prime[n - 1]
 
@@ -246,25 +237,10 @@ class TestCensus:
         assert (base.c, base.c_star) == (moved.c, moved.c_star)
 
 
-def assert_census_matches_oracle(obj: DigitalObject) -> None:
-    """Counts and cached cell sets against the interval oracles."""
-    n = obj.n
-    vox = frozenset(tuple(v) for v in obj.voxels)
-    cen = census(obj)
-    assert (cen.c, cen.c_star, cen.c_prime) == o_census(n, vox)
-    for i in range(n + 1):
-        cells_i = o_cells(vox, i)
-        assert cen.cells_by_dim[i] == cells_i
-        assert cen.free_by_dim[i] == {e for e in cells_i if o_is_free(vox, e)}
-
-
 class TestCensusDifferential:
-    """The face-multiplicity census against the interval oracles."""
-
-    @pytest.mark.parametrize("n, extents", [(3, (2, 2, 2)), (2, (3, 3))])
-    def test_every_object_of_small_boxes(self, n, extents):
-        for obj in enumerate_all_objects(n, extents):
-            assert_census_matches_oracle(obj)
+    """The census against the interval oracles on far-apart clusters and
+    at the range's ends; every object of the 2x2x2 and 3x3 boxes is
+    checked in ``test_bitmaps.TestOracles``."""
 
     @given(
         st.sampled_from([2, 3]).flatmap(
@@ -351,7 +327,7 @@ class TestFreeFaceHeredity:
     @pytest.mark.parametrize("n", [2, 3])
     def test_on_random_objects(self, n):
         for seed in range(20):
-            obj = random_object(n, 3, 0.6, 555 + seed)
+            obj = generate(ShapeSpec("random", n, (3,) * n, 0.6, 555 + seed))
             cen = census(obj)
             for j in range(1, n):
                 for f in cen.free_by_dim[j]:

@@ -5,20 +5,15 @@ dimension and per parity class, one int with a bit per cell. The
 border-sum, hub-nub-degree and free-face-heredity identities shift whole
 classes of free cells to their faces or cofaces; detector-equivalence and
 classification-totality read the four block-corner bitmaps of each class.
-Each is compared here with a loop over the census's own tuple sets
-(``is_gap_by_adjacency`` and ``classify_cell`` for the block probes), and
+Each is compared here with its per-cell reference (``references.py``),
+run on the census's own tuple sets and on what its bitmaps hold, and
 ``b_boundary`` also with the brute-force interval oracle, on real and
-doctored censuses. The bitmaps ``census`` builds as it counts are compared
-with the ones a copy builds from its own tuple sets, and ``verify`` is
-checked to decode no cell tuples but the (n-2)-cells.
-
-The reference loops walk cells in the witness order, worked out here from
-its definition: by owning tile (the first tile, in key order, whose core
-holds a listed voxel of the cell's block, else the one whose core holds the
-cell), then by parity class, then lexicographically. On doctored censuses
-the identities must name the first failing cell in that order. border-sum,
-which counts from the free j-cells' side, is compared pair by pair with the
-coface side, counted on the same bitmaps the other way round.
+doctored censuses; a failing identity must name the first failing cell in
+witness order, as its reference does. The bitmaps ``census`` builds as it
+counts are compared with the ones a copy builds from its own tuple sets,
+and ``verify`` is checked to decode no cell tuples but the (n-2)-cells.
+border-sum, which counts from the free j-cells' side, is compared pair by
+pair with the coface side, counted on the same bitmaps the other way round.
 """
 
 from __future__ import annotations
@@ -42,153 +37,42 @@ from gridgaps import (
     faces,
     generate,
 )
-from gridgaps import cli, dvo, gaps, identities, objects
+from gridgaps import cli, dvo, gaps, objects
 from gridgaps.cells import COORD_LIMIT, _mk, _parity
-from gridgaps.gaps import (
-    HubTag,
-    classification_histogram,
-    classify_cell,
-    count_gaps_oracle,
-    is_gap,
-    is_gap_by_adjacency,
-)
+from gridgaps.gaps import HubTag, count_gaps_oracle, is_gap
 from gridgaps.identities import (
     _block_voxels,
     _cofaces_up,
     border_sum,
     check_object,
-    classification_totality,
-    detector_equivalence,
-    free_face_heredity,
     hub_nub_degree,
 )
 from gridgaps.bitmaps import _Bitmaps, _ones
 from gridgaps.objects import CellCensus
 
 from oracles import o_border, o_bounds, o_cells, o_is_gap
+from references import (
+    REFERENCES,
+    assert_identities_match,
+    assert_steps_decode,
+    b_j,
+    bits_of,
+    face_side_sums,
+    held,
+    in_order,
+    listed,
+    with_count_off,
+    with_listing,
+    with_stray,
+)
 
 EDGE = 1 << 59
 
 
-def index(maps: _Bitmaps, e) -> tuple[int, ...]:
-    """The cell's index on each axis, (x - L) >> 1, from its definition."""
-    return tuple((x - L) >> 1 for x, L in zip(e, maps.lo))
-
-
-def tile_of(maps: _Bitmaps, e) -> tuple[int, ...]:
-    return tuple(h // side if side else 0 for h, side in zip(index(maps, e), maps.sides))
-
-
-def owner(maps: _Bitmaps, voxels: frozenset, e) -> tuple[int, ...]:
-    """The tile that owns e: the first whose core holds a listed voxel of
-    its block, else the one whose core holds e."""
-    block_voxels = product(*((x - 1, x + 1) if x & 1 else (x,) for x in e))
-    return min((tile_of(maps, v) for v in block_voxels if v in voxels), default=tile_of(maps, e))
-
-
-def in_order(cen: CellCensus, cells) -> list[Cell]:
-    """The cells in witness order: owning tile, class, then lexicographic."""
-    maps = cen._bitmaps
-    voxels = frozenset(v for v in cen.cells_by_dim[cen.n] if not any(x & 1 for x in v))
-    return sorted(cells, key=lambda e: (owner(maps, voxels, e), _parity(e), tuple(e)))
-
-
-def tuple_b_boundary(cen: CellCensus, e: Cell, j: int) -> int:
-    return sum(1 for f in cofaces(e, j) if f in cen.free_by_dim[j])
-
-
-def tuple_border_sum(obj, cen):
-    checked = 0
-    for j in range(1, obj.n):
-        for i in range(j):
-            checked += 1
-            lhs = sum(tuple_b_boundary(cen, e, j) for e in cen.free_by_dim[i])
-            rhs = c_bounding(i, j) * cen.c_star[j]
-            if lhs != rhs:
-                return checked, f"(i={i}, j={j}): sum={lhs} formula={rhs}"
-    return checked, None
-
-
-def tuple_hub_nub_degree(obj, cen):
-    n = obj.n
-    if n < 2:
-        return 0, None
-    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    free = in_order(cen, cen.free_by_dim[n - 2])
-    for checked, e in enumerate(free, 1):
-        expected = 4 if e in hubs else 2
-        got = tuple_b_boundary(cen, e, n - 1)
-        if got != expected:
-            return checked, f"cell={tuple(e)}: b_(n-1)={got}, expected {expected}"
-    return len(free), None
-
-
-def tuple_free_face_heredity(obj, cen):
-    checked = 0
-    for j in range(1, obj.n):
-        for f in in_order(cen, cen.free_by_dim[j]):
-            checked += 1
-            missing = [e for e in faces(f, j - 1) if e not in cen.free_by_dim[j - 1]]
-            if missing:
-                return checked, f"free cell {tuple(f)} has non-free face {tuple(min(missing))}"
-    return checked, None
-
-
-def listed_voxels(cen: CellCensus) -> DigitalObject:
-    """The voxels the census lists, as an object: the block bitmaps hold
-    these, so a doctored census's extra voxels count for both routes."""
-    return DigitalObject(cen.n, cen.cells_by_dim[cen.n])
-
-
-def tuple_detector_equivalence(obj, cen):
-    n = obj.n
-    if n < 2:
-        return 0, None
-    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    listed = listed_voxels(cen)
-    cells = in_order(cen, cen.cells_by_dim[n - 2])
-    for checked, e in enumerate(cells, 1):
-        if (e in hubs) != is_gap_by_adjacency(listed, e):
-            return checked, f"cell={tuple(e)}: detectors disagree"
-    return len(cells), None
-
-
-def tuple_classification_totality(obj, cen):
-    n = obj.n
-    if n < 2:
-        return 0, None
-    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    listed = listed_voxels(cen)
-    free, cells = cen.free_by_dim[n - 2], in_order(cen, cen.cells_by_dim[n - 2])
-    tally = {tag: 0 for tag in HubTag}
-    for checked, e in enumerate(cells, 1):
-        if not block(e) & listed.voxels:
-            return checked, f"cell={tuple(e)}: no voxel in its block"
-        tag = classify_cell(listed, e).tag
-        tally[tag] += 1
-        if (tag is HubTag.FULL_BLOCK) != (e not in free):
-            return checked, f"cell={tuple(e)}: tag {tag.value} vs free={e in free}"
-        if (tag is HubTag.GAP_TANDEM) != (e in hubs):
-            return checked, f"cell={tuple(e)}: tag {tag.value} vs gap detector"
-    hist = classification_histogram(obj)
-    if hist != tally:
-        shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
-        return len(cells), "histogram {} but classify_cell tally {}".format(*shown)
-    return len(cells), None
-
-
-REFERENCES = (
-    (border_sum, tuple_border_sum),
-    (hub_nub_degree, tuple_hub_nub_degree),
-    (free_face_heredity, tuple_free_face_heredity),
-    (detector_equivalence, tuple_detector_equivalence),
-    (classification_totality, tuple_classification_totality),
-)
-
-
 def assert_bitmaps_match_tuples(obj: DigitalObject, cen: CellCensus, oracle: bool) -> None:
-    """With ``oracle``, ``b_boundary`` is also checked against the interval
-    oracle: ``o_b_boundary`` with its border computed once per j."""
+    """``b_boundary`` against ``b_j`` and, with ``oracle``, against the
+    interval oracle (``o_b_boundary`` with its border computed once per j);
+    each identity against its reference on the census's tuple sets."""
     n = cen.n
     vox = frozenset(map(tuple, obj.voxels))
     for j in range(1, n):
@@ -196,51 +80,10 @@ def assert_bitmaps_match_tuples(obj: DigitalObject, cen: CellCensus, oracle: boo
         for i in range(j):
             for e in cen.cells_by_dim[i]:
                 got = cen.b_boundary(e, j)
-                assert got == tuple_b_boundary(cen, e, j), (e, j)
+                assert got == b_j(cen.free_by_dim, e, j), (e, j)
                 if oracle:
                     assert got == sum(1 for f in border if o_bounds(tuple(e), f)), (e, j)
-    for identity, reference in REFERENCES:
-        result = identity(obj, cen)
-        checked, detail = reference(obj, cen)
-        assert (result.passed, result.checked) == (detail is None, checked), result
-        assert result.witness.endswith(f"; {detail}") if detail else not result.witness
-
-
-def bits_of(maps: _Bitmaps, listing: str, i: int):
-    """(key, tile, class, bit, cell) for each cell ``listing`` holds at i."""
-    for key, tile in maps.tiles.items():
-        for q, bits in getattr(tile, listing)[i].items():
-            for b in _ones(bits):
-                yield key, tile, q, b, maps.cell(key, q, b)
-
-
-def assert_steps_decode(cen: CellCensus) -> None:
-    """Every listed cell decodes to a cell of its listing, in witness order,
-    and every face and coface step from a free cell reads the bit of the
-    face or coface in the tile's free cells in range: set exactly when it
-    is a listed free cell."""
-    n, maps = cen.n, cen._bitmaps
-    for i in range(n + 1):
-        for listing, sets in (("cells", cen.cells_by_dim), ("free", cen.free_by_dim)):
-            got = list(maps.listing(listing, i))
-            assert got == in_order(cen, sets[i]) and len(set(got)) == len(got)
-        for key, tile, q, b, e in bits_of(maps, "free", i):
-            assert _parity(e) == q
-            for m in range(n):
-                w = maps.weights[m]
-                if q[m] == 0 and i:  # faces at x - 1 (same slot) and x + 1 (one up)
-                    below = tile.reach[i - 1].get(q[:m] + (1,) + q[m + 1:], 0)
-                    for up in (0, 1):
-                        face = _mk(Cell, (x + 2 * up - 1 if k == m else x for k, x in enumerate(e)))
-                        assert (below >> b + up * w & 1) == (face in cen.free_by_dim[i - 1]), (e, face)
-                if q[m] == 1 and i < n:  # cofaces at x + 1 (same slot) and x - 1 (one down)
-                    above = tile.reach[i + 1].get(q[:m] + (0,) + q[m + 1:], 0)
-                    for down in (0, 1):
-                        coface = _mk(Cell, (x + 1 - 2 * down if k == m else x for k, x in enumerate(e)))
-                        # one slot down from slot 0 is outside the tile's box
-                        inside = not down or (b // w) % maps.radix[m]
-                        got = above >> b - down * w & 1 if inside else 0
-                        assert got == (coface in cen.free_by_dim[i + 1]), (e, coface)
+    assert_identities_match(obj, cen, listed(cen))
 
 
 def assert_block_probes_decode(cen: CellCensus) -> None:
@@ -284,15 +127,11 @@ def listing_free_outside(cen: CellCensus) -> CellCensus:
 
 
 def without_least_free(cen: CellCensus, i: int) -> CellCensus:
-    free = list(cen.free_by_dim)
-    free[i] = free[i] - {min(free[i])}
-    return replace(cen, free_by_dim=tuple(free))
+    return with_listing(cen, i, free=cen.free_by_dim[i] - {min(cen.free_by_dim[i])})
 
 
 def without_least_cell(cen: CellCensus, i: int) -> CellCensus:
-    cells = list(cen.cells_by_dim)
-    cells[i] = cells[i] - {min(cells[i])}
-    return replace(cen, cells_by_dim=tuple(cells))
+    return with_listing(cen, i, cells=cen.cells_by_dim[i] - {min(cen.cells_by_dim[i])})
 
 
 def least_parity(cen: CellCensus) -> int:
@@ -478,7 +317,7 @@ def assert_batched_probes_match(cen: CellCensus) -> None:
                   for a in range(n) if e[a] & 1 for d in (-1, 1)]
             assert got == sum(f in cen.free_by_dim[i + 1] for f in up), (e, i)
             if e.dim == i:
-                assert got == tuple_b_boundary(cen, e, i + 1)
+                assert got == b_j(cen.free_by_dim, e, i + 1)
     if n >= 2:
         assert_block_probes_decode(cen)
 
@@ -555,85 +394,8 @@ class TestBatchedProbes:
 
 
 # Failure output: a failing identity names the first failing cell in
-# witness order, with the count checked up to it, exactly as the per-cell
-# loops below do. They read the cells the bitmaps hold, decoded, and probe
-# them one by one as tuples.
-
-
-def held(cen: CellCensus) -> tuple[list[set], list[set], set]:
-    """The cells, free cells and voxels the census's bitmaps hold."""
-    maps, n = cen._bitmaps, cen.n
-    cells = [set(maps.listing("cells", i)) for i in range(n + 1)]
-    free = [set(maps.listing("free", i)) for i in range(n + 1)]
-    voxels = {v for key, tile in maps.tiles.items() for v in maps.decode(key, (0,) * n, tile.voxels)}
-    return cells, free, voxels
-
-
-def per_cell_hub_nub_degree(obj, cen):
-    n = obj.n
-    cells, free, _ = held(cen)
-    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    for checked, e in enumerate(cen._bitmaps.listing("free", n - 2), 1):
-        expected = 4 if e in hubs else 2
-        got = sum(f in free[n - 1] for f in cofaces(e, n - 1))
-        if got != expected:
-            return checked, f"cell={tuple(e)}: b_(n-1)={got}, expected {expected}"
-    return len(free[n - 2]), None
-
-
-def per_cell_detector_equivalence(obj, cen):
-    n = obj.n
-    _, _, voxels = held(cen)
-    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    listed = DigitalObject(n, voxels)
-    order = list(cen._bitmaps.listing("cells", n - 2))
-    for checked, e in enumerate(order, 1):
-        if (e in hubs) != is_gap_by_adjacency(listed, e):
-            return checked, f"cell={tuple(e)}: detectors disagree"
-    return len(order), None
-
-
-def per_cell_classification_totality(obj, cen):
-    n = obj.n
-    _, free, voxels = held(cen)
-    hubs = frozenset(count_gaps_oracle(obj, n - 2, cen).hubs)
-    listed = DigitalObject(n, voxels)
-    order = list(cen._bitmaps.listing("cells", n - 2))
-    tally = {tag: 0 for tag in HubTag}
-    for checked, e in enumerate(order, 1):
-        if not block(e) & listed.voxels:
-            return checked, f"cell={tuple(e)}: no voxel in its block"
-        tag = classify_cell(listed, e).tag
-        tally[tag] += 1
-        if (tag is HubTag.FULL_BLOCK) != (e not in free[n - 2]):
-            return checked, f"cell={tuple(e)}: tag {tag.value} vs free={e in free[n - 2]}"
-        if (tag is HubTag.GAP_TANDEM) != (e in hubs):
-            return checked, f"cell={tuple(e)}: tag {tag.value} vs gap detector"
-    hist = classification_histogram(obj)
-    if hist != tally:
-        shown = [{tag.value: h[tag] for tag in HubTag} for h in (hist, tally)]
-        return len(order), "histogram {} but classify_cell tally {}".format(*shown)
-    return len(order), None
-
-
-def per_cell_free_face_heredity(obj, cen):
-    _, free, _ = held(cen)
-    checked = 0
-    for j in range(1, obj.n):
-        for f in cen._bitmaps.listing("free", j):
-            checked += 1
-            missing = [e for e in faces(f, j - 1) if e not in free[j - 1]]
-            if missing:
-                return checked, f"free cell {tuple(f)} has non-free face {tuple(min(missing))}"
-    return checked, None
-
-
-PER_CELL = (
-    (hub_nub_degree, per_cell_hub_nub_degree),
-    (detector_equivalence, per_cell_detector_equivalence),
-    (classification_totality, per_cell_classification_totality),
-    (free_face_heredity, per_cell_free_face_heredity),
-)
+# witness order, with the count checked up to it, exactly as its reference
+# does on the cells the bitmaps hold, decoded.
 
 
 def every_other(cells):
@@ -663,18 +425,13 @@ def doctored_censuses(cen: CellCensus) -> dict[str, CellCensus]:
     """Censuses on which several cells fail, doctored in their tuple sets
     (made with ``dataclasses.replace``) and in their bitmaps alone."""
     n = cen.n
-    free, cells = list(cen.free_by_dim), list(cen.cells_by_dim)
     out = {}
     for name, i in (("facets", n - 1), ("codim2", n - 2), ("vertices", 0)):
-        dropped = every_other(free[i])
-        out[f"replace-free-{name}"] = replace(
-            cen, free_by_dim=tuple(f - dropped if k == i else f for k, f in enumerate(free))
-        )
+        dropped = every_other(cen.free_by_dim[i])
+        out[f"replace-free-{name}"] = with_listing(cen, i, free=cen.free_by_dim[i] - dropped)
         out[f"view-free-{name}"] = with_bitmaps(cen, dropped)
-    dropped = every_other(cells[n])
-    out["replace-voxels"] = replace(
-        cen, cells_by_dim=tuple(c - dropped if k == n else c for k, c in enumerate(cells))
-    )
+    dropped = every_other(cen.cells_by_dim[n])
+    out["replace-voxels"] = with_listing(cen, n, cells=cen.cells_by_dim[n] - dropped)
     out["view-voxels"] = with_bitmaps(cen, dropped, voxels=True)
     return out
 
@@ -690,15 +447,10 @@ class TestFailureOutput:
     def test_first_failing_cell_in_view_order(self, obj):
         failed = set()
         for name, doctored in doctored_censuses(census(obj)).items():
-            for identity, per_cell in PER_CELL:
-                result = identity(obj, doctored)
-                checked, detail = per_cell(obj, doctored)
-                assert (result.passed, result.checked) == (detail is None, checked), (name, result)
-                assert result.witness.endswith(f"; {detail}") if detail else not result.witness
-                if detail is not None:
-                    failed.add((identity.__name__, name.split("-")[0]))
+            kind = name.split("-")[0]
+            failed |= {(i, kind) for i in assert_identities_match(obj, doctored, held(doctored))}
         # every identity fails on some doctored census of each kind
-        assert {(i.__name__, kind) for i, _ in PER_CELL for kind in ("replace", "view")} <= failed
+        assert {(i.__name__, kind) for i, _ in REFERENCES for kind in ("replace", "view")} <= failed
 
     def test_wrong_diagonal_step_in_the_block_lists_fails_verify(self, tmp_path, monkeypatch, capsys):
         # the (+1, +1) corner of each block is read as (+3, +3), which is no
@@ -735,9 +487,7 @@ class TestFailureOutput:
         path = tmp_path / "r.dvo"
         path.write_text(dvo.dumps(FAILING[2]), encoding="utf-8")
         monkeypatch.setattr(gaps, "_TRACE_TAG", tuple(tags))
-        identities._window_counts.cache_clear()
         assert cli.main(["verify", str(path)]) == cli.EXIT_DISAGREEMENT
-        identities._window_counts.cache_clear()
         failed = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
         assert {
             "FAIL hub-nub-degree",
@@ -799,33 +549,8 @@ def border_sum_outcome(cen: CellCensus, sums: dict[tuple[int, int], int]) -> tup
     return len(sums), None
 
 
-class _Recorded:
-    """Stands in for ``c_bounding(i, j) * c*_j`` in border-sum: comparing a
-    sum with it records the sum and finds them equal, so every pair is
-    reached."""
-
-    def __init__(self, sums: dict, pair: tuple[int, int]) -> None:
-        self.sums, self.pair = sums, pair
-
-    def __mul__(self, c_star: int) -> "_Recorded":
-        return self
-
-    def __ne__(self, lhs: object) -> bool:
-        self.sums[self.pair] = lhs
-        return False
-
-
-def face_side_sums(obj: DigitalObject, cen: CellCensus) -> dict[tuple[int, int], int]:
-    """The sum border-sum counts for each (i, j), in the order it counts them."""
-    sums: dict[tuple[int, int], int] = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(identities, "c_bounding", lambda i, j: _Recorded(sums, (i, j)))
-        assert border_sum(obj, cen).passed
-    return sums
-
-
 def assert_border_sums_agree(obj: DigitalObject, cen: CellCensus, tuples: bool = True) -> None:
-    """With ``tuples``, each sum is also counted as ``tuple_border_sum``
+    """With ``tuples``, each sum is also counted as ``ref_border_sum``
     counts it, over the census's tuple sets with ``cofaces``; that route
     reads a cell's own dimension, so it is left out where a cell is listed
     under another one."""
@@ -833,21 +558,11 @@ def assert_border_sums_agree(obj: DigitalObject, cen: CellCensus, tuples: bool =
     assert sums == want and list(sums) == list(want)
     if tuples:
         for (i, j), got in sums.items():
-            assert got == sum(tuple_b_boundary(cen, e, j) for e in cen.free_by_dim[i]), (i, j)
+            assert got == sum(b_j(cen.free_by_dim, e, j) for e in cen.free_by_dim[i]), (i, j)
     result = border_sum(obj, cen)
     checked, detail = border_sum_outcome(cen, want)
     assert (result.passed, result.checked) == (detail is None, checked), result
     assert result.witness.endswith(f"; {detail}") if detail else not result.witness
-
-
-def with_stray(cen: CellCensus, i: int) -> CellCensus:
-    """``free_by_dim[i]`` with one more i-cell, the least free one moved two
-    steps down axis 0, below every cell of the object. It bounds no free
-    j-cell, so neither side counts it."""
-    free = list(cen.free_by_dim)
-    e = min(free[i])
-    free[i] = free[i] | {_mk(Cell, (e[0] - 2, *e[1:]))}
-    return replace(cen, free_by_dim=tuple(free))
 
 
 def with_wrong_dimension(cen: CellCensus, i: int, j: int) -> CellCensus | None:
@@ -866,17 +581,11 @@ def with_wrong_dimension(cen: CellCensus, i: int, j: int) -> CellCensus | None:
     return replace(cen, free_by_dim=tuple(free))
 
 
-def with_c_star_off(cen: CellCensus, j: int) -> CellCensus:
-    c_star = list(cen.c_star)
-    c_star[j] += 1
-    return replace(cen, c_star=tuple(c_star))
-
-
 def border_sum_copies(cen: CellCensus, i: int, j: int) -> list[tuple[CellCensus, bool]]:
     """Copies of the census with a free i-cell dropped, a stray i-cell
     listed as free, c*_j off by one and a cell of another dimension listed
     under i and j, each with whether the tuple route can count it."""
-    copies = [(with_c_star_off(cen, j), True)]
+    copies = [(with_count_off(cen, "c_star", j), True)]
     if cen.free_by_dim[i]:
         copies += [(without_least_free(cen, i), True), (with_stray(cen, i), True)]
     wrong = with_wrong_dimension(cen, i, j)
