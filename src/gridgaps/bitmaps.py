@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
 from math import prod
-from operator import add, floordiv, le, mod, mul, rshift, sub
+from operator import add, floordiv, mod, mul, rshift, sub
 from typing import Callable, Iterable, Iterator
 
 from .cells import Cell, _along, _mk, _parity
@@ -155,7 +155,9 @@ class _Tile:
     (its core and, on a cut axis, a halo slot either side). Per dimension i
     and class, ``cells[i]`` and ``free[i]`` hold the listed cells the tile
     owns and ``reach[i]`` every free cell in the range, so each face,
-    coface and block step from an owned cell reads a bit of the tile."""
+    coface and block step from an owned cell reads a bit of the tile.
+    ``reach`` may also hold bits in the guard slot of a cut axis, which no
+    step from an owned cell reads."""
 
     __slots__ = ("voxels", "cells", "free", "reach")
 
@@ -232,11 +234,6 @@ class _Bitmaps:
         """Each tile of ``keys`` (by default, the tiles) whose range holds
         index h, with h's bit in it."""
         keys = self.tiles if keys is None else keys
-        if not any(self.sides):
-            key = (0,) * self.n
-            if key in keys and min(h) >= 0 and all(map(le, h, self.tops)):
-                yield key, sum(map(mul, h, self.weights))
-            return
         axes = [
             range(-(-x // side) - 1, (x + 1) // side + 1) if side else (0,) * (0 <= x <= top)
             for x, side, top in zip(h, self.sides, self.tops)

@@ -141,7 +141,7 @@ def dumps(obj: DigitalObject, comments: list[str] | None = None) -> str:
     """Serialize an object; voxels sorted, so output is canonical."""
     lines = [f"dvo {obj.n}"]
     for comment in comments or []:
-        lines.append(f"# {comment}")
+        lines += (f"# {line}" for line in comment.splitlines() or [""])
     for center in obj.centers():
         lines.append(" ".join(str(x) for x in center))
     return "\n".join(lines) + "\n"

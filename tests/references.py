@@ -1,5 +1,6 @@
-"""Per-cell references for the bitmap identities, the witness order they
-walk, and the census doctors the tests share.
+"""What the census tests share: the fixture objects, each defined here
+once, the per-cell references for the bitmap identities and the witness
+order they walk, the census doctors, and the check families.
 
 Each identity that runs on the census's bitmaps has one reference here: a
 loop that probes cells one at a time as tuples. It takes the cells, free
@@ -13,36 +14,48 @@ census an identity must name the first failing cell in that order.
 
 A census doctor returns a copy of a census (``dataclasses.replace``) with
 one listing or count changed; the copy's bitmaps are built from its sets.
+
+A check family takes the census it checks and, where it compares with the
+interval oracles, the object's oracle sets (``oracle_sets``), so a caller
+builds each once and runs every family on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import product
+from functools import cache
+from itertools import combinations, product
+from typing import NamedTuple
 
 import pytest
 
 from gridgaps import (
     Cell,
     DigitalObject,
+    ShapeSpec,
     block,
     c_bounding,
     census,
     check_object,
     cofaces,
+    enumerate_all_objects,
     faces,
+    generate,
     identities,
 )
 from gridgaps.bitmaps import _Bitmaps, _ones
-from gridgaps.cells import _mk, _parity
+from gridgaps.cells import COORD_LIMIT, _mk, _parity
 from gridgaps.gaps import (
     HubTag,
     classification_histogram,
     classify_cell,
     count_gaps_oracle,
+    is_gap,
     is_gap_by_adjacency,
 )
 from gridgaps.identities import (
+    _block_voxels,
+    _cofaces_up,
     border_sum,
     classification_totality,
     detector_equivalence,
@@ -51,7 +64,39 @@ from gridgaps.identities import (
 )
 from gridgaps.objects import CellCensus
 
-from oracles import o_border, o_bounds, o_cells, o_census, o_is_free
+from oracles import o_bounds, o_cells, o_is_free, o_is_gap
+
+#: the greatest center coordinate in range
+EDGE = 1 << 59
+
+SINGLE3 = DigitalObject.from_centers(3, [(0, 0, 0)])
+DOMINO3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 0, 0)])
+DIAG3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0)])
+LBLOCK3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+CUBE222 = DigitalObject.from_centers(3, list(product((0, 1), repeat=3)))
+SQUARE22 = DigitalObject.from_centers(2, list(product((0, 1), repeat=2)))
+EMPTY3 = DigitalObject(3)
+DIAG2 = DigitalObject.from_centers(2, [(0, 0), (1, 1)])
+LINE1 = DigitalObject.from_centers(1, [(0,), (1,), (5,)])
+#: a diagonal pair and a third voxel on a face of one: one hub
+HUBS3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (1, 1, 1)])
+#: DIAG3 moved to the -2**59 corner; its cell coordinates lie near -2**60
+FAR_DIAG3 = DIAG3.translate((-EDGE,) * 3)
+#: the random objects of a 3^n box at density 0.5, seed 1
+RANDOM3 = generate(ShapeSpec("random", 3, (3,) * 3, 0.5, 1))
+RANDOM4 = generate(ShapeSpec("random", 4, (3,) * 4, 0.5, 1))
+#: objects at the corners of the center range
+CORNERS = [
+    DigitalObject.from_centers(2, list(product((-EDGE, EDGE), repeat=2))),
+    DigitalObject.from_centers(
+        3,
+        list(product((-EDGE, EDGE), repeat=3))
+        + [(EDGE - 1, EDGE - 1, EDGE), (1 - EDGE, -EDGE, 1 - EDGE)],
+    ),
+    FAR_DIAG3,
+    DigitalObject.from_centers(1, [(0,), (1,), (5,), (-EDGE,), (EDGE,)]),
+]
+LOW = [LINE1, DIAG2, DigitalObject.from_centers(2, [(0, 0), (1, 0), (0, 1), (3, 3), (4, 2)])]
 
 #: what a reference probes: the cells and the free cells per dimension, and the voxels
 Probed = tuple[list, list, frozenset]
@@ -76,6 +121,8 @@ def owner(maps: _Bitmaps, voxels: frozenset, e) -> tuple[int, ...]:
 def in_order(cen: CellCensus, cells) -> list[Cell]:
     """The cells in witness order: owning tile, class, then lexicographic."""
     maps = cen._bitmaps
+    if not any(maps.sides):  # every cell is on tile 0
+        return sorted(cells, key=lambda e: (_parity(e), tuple(e)))
     voxels = frozenset(v for v in cen.cells_by_dim[cen.n] if not any(x & 1 for x in v))
     return sorted(cells, key=lambda e: (owner(maps, voxels, e), _parity(e), tuple(e)))
 
@@ -100,16 +147,20 @@ def b_j(free: list, e: Cell, j: int) -> int:
     return sum(f in free[j] for f in cofaces(e, j))
 
 
+def border_sum_outcome(cen: CellCensus, sums: dict[tuple[int, int], int]) -> tuple[int, str | None]:
+    """What border-sum reports on the sum of each (i, j), in order: the
+    pairs checked up to the first whose sum misses the formula, and what
+    it saw there."""
+    for checked, ((i, j), lhs) in enumerate(sums.items(), 1):
+        rhs = c_bounding(i, j) * cen.c_star[j]
+        if lhs != rhs:
+            return checked, f"(i={i}, j={j}): sum={lhs} formula={rhs}"
+    return len(sums), None
+
+
 def ref_border_sum(obj, cen, cells, free, voxels):
-    checked = 0
-    for j in range(1, obj.n):
-        for i in range(j):
-            checked += 1
-            lhs = sum(b_j(free, e, j) for e in free[i])
-            rhs = c_bounding(i, j) * cen.c_star[j]
-            if lhs != rhs:
-                return checked, f"(i={i}, j={j}): sum={lhs} formula={rhs}"
-    return checked, None
+    pairs = [(i, j) for j in range(1, obj.n) for i in range(j)]
+    return border_sum_outcome(cen, {(i, j): sum(b_j(free, e, j) for e in free[i]) for i, j in pairs})
 
 
 def ref_hub_nub_degree(obj, cen, cells, free, voxels):
@@ -198,25 +249,39 @@ def assert_identities_match(obj: DigitalObject, cen: CellCensus, probed: Probed)
     return failed
 
 
-def bits_of(maps: _Bitmaps, listing: str, i: int):
-    """(key, tile, class, bit, cell) for each cell ``listing`` holds at i."""
-    for key, tile in maps.tiles.items():
-        for q, bits in getattr(tile, listing)[i].items():
-            for b in _ones(bits):
-                yield key, tile, q, b, maps.cell(key, q, b)
+def cell_at(maps: _Bitmaps, key, q, b: int) -> Cell:
+    """The class-q cell at bit b of tile ``key``, from its definition: slot
+    (b // w_k) % r_k on axis k, index origin_k + slot, coordinate
+    2 * index + L_k + 1 - q_k (built unchecked: it may lie past +-2**60)."""
+    axes = zip(maps.origin(key), maps.weights, maps.radix, maps.lo, q)
+    return _mk(Cell, (2 * (o + b // w % r) + L + 1 - f for o, w, r, L, f in axes))
 
 
-def assert_steps_decode(cen: CellCensus) -> None:
-    """Every listed cell decodes to a cell of its listing, in witness order,
-    and every face and coface step from a free cell reads the bit of the
-    face or coface in the tile's free cells in range: set exactly when it
-    is a listed free cell."""
+def assert_probes_decode(cen: CellCensus) -> None:
+    """Every probe of the census's bitmaps against its per-cell form. A
+    class decodes to the cells its bits define (``cell_at``), and every
+    listed cell to a cell of its listing, in witness order. Every face and
+    coface step from a free cell reads the bit of the face or coface in the
+    tile's free cells in range: set exactly when it is a listed free cell.
+    The bit-sliced coface counts of a listed i-cell, i < n - 1, are its
+    tuple count. A listed (n-2)-cell's block corners are its four block
+    voxels and read the listed voxels; a cell with other than two flat axes
+    has no block corner."""
     n, maps = cen.n, cen._bitmaps
+    decoded: dict[tuple[str, int], list] = {}  # (key, tile, q, bit, cell) per listing and dimension
+    for key, tile in maps.tiles.items():
+        for listing in ("cells", "free", "reach"):
+            for i, by_class in enumerate(getattr(tile, listing)):
+                for q, bits in by_class.items():
+                    cells, ones = list(maps.decode(key, q, bits)), _ones(bits)
+                    assert cells == [cell_at(maps, key, q, b) for b in ones]
+                    assert all(type(e) is Cell for e in cells) and maps.cell(key, q, ones[0]) == cells[0]
+                    decoded.setdefault((listing, i), []).extend((key, tile, q, *p) for p in zip(ones, cells))
     for i in range(n + 1):
         for listing, sets in (("cells", cen.cells_by_dim), ("free", cen.free_by_dim)):
             got = list(maps.listing(listing, i))
             assert got == in_order(cen, sets[i]) and len(set(got)) == len(got)
-        for key, tile, q, b, e in bits_of(maps, "free", i):
+        for key, tile, q, b, e in decoded.get(("free", i), ()):
             assert _parity(e) == q
             for m in range(n):
                 w = maps.weights[m]
@@ -233,6 +298,21 @@ def assert_steps_decode(cen: CellCensus) -> None:
                         inside = not down or (b // w) % maps.radix[m]
                         got = above >> b - down * w & 1 if inside else 0
                         assert got == (coface in cen.free_by_dim[i + 1]), (e, coface)
+    for i in range(n - 1):
+        for key, tile, q, b, e in decoded.get(("cells", i), ()):
+            got = _cofaces_up(maps, tile, q, i).at(b)
+            # a listed cell of another dimension steps up from its own
+            up = [_mk(Cell, (x + d if k == a else x for k, x in enumerate(e)))
+                  for a in range(n) if e[a] & 1 for d in (-1, 1)]
+            assert got == sum(f in cen.free_by_dim[i + 1] for f in up), (e, i)
+            if e.dim == i:
+                assert got == b_j(cen.free_by_dim, e, i + 1)
+    for key, tile, q, b, e in decoded.get(("cells", n - 2), ()) if n >= 2 else ():
+        block_voxels = _block_voxels(maps, tile.voxels, q)
+        corners = {_mk(Cell, map(int.__add__, e, u)): bits for u, bits in block_voxels.items()}
+        assert set(corners) == (block(e) if sum(q) == 2 else set()), e
+        present = {v for v, bits in corners.items() if bits >> b & 1}
+        assert present == block(e) & cen.cells_by_dim[n] if sum(q) == 2 else not present, e
 
 
 class _Recorded:
@@ -260,20 +340,40 @@ def face_side_sums(obj: DigitalObject, cen: CellCensus) -> dict[tuple[int, int],
     return sums
 
 
-def assert_census_matches_oracle(obj: DigitalObject) -> None:
+class OracleSets(NamedTuple):
+    """An object's voxels, and its cells and free cells per dimension, by
+    the interval oracles (the free i-cells are its i-border)."""
+
+    vox: frozenset
+    cells: list
+    free: list
+
+
+def oracle_sets(obj: DigitalObject) -> OracleSets:
+    vox = frozenset(map(tuple, obj.voxels))
+    cells = [o_cells(vox, i) for i in range(obj.n + 1)]
+    return OracleSets(vox, cells, [{e for e in c if o_is_free(vox, e)} for c in cells])
+
+
+@cache
+def box_222(moved: bool = False) -> tuple[tuple[DigitalObject, CellCensus, OracleSets | None], ...]:
+    """Every object of the 2x2x2 box with its census and oracle sets, built
+    once for the tests of the box; with ``moved``, each moved by one, with
+    no oracle sets: centers move by 1 and cell coordinates by 2, so the
+    least coordinate keeps its parity."""
+    objs = [obj.translate((1, 1, 1)) if moved else obj for obj in enumerate_all_objects(3, (2, 2, 2))]
+    return tuple((obj, census(obj), None if moved else oracle_sets(obj)) for obj in objs)
+
+
+def assert_census_matches_oracle(obj: DigitalObject, cen: CellCensus, sets: OracleSets) -> None:
     """Counts, cell sets and each (i, j) sum border-sum counts against the
     interval oracles; every identity holds."""
-    n = obj.n
-    vox = frozenset(map(tuple, obj.voxels))
-    cen = census(obj)
-    assert (cen.c, cen.c_star, cen.c_prime) == o_census(n, vox)
-    for i in range(n + 1):
-        cells = o_cells(vox, i)
-        assert cen.cells_by_dim[i] == cells
-        assert cen.free_by_dim[i] == {e for e in cells if o_is_free(vox, e)}
+    c, c_star = (tuple(map(len, s)) for s in (sets.cells, sets.free))
+    assert (cen.c, cen.c_star, cen.c_prime) == (c, c_star, tuple(a - b for a, b in zip(c, c_star)))
+    assert list(cen.cells_by_dim) == sets.cells
+    assert list(cen.free_by_dim) == sets.free
     for (i, j), got in face_side_sums(obj, cen).items():
-        border = o_border(n, vox, j)
-        assert got == sum(o_bounds(e, f) for e in o_border(n, vox, i) for f in border), (i, j)
+        assert got == sum(o_bounds(e, f) for e in sets.free[i] for f in sets.free[j]), (i, j)
     assert all(r.passed for r in check_object(obj, cen))
 
 
@@ -302,3 +402,231 @@ def with_stray(cen: CellCensus, i: int) -> CellCensus:
     object. It bounds no free j-cell, so neither side of border-sum counts it."""
     e = min(cen.free_by_dim[i])
     return with_listing(cen, i, free=cen.free_by_dim[i] | {_mk(Cell, (e[0] - 2, *e[1:]))})
+
+
+def without_least_free(cen: CellCensus, i: int) -> CellCensus:
+    return with_listing(cen, i, free=cen.free_by_dim[i] - {min(cen.free_by_dim[i])})
+
+
+def without_least_cell(cen: CellCensus, i: int) -> CellCensus:
+    return with_listing(cen, i, cells=cen.cells_by_dim[i] - {min(cen.cells_by_dim[i])})
+
+
+def reaching_past(cen: CellCensus) -> CellCensus:
+    """The census with a voxel listed one step below its least coordinate
+    and a vertex two steps above its greatest, neither of them free: the
+    least coordinate becomes even."""
+    coords = [x for cells in cen.cells_by_dim for e in cells for x in e] or [1]
+    lo, hi = min(coords), max(coords)
+    cells = list(cen.cells_by_dim)
+    # built unchecked: at the range corners these lie past +-2**60
+    cells[cen.n] |= {_mk(Cell, (lo - 1,) * cen.n)}
+    cells[0] |= {_mk(Cell, (hi + 2,) * cen.n)}
+    return replace(cen, cells_by_dim=tuple(cells))
+
+
+def listing_free_outside(cen: CellCensus) -> CellCensus:
+    """The census with a free vertex near +2**60 and, from n = 2, a free
+    (n-2)-cell at -2**60, neither listed in ``cells_by_dim``: the bitmaps
+    must span them too. The (n-2)-cell bounds no free facet, so
+    hub-nub-degree fails on it."""
+    n = cen.n
+    free = list(cen.free_by_dim)
+    free[0] |= {_mk(Cell, (COORD_LIMIT - 1,) * n)}
+    if n >= 2:
+        free[n - 2] |= {_mk(Cell, (1 - COORD_LIMIT,) * 2 + (-COORD_LIMIT,) * (n - 2))}
+    return replace(cen, free_by_dim=tuple(free))
+
+
+def least_parity(cen: CellCensus) -> int:
+    """The parity of the least listed coordinate (0 with none)."""
+    return min((x for cells in cen.cells_by_dim for e in cells for x in e), default=0) & 1
+
+
+def assert_bitmaps_match_tuples(obj: DigitalObject, cen: CellCensus, sets: OracleSets | None = None) -> None:
+    """``b_boundary`` against ``b_j`` and, given the oracle sets, against
+    the interval oracle; each identity against its reference on the
+    census's tuple sets."""
+    n = cen.n
+    for j in range(1, n):
+        for i in range(j):
+            for e in cen.cells_by_dim[i]:
+                got = cen.b_boundary(e, j)
+                assert got == b_j(cen.free_by_dim, e, j), (e, j)
+                if sets:
+                    assert got == sum(1 for f in sets.free[j] if o_bounds(tuple(e), f)), (e, j)
+    assert_identities_match(obj, cen, listed(cen))
+
+
+def assert_all_censuses_agree(
+    obj: DigitalObject, cen: CellCensus, sets: OracleSets | None = None
+) -> set[int]:
+    """Check the census and the one reaching past it against the tuple
+    routes and by their probes; given the object's oracle sets, also the
+    census against them, the one listing free cells outside its span by its
+    probes, and the census with its least free cell dropped in each
+    dimension in turn and the one with its least (n-2)-cell dropped.
+    Return the parities of their least listed coordinates.
+
+    On a non-empty object the real census and the one reaching past it
+    give both parities."""
+    assert_bitmaps_match_tuples(obj, cen, sets)
+    doctored = [reaching_past(cen)]
+    for c in (cen, doctored[0]):  # least coordinate odd, then even
+        assert_probes_decode(c)
+    if obj.n >= 2 and len(obj):
+        assert {least_parity(c) for c in (cen, doctored[0])} == {0, 1}
+    if sets:
+        assert_probes_decode(listing_free_outside(cen))
+        doctored += [without_least_free(cen, i) for i in range(obj.n) if cen.free_by_dim[i]]
+        if obj.n >= 2 and len(obj):
+            doctored.append(without_least_cell(cen, obj.n - 2))
+    for d in doctored:
+        assert_bitmaps_match_tuples(obj, d)
+    return {least_parity(c) for c in [cen, *doctored]}
+
+
+def range_bits(maps: _Bitmaps) -> int:
+    """The bits of a tile's range: every slot but the guard slot of a cut axis."""
+    bits = 1
+    for side, radix, w in zip(maps.sides[::-1], maps.radix[::-1], maps.weights[::-1]):
+        bits = sum(bits << s * w for s in range(side + 2 if side else radix))
+    return bits
+
+
+def assert_bitmaps_match_rebuilt(cen: CellCensus) -> None:
+    """``census`` builds its bitmaps as it counts; they must hold what the
+    ones built from its own tuple sets hold, on the same grid of tiles, in
+    the same order. The free cells in range, which the census works out
+    from the voxels in range, agree over each tile's range (on one tile,
+    everywhere); past it, in a guard slot, no step from an owned cell reads
+    them (``assert_probes_decode``). The census must also equal its
+    tuple-set copy."""
+    direct, rebuilt = cen._bitmaps, replace(cen)._bitmaps
+    assert (direct.lo, direct.tops, direct.sides) == (rebuilt.lo, rebuilt.tops, rebuilt.sides)
+    assert list(direct.tiles) == list(rebuilt.tiles)
+    in_range = range_bits(direct)
+    for key, tile in direct.tiles.items():
+        other = rebuilt.tiles[key]
+        assert tile.voxels == other.voxels
+        for listing in ("cells", "free", "reach"):
+            got, want = getattr(tile, listing), getattr(other, listing)
+            if listing == "reach" and any(direct.sides):
+                got, want = (
+                    [{q: b & in_range for q, b in d.items() if b & in_range} for d in x] for x in (got, want)
+                )
+            assert got == want
+            assert [list(by_class) for by_class in got] == [list(by_class) for by_class in want]
+    plain = CellCensus(
+        cen.n, cen.c, cen.c_star, cen.c_prime,
+        tuple(map(frozenset, cen.cells_by_dim)), tuple(map(frozenset, cen.free_by_dim)),
+    )
+    assert cen == plain and hash(cen) == hash(plain)
+
+
+def assert_is_gap_matches_oracle(obj: DigitalObject, sets: OracleSets) -> None:
+    """``is_gap`` against the interval oracle ``o_is_gap`` on every cell of
+    the object for every i in 0..n-2, and its errors word for word: i out
+    of range, a cell of another dimension and a cell of another ambient
+    dimension."""
+    n = obj.n
+    for i in range(n - 1):
+        for e in sets.cells[i]:
+            # built unchecked: at the range corners faces lie past +-2**60
+            assert is_gap(obj, _mk(Cell, e), i) == o_is_gap(sets.vox, e, i), (e, i)
+        for k in range(n + 1):
+            if k != i:
+                for e in sorted(sets.cells[k])[:3]:
+                    c = _mk(Cell, e)
+                    with pytest.raises(ValueError) as err:
+                        is_gap(obj, c, i)
+                    assert str(err.value) == f"{c!r} is not an {i}-cell of the {n}-lattice"
+        longer = Cell((1,) * (n + 1 - i) + (0,) * i)  # an i-cell of the (n+1)-lattice
+        with pytest.raises(ValueError) as err:
+            is_gap(obj, longer, i)
+        assert str(err.value) == f"{longer!r} is not an {i}-cell of the {n}-lattice"
+    e = Cell((1,) * n)
+    for i in (-1, n - 1, n):
+        with pytest.raises(ValueError) as err:
+            is_gap(obj, e, i)
+        assert str(err.value) == f"gap dimension {i} outside [0, {n - 2}]"
+
+
+def coface_sums(cen: CellCensus) -> dict[tuple[int, int], int]:
+    """Each (i, j) sum counted from the free i-cells' side on the bitmaps:
+    the free i-cells a tile owns, met with the free j-cells in its range
+    one coface step up along j - i of their flat axes."""
+    n, maps = cen.n, cen._bitmaps
+    sums = {}
+    for j in range(1, n):
+        for i in range(j):
+            total = 0
+            for tile in maps.tiles.values():
+                for q, free in tile.free[i].items():
+                    for axes in combinations([k for k in range(n) if q[k]], j - i):
+                        up = tile.reach[j].get(tuple(0 if k in axes else f for k, f in enumerate(q)), 0)
+                        for signs in product((0, 1), repeat=len(axes)):
+                            shift = sum(s * maps.weights[k] for s, k in zip(signs, axes))
+                            total += ((up << shift) & free).bit_count()
+            sums[i, j] = total
+    return sums
+
+
+def assert_border_sums_agree(obj: DigitalObject, cen: CellCensus, tuples: bool = True) -> None:
+    """border-sum counts each (i, j) sum from the free j-cells' side; each
+    must equal the coface side's (``coface_sums``), and its result what the
+    coface side's sums give. With ``tuples``, each sum is also counted as
+    ``ref_border_sum`` counts it, over the census's tuple sets with
+    ``cofaces``; that route reads a cell's own dimension, so it is left out
+    where a cell is listed under another one."""
+    sums, want = face_side_sums(obj, cen), coface_sums(cen)
+    assert sums == want and list(sums) == list(want)
+    if tuples:
+        for (i, j), got in sums.items():
+            assert got == sum(b_j(cen.free_by_dim, e, j) for e in cen.free_by_dim[i]), (i, j)
+    result = border_sum(obj, cen)
+    checked, detail = border_sum_outcome(cen, want)
+    assert (result.passed, result.checked) == (detail is None, checked), result
+    assert result.witness.endswith(f"; {detail}") if detail else not result.witness
+
+
+def with_wrong_dimension(cen: CellCensus, i: int, j: int) -> CellCensus | None:
+    """The least listed cell x of the lowest dimension k other than i and j
+    listed in both ``free_by_dim[i]`` and ``free_by_dim[j]``, and its
+    cofaces j - i dimensions up, where there are any, in ``free_by_dim[j]``:
+    x and those cofaces are one more pair on either side."""
+    n = cen.n
+    k = min(k for k in range(n + 1) if k not in (i, j))
+    if not cen.cells_by_dim[k]:
+        return None
+    x = min(cen.cells_by_dim[k])
+    up = cofaces(x, k + j - i) if k + j - i <= n else frozenset()
+    free = list(cen.free_by_dim)
+    free[i], free[j] = free[i] | {x}, free[j] | {x} | up
+    return replace(cen, free_by_dim=tuple(free))
+
+
+def border_sum_copies(cen: CellCensus, i: int, j: int) -> list[tuple[CellCensus, bool]]:
+    """Copies of the census with a free i-cell dropped, a stray i-cell
+    listed as free, c*_j off by one and a cell of another dimension listed
+    under i and j, each with whether the tuple route can count it."""
+    copies = [(with_count_off(cen, "c_star", j), True)]
+    if cen.free_by_dim[i]:
+        copies += [(without_least_free(cen, i), True), (with_stray(cen, i), True)]
+    wrong = with_wrong_dimension(cen, i, j)
+    return copies + ([(wrong, False)] if wrong else [])
+
+
+def assert_border_sum_on_doctored(
+    obj: DigitalObject, cen: CellCensus, pairs: list[tuple[int, int]] | None = None, tuples: bool = True
+) -> None:
+    """The census and its ``border_sum_copies`` for each (i, j) of
+    ``pairs``, by default every pair; c*_j off by one must fail."""
+    assert_border_sums_agree(obj, cen, tuples)
+    if pairs is None:
+        pairs = [(i, j) for j in range(1, obj.n) for i in range(j)]
+    for i, j in pairs:
+        copies = border_sum_copies(cen, i, j)
+        for copy, countable in copies:
+            assert_border_sums_agree(obj, copy, tuples and countable)
+        assert not border_sum(obj, copies[0][0]).passed

@@ -6,9 +6,10 @@ the small objects of the other tests are mostly one tile. Here the tiling
 is forced (``bitmaps._sides`` monkeypatched to a small side) on drawn
 objects, and the results must equal the one-tile run; objects that cannot
 be one tile (the +-2**59 corners, clusters 2**40 apart, diagonal lines)
-are compared with the oracles and across tilings. The oracle check, the
-step decode, border-sum's sums and the stray free cell come from
-``references.py``, shared with the other census tests.
+are compared with the oracles and across tilings. Each object of the
+2x2x2 box gets one census per tiling: in one tile ``references.box_222``
+builds it, and ``test_packed.py`` runs the other check families on it; in
+tiles of one the oracle and rebuilt-bitmap checks run here.
 """
 
 from __future__ import annotations
@@ -23,27 +24,29 @@ from hypothesis import strategies as st
 
 from gridgaps import (
     DigitalObject,
-    ShapeSpec,
     c_bounding,
     census,
     check_object,
     enumerate_all_objects,
-    generate,
 )
 from gridgaps import bitmaps
 from gridgaps.bitmaps import _ones
 from gridgaps.cells import Cell, _mk, _offsets, _parity
 
-from oracles import o_b_boundary, o_border
+from oracles import o_b_boundary
 from references import (
+    EDGE,
+    FAR_DIAG3,
+    RANDOM3,
+    assert_bitmaps_match_rebuilt,
     assert_census_matches_oracle,
-    assert_steps_decode,
+    assert_probes_decode,
+    box_222,
     face_side_sums,
     in_order,
+    oracle_sets,
     with_stray,
 )
-
-EDGE = 1 << 59
 
 
 def tiled(side: int):
@@ -103,19 +106,22 @@ class TestOracles:
     def test_every_object_of_a_33_box(self):
         # o_b_boundary works its border out afresh for each cell
         for obj in enumerate_all_objects(2, (3, 3)):
-            assert_census_matches_oracle(obj)
-            vox = frozenset(map(tuple, obj.voxels))
-            want = sum(o_b_boundary(2, vox, e, 1) for e in o_border(2, vox, 0))
-            assert face_side_sums(obj, census(obj)) == {(0, 1): want}
+            cen, sets = census(obj), oracle_sets(obj)
+            assert_census_matches_oracle(obj, cen, sets)
+            want = sum(o_b_boundary(2, sets.vox, e, 1) for e in sets.free[0])
+            assert face_side_sums(obj, cen) == {(0, 1): want}
 
     def test_every_object_of_a_222_box(self):
-        for obj in enumerate_all_objects(3, (2, 2, 2)):
-            assert_census_matches_oracle(obj)
+        for obj, cen, sets in box_222():
+            assert_census_matches_oracle(obj, cen, sets)
 
     def test_every_object_of_a_222_box_in_tiles_of_one(self, monkeypatch):
+        # a tile for each voxel, so every cell's block and steps cross tiles
         monkeypatch.setattr(bitmaps, "_sides", tiled(1))
         for obj in enumerate_all_objects(3, (2, 2, 2)):
-            assert_census_matches_oracle(obj)
+            cen = census(obj)
+            assert_census_matches_oracle(obj, cen, oracle_sets(obj))
+            assert_bitmaps_match_rebuilt(cen)
 
 
 def drawn_objects():
@@ -143,28 +149,23 @@ class TestTilings:
                 assert len(cen._bitmaps.tiles) == len(obj)
             assert outcome(obj, cen) == want
             assert [[r.passed for r in check_object(obj, with_stray(cen, i))] for i in strays] == doctored
-            assert_steps_decode(cen)
+            assert_probes_decode(cen)
 
 
-TWO_CLUSTERS = DigitalObject(
-    3,
-    [
-        *(blob := generate(ShapeSpec("random", 3, (3,) * 3, 0.5, 1))).voxels,
-        *blob.translate((1 << 40,) * 3).voxels,
-    ],
-)
+TWO_CLUSTERS = DigitalObject(3, [*RANDOM3.voxels, *RANDOM3.translate((1 << 40,) * 3).voxels])
 FAR = DigitalObject.from_centers(3, [(EDGE, EDGE, EDGE), (EDGE - 1, EDGE - 1, EDGE), (-EDGE, -EDGE, -EDGE)])
-DIAG3 = DigitalObject.from_centers(3, [(t, t, t) for t in range(40)])
+LINE40 = DigitalObject.from_centers(3, [(t, t, t) for t in range(40)])
 DIAG8 = DigitalObject.from_centers(8, [(t,) * 8 for t in range(3)])
 
 
 class TestSparseObjects:
     @pytest.mark.parametrize(
-        "obj", [FAR, TWO_CLUSTERS, DIAG3], ids=["far-corners", "two-clusters", "diagonal-n3"]
+        "obj", [FAR, TWO_CLUSTERS, LINE40], ids=["far-corners", "two-clusters", "diagonal-n3"]
     )
     def test_census_matches_the_oracles(self, obj):
-        assert_census_matches_oracle(obj)
-        assert len(census(obj)._bitmaps.tiles) > 1
+        cen = census(obj)
+        assert_census_matches_oracle(obj, cen, oracle_sets(obj))
+        assert len(cen._bitmaps.tiles) > 1
 
     def test_diagonal_n8_counts(self):
         # the interval oracle steps 3^8 neighbours per cell at n = 8, so the
@@ -178,7 +179,7 @@ class TestSparseObjects:
 
     @pytest.mark.parametrize(
         "obj",
-        [FAR, TWO_CLUSTERS, DIAG3, DIAG8],
+        [FAR, TWO_CLUSTERS, LINE40, DIAG8],
         ids=["far-corners", "two-clusters", "diagonal-n3", "diagonal-n8"],
     )
     def test_tilings_agree(self, obj, monkeypatch):
@@ -195,7 +196,7 @@ class TestSparseObjects:
     def test_each_tile_holds_a_voxel(self):
         # tiles are cut only where voxels are: a diagonal of 40 voxels gets
         # one tile per core it crosses, not one per box of the grid
-        maps = census(DIAG3)._bitmaps
+        maps = census(LINE40)._bitmaps
         side = maps.sides[0]
         assert side and maps.sides == (side,) * 3
         assert list(maps.tiles) == sorted({(t // side,) * 3 for t in range(40)})
@@ -204,6 +205,5 @@ class TestSparseObjects:
 
 def test_far_diagonal_pair_is_one_small_tile():
     # the box is spanned by the two voxels' cells alone, whatever their coordinates
-    obj = DigitalObject.from_centers(3, [(-EDGE, -EDGE, -EDGE), (1 - EDGE, 1 - EDGE, -EDGE)])
-    maps = census(obj)._bitmaps
+    maps = census(FAR_DIAG3)._bitmaps
     assert (len(maps.tiles), maps.sides, maps.radix) == (1, (0, 0, 0), (4, 4, 3))

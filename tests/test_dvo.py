@@ -163,6 +163,16 @@ LINES = ["dvo 2", "dvo 3", "0 0", "1 1", "-2 7", "0 0 0", "x 1", "# c", "", "  "
 PIECES = st.tuples(st.sampled_from(LINES), st.sampled_from(BREAKS))
 
 
+@pytest.mark.parametrize("brk", BREAKS)
+def test_comment_lines_round_trip(brk):
+    # each line of a comment is written as a comment line of its own, so
+    # the text after a break is not read back as a voxel
+    obj = DigitalObject.from_centers(2, [(0, 0)])
+    text = dumps(obj, comments=[f"made by x{brk}5 5"])
+    assert text == "dvo 2\n# made by x\n# 5 5\n0 0\n"
+    assert loads(text) == obj
+
+
 def _parsed(parse, source):
     """The object, or the error's message and line number."""
     try:

@@ -30,17 +30,21 @@ from gridgaps import (
 )
 from gridgaps.cli import main
 from gridgaps.gaps import _window_counts, _windows
+from gridgaps.objects import CellCensus
 
 from oracles import o_gap_count
-
-SINGLE3 = DigitalObject.from_centers(3, [(0, 0, 0)])
-DOMINO3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 0, 0)])
-DIAG3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0)])
-LBLOCK3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-CUBE222 = DigitalObject.from_centers(3, list(product((0, 1), repeat=3)))
-SQUARE22 = DigitalObject.from_centers(2, list(product((0, 1), repeat=2)))
-DIAG2 = DigitalObject.from_centers(2, [(0, 0), (1, 1)])
-EMPTY3 = DigitalObject(3)
+from references import (
+    CORNERS,
+    CUBE222,
+    DIAG2,
+    DIAG3,
+    DOMINO3,
+    EDGE,
+    EMPTY3,
+    LBLOCK3,
+    SINGLE3,
+    SQUARE22,
+)
 
 HUB_EDGE = Cell((1, 1, 0))  # shared edge of the diagonal pair
 
@@ -101,9 +105,9 @@ class TestClassify:
                 assert (klass.tag is HubTag.GAP_TANDEM) == is_gap(obj, e, n - 2)
 
 
-def classify_cell_tally(obj: DigitalObject) -> dict[HubTag, int]:
+def classify_cell_tally(obj: DigitalObject, cen: CellCensus) -> dict[HubTag, int]:
     hist = {tag: 0 for tag in HubTag}
-    for e in census(obj).cells_by_dim[obj.n - 2]:
+    for e in cen.cells_by_dim[obj.n - 2]:
         hist[classify_cell(obj, e).tag] += 1
     return hist
 
@@ -114,7 +118,7 @@ class TestHistogramDifferential:
     @pytest.mark.parametrize("n, extents", [(3, (2, 2, 2)), (2, (3, 3))])
     def test_every_object_of_small_boxes(self, n, extents):
         for obj in enumerate_all_objects(n, extents):
-            assert classification_histogram(obj) == classify_cell_tally(obj)
+            assert classification_histogram(obj) == classify_cell_tally(obj, census(obj))
 
     @given(
         st.integers(2, 6).flatmap(
@@ -142,7 +146,7 @@ class TestHistogramDifferential:
             for offset in offsets
         }
         obj = DigitalObject.from_centers(n, centers)
-        assert classification_histogram(obj) == classify_cell_tally(obj)
+        assert classification_histogram(obj) == classify_cell_tally(obj, census(obj))
 
     def test_classify_runs_no_census(self, tmp_path, monkeypatch, capsys):
         from gridgaps import cli, objects
@@ -194,15 +198,14 @@ def assert_window_pass_matches_references(obj: DigitalObject) -> None:
     assert win.beta == cen.beta
     scan = count_gaps_oracle(obj, obj.n - 2, cen).hubs if obj.n >= 2 else ()
     assert win.hubs == scan
-    tally = classify_cell_tally(obj) if obj.n >= 2 else {tag: 0 for tag in HubTag}
+    tally = classify_cell_tally(obj, cen) if obj.n >= 2 else {tag: 0 for tag in HubTag}
     assert win.histogram == tally
     assert win.histogram[HubTag.GAP_TANDEM] == len(win.hubs)
 
 
 #: cluster anchors far apart; with +-2 jitter and +-1 offsets the clusters
 #: near the first one reach the -2**59 end of the center range
-FAR_ANCHORS = (-(1 << 59) + 3, 0, 1 << 40)
-EDGE = 1 << 59
+FAR_ANCHORS = (-EDGE + 3, 0, 1 << 40)
 
 
 class TestWindowPass:
@@ -245,13 +248,9 @@ class TestWindowPass:
     @pytest.mark.parametrize(
         "obj",
         [
-            DigitalObject.from_centers(2, list(product((-EDGE, EDGE), repeat=2))),
-            DigitalObject.from_centers(
-                3,
-                list(product((-EDGE, EDGE), repeat=3))
-                + [(EDGE - 1, EDGE - 1, EDGE), (1 - EDGE, -EDGE, 1 - EDGE)],
-            ),
-            DigitalObject.from_centers(1, [(0,), (1,), (5,), (-EDGE,), (EDGE,)]),
+            CORNERS[0],
+            CORNERS[1],
+            CORNERS[3],
             DigitalObject.from_centers(
                 8,
                 [(EDGE,) * 8, (EDGE - 1,) * 8, (EDGE - 1, EDGE - 1) + (EDGE,) * 6, (-EDGE,) * 8],

@@ -31,17 +31,22 @@ from gridgaps.identities import (
     hub_nub_degree,
 )
 from gridgaps.objects import CellCensus
-from gridgaps.shapes import ShapeSpec, generate
 
-from references import bump, with_count_off, with_listing, with_stray
+from references import (
+    DIAG2,
+    DIAG3,
+    EDGE,
+    FAR_DIAG3,
+    RANDOM4,
+    bump,
+    with_count_off,
+    with_listing,
+    with_stray,
+)
 
-DIAG3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0)])
 PREFIX = "object n=3 centers=[(0, 0, 0), (1, 1, 0)]; "
-#: DIAG3 moved to the -2**59 corner; its cell coordinates lie near -2**60
-FAR_DIAG3 = DIAG3.translate((-(1 << 59),) * 3)
 F = 1 << 60
-H = 1 << 59
-FAR_PREFIX = f"object n=3 centers=[({-H}, {-H}, {-H}), ({1 - H}, {1 - H}, {-H})]; "
+FAR_PREFIX = f"object n=3 centers=[({-EDGE}, {-EDGE}, {-EDGE}), ({1 - EDGE}, {1 - EDGE}, {-EDGE})]; "
 
 
 class TestFailureResults:
@@ -237,11 +242,10 @@ class TestFailureResults:
         # 2-cells: it has one flat axis, so its class has no block corners,
         # census-partition names its dimension, and the scan's refusal is a
         # failure
-        obj = generate(ShapeSpec("random", 4, extents=(3,) * 4, density=0.5, seed=1))
-        cen = census(obj)
+        cen = census(RANDOM4)
         doctored = with_listing(cen, 2, cells=cen.cells_by_dim[2] | {max(cen.cells_by_dim[3])})
         assert doctored._bitmaps.count("cells", 2) == 654
-        results = check_object(obj, doctored)
+        results = check_object(RANDOM4, doctored)
         got = {r.name: (r.passed, r.checked, r.witness.partition("; ")[2]) for r in results}
         assert len(results) == 8
         assert got["census-partition"] == (
@@ -278,9 +282,6 @@ class TestFailureResults:
             ("classification-totality", True, 0, ""),
             ("free-face-heredity", True, 0, ""),
         ]
-
-
-RANDOM4 = generate(ShapeSpec("random", 4, extents=(3,) * 4, density=0.5, seed=1))
 
 
 def _far_cell(cen: CellCensus, i: int) -> CellCensus:
@@ -425,6 +426,5 @@ class TestOneScan:
 
 
 def test_check_object_rejects_a_census_of_another_dimension():
-    other = DigitalObject.from_centers(2, [(0, 0), (1, 1)])
     with pytest.raises(ValueError, match="census of dimension 2 given for a 3-object"):
-        check_object(DIAG3, census(other))
+        check_object(DIAG3, census(DIAG2))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import product
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,15 +17,19 @@ from gridgaps import (
 from gridgaps.dvo import dumps, loads
 
 from oracles import o_b_boundary, o_census
-from references import assert_census_matches_oracle
-
-SINGLE3 = DigitalObject.from_centers(3, [(0, 0, 0)])
-DOMINO3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 0, 0)])
-DIAG3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0)])
-LBLOCK3 = DigitalObject.from_centers(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-CUBE222 = DigitalObject.from_centers(3, list(product((0, 1), repeat=3)))
-SQUARE22 = DigitalObject.from_centers(2, list(product((0, 1), repeat=2)))
-EMPTY3 = DigitalObject(3)
+from references import (
+    CUBE222,
+    DIAG3,
+    DOMINO3,
+    EDGE,
+    EMPTY3,
+    LBLOCK3,
+    LINE1,
+    SINGLE3,
+    SQUARE22,
+    assert_census_matches_oracle,
+    oracle_sets,
+)
 
 
 class TestConstruction:
@@ -72,10 +74,9 @@ class TestConstruction:
         # either shifted center may be checked first; both are out of range
         big = 1 << 60
         assert f"({big}, 0)" in str(err.value) or f"({big + 1}, 1)" in str(err.value)
-        edge = 1 << 59
-        assert obj.translate((edge - 1, -edge)).centers() == [
-            (edge - 1, -edge),
-            (edge, 1 - edge),
+        assert obj.translate((EDGE - 1, -EDGE)).centers() == [
+            (EDGE - 1, -EDGE),
+            (EDGE, 1 - EDGE),
         ]
 
     @given(
@@ -204,8 +205,8 @@ class TestCensus:
     def test_random_objects_match_interval_oracle(self, n):
         for seed in range(12):
             obj = generate(ShapeSpec("random", n, (3,) * n, 0.5, seed))
-            vox = frozenset(tuple(v) for v in obj.voxels)
-            assert (census(obj).c, census(obj).c_star, census(obj).c_prime) == o_census(n, vox)
+            cen = census(obj)
+            assert (cen.c, cen.c_star, cen.c_prime) == o_census(n, frozenset(map(tuple, obj.voxels)))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_facet_count_identity_on_random_objects(self, n):
@@ -266,18 +267,18 @@ class TestCensusDifferential:
             for anchor in anchors
             for offset in offsets
         }
-        assert_census_matches_oracle(DigitalObject.from_centers(n, centers))
+        obj = DigitalObject.from_centers(n, centers)
+        assert_census_matches_oracle(obj, census(obj), oracle_sets(obj))
 
     def test_extreme_centers(self):
-        edge = 1 << 59
         obj = DigitalObject.from_centers(
-            2, [(edge, edge), (-edge, -edge), (edge - 1, edge - 1), (-edge, edge)]
+            2, [(EDGE, EDGE), (-EDGE, -EDGE), (EDGE - 1, EDGE - 1), (-EDGE, EDGE)]
         )
-        assert_census_matches_oracle(obj)
+        assert_census_matches_oracle(obj, census(obj), oracle_sets(obj))
 
     def test_line_and_empty(self):
-        assert_census_matches_oracle(DigitalObject.from_centers(1, [(0,), (1,), (5,)]))
-        assert_census_matches_oracle(EMPTY3)
+        for obj in (LINE1, EMPTY3):
+            assert_census_matches_oracle(obj, census(obj), oracle_sets(obj))
 
 
 class TestBBoundary:
