@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
 from math import prod
-from operator import add, floordiv, mod, mul, rshift, sub
+from operator import add, floordiv, mul, rshift, sub
 from typing import Callable, Iterable, Iterator
 
 from .cells import Cell, _along, _mk, _parity
@@ -53,12 +53,6 @@ def _bitmap(positions: list[int]) -> int:
     for p in positions:
         buf[p >> 3] |= 1 << (p & 7)
     return int.from_bytes(buf, "little")
-
-
-def _ones(bits: int) -> list[int]:
-    """The positions of the set bits, ascending."""
-    flags = format(bits, "b").encode().translate(_BITS01)[::-1]
-    return list(compress(range(len(flags)), flags))
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +199,7 @@ class _Bitmaps:
         self.n = n
         self.lo = tuple((x - 1) | 1 for x in lows)
         self._half = tuple((L + 1) >> 1 for L in self.lo)
-        self.tops = tuple(map(sub, map(rshift, map(add, highs, repeat(1)), repeat(1)), self._half))
+        self.tops = self.h(highs)
         self.tiles: dict[Key, _Tile] = {}
         #: (object, its window pass, the pass's hubs as bitmaps per (tile, class)), kept by ``identities``
         self.window: tuple | None = None
@@ -230,15 +224,13 @@ class _Bitmaps:
     def origin(self, key: Key) -> tuple[int, ...]:
         return tuple(t * side - 1 if side else 0 for t, side in zip(key, self.sides))
 
-    def covering(self, h: tuple[int, ...], keys: Iterable[Key] | None = None) -> Iterator[tuple[Key, int]]:
-        """Each tile of ``keys`` (by default, the tiles) whose range holds
-        index h, with h's bit in it."""
-        keys = self.tiles if keys is None else keys
+    def covering(self, h: tuple[int, ...]) -> Iterator[tuple[Key, int]]:
+        """Each tile whose range holds index h, with h's bit in it."""
         axes = [
             range(-(-x // side) - 1, (x + 1) // side + 1) if side else (0,) * (0 <= x <= top)
             for x, side, top in zip(h, self.sides, self.tops)
         ]
-        for key in filter(keys.__contains__, product(*axes)):
+        for key in filter(self.tiles.__contains__, product(*axes)):
             yield key, self.position(h, key)
 
     def position(self, h: tuple[int, ...], key: Key) -> int:
@@ -269,9 +261,10 @@ class _Bitmaps:
         hs = list(map(maps.h, vox))
         maps._cut(hs)
         owners = list(map(maps.key, hs))
-        spots: dict[Key, tuple[list, list, list]] = {key: ([], [], []) for key in sorted(set(owners))}
+        maps.tiles = {key: _Tile(n) for key in sorted(set(owners))}
+        spots: dict[Key, tuple[list, list, list]] = {key: ([], [], []) for key in maps.tiles}
         for h, own in zip(hs, owners):
-            for key, p in maps.covering(h, spots):
+            for key, p in maps.covering(h):
                 every, core, earlier = spots[key]
                 every.append(p)
                 if key == own:
@@ -279,7 +272,7 @@ class _Bitmaps:
                 elif own < key:
                     earlier.append(p)
         for key, bits in spots.items():
-            tile = maps.tiles[key] = _Tile(n)
+            tile = maps.tiles[key]
             tile.voxels, core, earlier = map(_bitmap, bits)
             maps._count_classes(tile, (tile.voxels, tile.voxels, core, earlier))
         return maps
@@ -349,18 +342,16 @@ class _Bitmaps:
         return maps
 
     def first(
-        self,
-        listing: Callable[[_Tile], dict[Class, int]],
-        fail: Callable[[Key, _Tile, Class, int], int],
-        checked: int = 0,
+        self, listing: str, i: int, fail: Callable[[Key, _Tile, Class, int], int]
     ) -> tuple[int, tuple[Key, Class, int] | None]:
-        """Walk the cells ``listing`` gives per tile in witness order, a
-        class at a time: ``fail(key, tile, q, bits)`` gives the failing ones
-        of a class's bits. Returns the count checked, up to and with the
-        first failing cell, and where that cell is (key, class, bit); or
-        the count of all and None."""
+        """Walk the cells ``cells`` or ``free`` lists at dimension i in
+        witness order, a class at a time: ``fail(key, tile, q, bits)`` gives
+        the failing ones of a class's bits. Returns the count checked, up to
+        and with the first failing cell, and where that cell is (key, class,
+        bit); or the count of all and None."""
+        checked = 0
         for key, tile in self.tiles.items():
-            for q, bits in listing(tile).items():
+            for q, bits in getattr(tile, listing)[i].items():
                 bad = fail(key, tile, q, bits)
                 if bad:
                     low = bad & -bad
@@ -402,26 +393,23 @@ class _Bitmaps:
     def decode(self, key: Key, q: Class, bits: int) -> Iterator[Cell]:
         """The cells of class q at the set bits of tile ``key``, in bit order.
 
-        A bit splits into its high and low half of the axes (a floor
-        division and a remainder), and each half is looked up in a table of
-        coordinate tuples, so a cell costs two lookups and a concatenation."""
-        positions = _ones(bits)
-        m = self.n >> 1
-        split = self.weights[m - 1] if m else self.weights[0] * self.radix[0]
+        The bits run in the order ``product`` walks the tile's slots (axis 0
+        most significant), so the walk, kept where a bit is set, gives the
+        cells. It costs the slots up to the highest bit set, however few
+        bits are set; a bit past the tile's last slot is dropped."""
         # slot s on axis k is index o + s, coordinate 2 * (o + s) + L + 1 - f
         axes = [
             range(2 * o + L + 1 - f, 2 * (o + r) + L + 1 - f, 2)
             for o, L, f, r in zip(self.origin(key), self.lo, q, self.radix)
         ]
-        high, low = list(product(*axes[:m])), list(product(*axes[m:]))
-        return map(
-            _mk, repeat(Cell),
-            map(add, map(high.__getitem__, map(floordiv, positions, repeat(split))),
-                map(low.__getitem__, map(mod, positions, repeat(split)))),
-        )
+        flags = format(bits, "b").encode().translate(_BITS01)[::-1]
+        return map(_mk, repeat(Cell), compress(product(*axes), flags))
 
     def cell(self, key: Key, q: Class, bit: int) -> Cell:
-        return next(self.decode(key, q, 1 << bit))
+        """The class-q cell at one bit of tile ``key``: slot bit // w_k % r_k
+        on each axis k, read without decoding the rest of the tile."""
+        axes = zip(self.origin(key), self.weights, self.radix, self.lo, q)
+        return _mk(Cell, [2 * (o + bit // w % r) + L + 1 - f for o, w, r, L, f in axes])
 
     def listing(self, listing: str, i: int) -> Iterator[Cell]:
         """The cells ``cells`` or ``free`` lists at dimension i, in witness order."""

@@ -132,16 +132,11 @@ def census_partition(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     maps = cen._bitmaps
     for i in range(n + 1):
         for listing in ("cells", "free"):
-            _, where = maps.first(
-                lambda tile: getattr(tile, listing)[i],
-                lambda key, tile, q, bits: bits if n - sum(q) != i else 0,
-            )
+            _, where = maps.first(listing, i, lambda key, tile, q, bits: bits if n - sum(q) != i else 0)
             if where:
                 cell = maps.cell(*where)
                 return checked, f"dim {i}: listed cell {tuple(cell)} has dimension {cell.dim}"
-        _, where = maps.first(
-            lambda tile: tile.free[i], lambda key, tile, q, bits: bits & ~tile.cells[i].get(q, 0)
-        )
+        _, where = maps.first("free", i, lambda key, tile, q, bits: bits & ~tile.cells[i].get(q, 0))
         if where:
             return checked, f"dim {i}: free cell {tuple(maps.cell(*where))} is not a listed cell"
         for listing, label, want in (("cells", "c", cen.c[i]), ("free", "c*", cen.c_star[i])):
@@ -230,7 +225,7 @@ def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
         hub = hubs.get((key, q), 0)
         return free & ~(hub & counts.equal(4) | ~hub & counts.equal(2))
 
-    checked, where = maps.first(lambda tile: tile.free[n - 2], fail)
+    checked, where = maps.first("free", n - 2, fail)
     if where:
         key, q, bit = where
         got = _cofaces_up(maps, maps.tiles[key], q, n - 2).at(bit)
@@ -287,7 +282,7 @@ def detector_equivalence(obj: DigitalObject, cen: CellCensus) -> _Outcome:
             gap |= pair
         return cells & (gap ^ hubs.get((key, q), 0))
 
-    checked, where = maps.first(lambda tile: tile.cells[n - 2], fail)
+    checked, where = maps.first("cells", n - 2, fail)
     if where:
         return checked, f"cell={tuple(maps.cell(*where))}: detectors disagree"
     return checked, None
@@ -338,7 +333,7 @@ def classification_totality(obj: DigitalObject, cen: CellCensus) -> _Outcome:
         hub = hubs.get((key, q), 0)
         return cells & (empty | ~(tags[HubTag.FULL_BLOCK] ^ free) | tags[HubTag.GAP_TANDEM] ^ hub)
 
-    checked, where = maps.first(lambda tile: tile.cells[n - 2], fail)
+    checked, where = maps.first("cells", n - 2, fail)
     if where:
         key, q, bit = where
         tile, cell = maps.tiles[key], tuple(maps.cell(*where))
@@ -383,7 +378,8 @@ def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> _Outcome:
                 kept &= below
             return free ^ kept
 
-        checked, where = maps.first(lambda tile: tile.free[j], fail, checked)
+        got, where = maps.first("free", j, fail)
+        checked += got
         if where:
             key, q, bit = where
             f = maps.cell(*where)

@@ -41,6 +41,8 @@ class DigitalObject:
     __slots__ = ("_n", "_voxels")
 
     def __init__(self, n: int, voxels: Iterable[Cell] = ()) -> None:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"ambient dimension must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {n}")
         listed = [v if isinstance(v, Cell) else Cell(v) for v in voxels]

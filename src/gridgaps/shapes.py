@@ -74,6 +74,8 @@ class ShapeSpec:
             raise ValueError(f"{self.kind} takes no density")
         elif self.seed is not None:
             raise ValueError(f"{self.kind} takes no seed")
+        if any(isinstance(x, bool) for x in (self.n, self.density, self.seed, *(self.extents or ()))):
+            raise TypeError(f"shape fields must not be bool: {self!r}")
 
 
 def _axis_unit(n: int, axis: int) -> tuple[int, ...]:

@@ -43,7 +43,7 @@ from gridgaps import (
     generate,
     identities,
 )
-from gridgaps.bitmaps import _Bitmaps, _ones
+from gridgaps.bitmaps import _Bitmaps
 from gridgaps.cells import COORD_LIMIT, _mk, _parity
 from gridgaps.gaps import (
     HubTag,
@@ -249,6 +249,11 @@ def assert_identities_match(obj: DigitalObject, cen: CellCensus, probed: Probed)
     return failed
 
 
+def ones(bits: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    return [b for b, digit in enumerate(reversed(format(bits, "b"))) if digit == "1"]
+
+
 def cell_at(maps: _Bitmaps, key, q, b: int) -> Cell:
     """The class-q cell at bit b of tile ``key``, from its definition: slot
     (b // w_k) % r_k on axis k, index origin_k + slot, coordinate
@@ -259,8 +264,9 @@ def cell_at(maps: _Bitmaps, key, q, b: int) -> Cell:
 
 def assert_probes_decode(cen: CellCensus) -> None:
     """Every probe of the census's bitmaps against its per-cell form. A
-    class decodes to the cells its bits define (``cell_at``), and every
-    listed cell to a cell of its listing, in witness order. Every face and
+    class decodes to the cells its bits define (``cell_at``), each bit
+    reads alone as its cell (``_Bitmaps.cell``), and every listed cell
+    decodes to a cell of its listing, in witness order. Every face and
     coface step from a free cell reads the bit of the face or coface in the
     tile's free cells in range: set exactly when it is a listed free cell.
     The bit-sliced coface counts of a listed i-cell, i < n - 1, are its
@@ -273,10 +279,11 @@ def assert_probes_decode(cen: CellCensus) -> None:
         for listing in ("cells", "free", "reach"):
             for i, by_class in enumerate(getattr(tile, listing)):
                 for q, bits in by_class.items():
-                    cells, ones = list(maps.decode(key, q, bits)), _ones(bits)
-                    assert cells == [cell_at(maps, key, q, b) for b in ones]
-                    assert all(type(e) is Cell for e in cells) and maps.cell(key, q, ones[0]) == cells[0]
-                    decoded.setdefault((listing, i), []).extend((key, tile, q, *p) for p in zip(ones, cells))
+                    bs = ones(bits)
+                    cells, alone = list(maps.decode(key, q, bits)), [maps.cell(key, q, b) for b in bs]
+                    assert cells == alone == [cell_at(maps, key, q, b) for b in bs]
+                    assert all(type(e) is Cell for e in cells + alone)
+                    decoded.setdefault((listing, i), []).extend((key, tile, q, *p) for p in zip(bs, cells))
     for i in range(n + 1):
         for listing, sets in (("cells", cen.cells_by_dim), ("free", cen.free_by_dim)):
             got = list(maps.listing(listing, i))

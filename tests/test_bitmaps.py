@@ -30,7 +30,6 @@ from gridgaps import (
     enumerate_all_objects,
 )
 from gridgaps import bitmaps
-from gridgaps.bitmaps import _ones
 from gridgaps.cells import Cell, _mk, _offsets, _parity
 
 from oracles import o_b_boundary
@@ -44,6 +43,7 @@ from references import (
     box_222,
     face_side_sums,
     in_order,
+    ones,
     oracle_sets,
     with_stray,
 )
@@ -74,7 +74,7 @@ def assert_steps_land(maps: bitmaps._Bitmaps) -> Counter:
     for key, tile in maps.tiles.items():
         # the bit of each cell in the tile's bitmaps, decoded once per class
         slots = {p: {e: b for b, e in enumerate(maps.decode(key, p, every))} for p in classes}
-        owned = [(q, b) for by_class in tile.cells for q, bits in by_class.items() for b in _ones(bits)]
+        owned = [(q, b) for by_class in tile.cells for q, bits in by_class.items() for b in ones(bits)]
         for (q, b), flat, k in product(owned, (0, 1), range(n + 1)):
             e, table = maps.cell(key, q, b), maps.steps(q, flat, k)
             assert sorted(d for steps in table.values() for d, _ in steps) == sorted(_offsets(q, flat, k))

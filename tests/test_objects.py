@@ -67,6 +67,12 @@ class TestConstruction:
         with pytest.raises(TypeError):
             DigitalObject.from_centers(2, [(True, 0)])
 
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_non_int_dimension_rejected(self, n):
+        # an n = True object would dump as "dvo True", which loads refuses
+        with pytest.raises(TypeError, match="ambient dimension"):
+            DigitalObject(n, [])
+
     def test_translate_out_of_range_raises(self):
         obj = DigitalObject.from_centers(2, [(0, 0), (1, 1)])
         with pytest.raises(ValueError) as err:

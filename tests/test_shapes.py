@@ -109,6 +109,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ShapeSpec("random", 2, extents=(2, 2), density=0.5, seed=1 << 64)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(kind="single", n=True),
+            dict(kind="random", n=2, extents=(True, 2), density=0.5, seed=1),
+            dict(kind="random", n=2, extents=(2, 2), density=True, seed=1),
+            dict(kind="random", n=2, extents=(2, 2), density=0.5, seed=True),
+        ],
+        ids=["n", "extents", "density", "seed"],
+    )
+    def test_bool_field_rejected(self, fields):
+        with pytest.raises(TypeError, match="bool"):
+            ShapeSpec(**fields)
+
     def test_diagonal_pair_needs_n2(self):
         with pytest.raises(ValueError):
             ShapeSpec("diagonal_pair", 1)
