@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
-from operator import add, mul
+from itertools import chain, combinations, product, repeat
+from operator import add, and_, mul
 from typing import Iterable, Iterator, NamedTuple
 
 #: Construction rejects components beyond this magnitude. Face/coface offsets
@@ -230,7 +230,7 @@ def _offsets(parity: tuple[int, ...], flat: int, k: int) -> tuple[tuple[int, ...
 
 
 def _parity(cell) -> tuple[int, ...]:
-    return tuple(x & 1 for x in cell)
+    return tuple(map(and_, cell, repeat(1)))
 
 
 # Packed cells, for the vertex windows of ``gaps``. One origin lo and one

@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from operator import add, and_, or_, sub
 from typing import NamedTuple
 
@@ -117,7 +117,10 @@ def is_gap(obj: DigitalObject, e: Cell, i: int) -> bool:
     """Direct block inspection: the object meets e's block in a tandem.
 
     Defined for 0 <= i <= n-2. A tandem is exactly two strictly i-adjacent
-    voxels whose intersection is e itself.
+    voxels whose intersection is e itself. Two block voxels, at steps d1
+    and d2 from e, meet in e exactly when they are opposite (d1 = -d2), so
+    that e is their midpoint; any other pair agrees on a flat axis of e, so
+    their intersection extends along it.
     """
     n = obj.n
     if not 0 <= i <= n - 2:
@@ -126,13 +129,10 @@ def is_gap(obj: DigitalObject, e: Cell, i: int) -> bool:
     if len(e) != n or n - sum(parity) != i:
         raise ValueError(f"{e!r} is not an {i}-cell of the {n}-lattice")
     vox = obj.voxels
-    # e's block: its cofaces of dimension n, as plain tuples (a tuple equal
-    # to a voxel hashes and compares as that voxel)
-    members = [tuple(map(add, e, d)) for d in _offsets(parity, 1, n - i)]
-    present = [v for v in members if v in vox]
-    if len(present) != 2:
-        return False
-    return voxel_intersection(present[0], present[1]) == e
+    # the steps to e's block voxels that are present, probed as plain tuples
+    # (a tuple equal to a voxel hashes and compares as that voxel)
+    hit = [d for d in _offsets(parity, 1, n - i) if tuple(map(add, e, d)) in vox]
+    return len(hit) == 2 and not any(map(add, *hit))
 
 
 def is_gap_by_adjacency(obj: DigitalObject, e: Cell) -> bool:
@@ -171,7 +171,7 @@ def count_gaps_oracle(
     if not 0 <= i <= n - 2:
         raise ValueError(f"gap dimension {i} outside [0, {n - 2}]")
     cells = _census_of(obj, cen).cells_by_dim[i]
-    hubs = tuple(sorted(e for e in cells if is_gap(obj, e, i)))
+    hubs = tuple(sorted(compress(cells, map(is_gap, repeat(obj), cells, repeat(i)))))
     return GapReport(i=i, hubs=hubs, g=len(hubs))
 
 

@@ -118,6 +118,20 @@ def owner(maps: _Bitmaps, voxels: frozenset, e) -> tuple[int, ...]:
     return min((tile_of(maps, v) for v in block_voxels if v in voxels), default=tile_of(maps, e))
 
 
+def covering(maps: _Bitmaps, h: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The tiles whose range holds index h, in key order, each with h's bit,
+    from their definition: on a cut axis a tile's range is its core and a
+    halo slot either side, t * side - 1 .. t * side + side, and on a
+    spanning axis it is 0..top; h's slot is its offset from the range's start."""
+    found = []
+    for key in maps.tiles:
+        starts = [t * side - 1 if side else 0 for t, side in zip(key, maps.sides)]
+        ends = [t * side + side if side else top for t, side, top in zip(key, maps.sides, maps.tops)]
+        if all(s <= x <= end for s, x, end in zip(starts, h, ends)):
+            found.append((key, sum((x - s) * w for x, s, w in zip(h, starts, maps.weights))))
+    return found
+
+
 def in_order(cen: CellCensus, cells) -> list[Cell]:
     """The cells in witness order: owning tile, class, then lexicographic."""
     maps = cen._bitmaps

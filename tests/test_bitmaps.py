@@ -1,5 +1,7 @@
 """The tiled bitmap census against the interval oracles, tilings against
-each other, and the step table against the decode of the bits it moves to.
+each other, the step table against the decode of the bits it moves to, and
+the tiles a cell is placed in (``_Bitmaps.covering``) against their
+definition.
 
 A census's bitmaps are cut into tiles only where the object is sparse, so
 the small objects of the other tests are mostly one tile. Here the tiling
@@ -41,10 +43,13 @@ from references import (
     assert_census_matches_oracle,
     assert_probes_decode,
     box_222,
+    covering,
     face_side_sums,
     in_order,
+    index,
     ones,
     oracle_sets,
+    tile_of,
     with_stray,
 )
 
@@ -201,6 +206,37 @@ class TestSparseObjects:
         assert side and maps.sides == (side,) * 3
         assert list(maps.tiles) == sorted({(t // side,) * 3 for t in range(40)})
         assert all(tile.voxels for tile in maps.tiles.values())
+
+
+class TestCovering:
+    @pytest.mark.parametrize("side", [None, 1, 2], ids=["own-tiling", "tiles-of-one", "tiles-of-two"])
+    @pytest.mark.parametrize(
+        "obj",
+        [FAR, TWO_CLUSTERS, LINE40, DIAG8],
+        ids=["far-corners", "two-clusters", "diagonal-n3", "diagonal-n8"],
+    )
+    def test_covering_is_the_tiles_whose_range_holds_the_index(self, obj, side, monkeypatch):
+        if side:
+            monkeypatch.setattr(bitmaps, "_sides", tiled(side))
+        cen = census(obj)
+        maps = cen._bitmaps
+        cells = [e for listing in cen.cells_by_dim for e in listing]
+        # covering reads only the index, which cells of several classes share
+        for h in {index(maps, e) for e in cells}:
+            assert covering(maps, h), h
+            assert list(maps.covering(h)) == covering(maps, h), h
+        if side == 1:
+            # the face above a voxel with no voxel above it is in no tile's
+            # core, only in the voxel's tile's halo
+            assert {tile_of(maps, e) for e in cells} - set(maps.tiles)
+        # one index past the last slot of every tile's range on every axis
+        past = tuple(
+            max(key[k] for key in maps.tiles) * s + s + 1 if s else top + 1
+            for k, (s, top) in enumerate(zip(maps.sides, maps.tops))
+        )
+        assert list(maps.covering(past)) == covering(maps, past) == []
+        voxel = _mk(Cell, (2 * x + L + 1 for x, L in zip(past, maps.lo)))
+        assert maps.place([voxel]) == {}
 
 
 def test_far_diagonal_pair_is_one_small_tile():
