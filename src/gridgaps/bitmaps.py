@@ -191,7 +191,7 @@ class _Bitmaps:
     class, then lexicographically.
     """
 
-    __slots__ = ("n", "lo", "tops", "sides", "radix", "weights", "_half", "_div", "_halo", "tiles", "window")
+    __slots__ = ("n", "lo", "tops", "sides", "radix", "weights", "_half", "tiles", "window")
 
     def __init__(self, n: int, lows: Iterable[int], highs: Iterable[int]) -> None:
         """Bitmaps with no tile yet, whose index fits coordinates
@@ -208,10 +208,6 @@ class _Bitmaps:
         """Choose the tiles for the indices ``points``, and their radix."""
         self.sides = _sides(self.tops, points)
         self.radix = tuple(side + 3 if side else top + 2 for side, top in zip(self.sides, self.tops))
-        # per axis, the divisor giving an index's tile (past every index on a
-        # spanning axis) and the halo slots below a core (1 on a cut axis)
-        self._div = tuple(side or top + 1 for side, top in zip(self.sides, self.tops))
-        self._halo = tuple(min(side, 1) for side in self.sides)
         weights = [1]
         for r in reversed(self.radix[1:]):
             weights.append(weights[-1] * r)
@@ -221,21 +217,23 @@ class _Bitmaps:
         """The cell's index: (x_k - L_k) >> 1 on each axis k."""
         return tuple(map(sub, map(rshift, map(add, cell, repeat(1)), repeat(1)), self._half))
 
-    def key(self, h: Iterable[int]) -> Key:
+    def key(self, h: tuple[int, ...]) -> Key:
         """The tile whose core holds index h."""
-        return tuple(map(floordiv, h, self._div))
+        return tuple(x // side if side else 0 for x, side in zip(h, self.sides))
 
     def origin(self, key: Key) -> tuple[int, ...]:
-        return tuple(map(sub, map(mul, key, self._div), self._halo))
+        return tuple(t * side - 1 if side else 0 for t, side in zip(key, self.sides))
 
     def covering(self, h: tuple[int, ...]) -> Iterator[tuple[Key, int]]:
-        """Each tile whose range holds index h, with h's bit in it: on a cut
-        axis, the tiles whose core holds h - 1, h or h + 1. Those differ only
-        for an index on a core face (h % side is 0 or side - 1), so only
-        then are the neighbour tiles searched."""
-        low, high = self.key(map(sub, h, self._halo)), self.key(map(add, h, self._halo))
-        keys = [low] if low == high else product(*map(range, low, map(add, high, repeat(1))))
-        for key in filter(self.tiles.__contains__, keys):
+        """Each tile whose range holds index h, with h's bit in it. On a cut
+        axis the candidates run from the tile whose core holds h - 1 to the
+        one whose core holds h + 1: h's own tile alone, unless h is on a core
+        face (h % side is 0 or side - 1), where a neighbour's halo may hold it."""
+        axes = [
+            range(-(-x // side) - 1, (x + 1) // side + 1) if side else (0,) * (0 <= x <= top)
+            for x, side, top in zip(h, self.sides, self.tops)
+        ]
+        for key in filter(self.tiles.__contains__, product(*axes)):
             yield key, self.position(h, key)
 
     def position(self, h: tuple[int, ...], key: Key) -> int:
