@@ -125,23 +125,23 @@ class _Counts(list):
 
 @lru_cache(maxsize=1 << 12)
 def _step_table(weights: tuple[int, ...], q: Class, flat: int, k: int) -> dict[Class, Steps]:
-    """``_Bitmaps.steps`` for the radix with these weights, kept per radix."""
-    table = {}
-    for axes in combinations([a for a, f in enumerate(q) if f == flat], k):
-        p = list(q)  # the class reached: q with the axes stepped on switched
-        for a in axes:
-            p[a] ^= 1
-        table[tuple(p)] = _steps_along(weights, axes, flat)
-    return table
-
-
-@lru_cache(maxsize=1 << 12)
-def _steps_along(weights: tuple[int, ...], axes: tuple[int, ...], flat: int) -> Steps:
-    """The steps of +-1 on ``axes`` (``cells._along``) from a cell of parity
-    ``flat`` there, each with its index moves (``_MOVES``) times the weights."""
-    down, up = _MOVES[flat]
-    shifts = map(sum, product(*((down * weights[a], up * weights[a]) for a in axes)))
-    return tuple(zip(_along(len(weights), axes), shifts))
+    """``_Bitmaps.steps`` for the radix with these weights, kept per radix:
+    for each k of q's axes of parity ``flat``, the class reached and the +-1
+    steps on those axes (``cells._along``), each with its shift (``_MOVES``
+    times the weights). The steps on some axes are built once, as the one
+    entry of the class whose only axes of parity ``flat`` they are."""
+    n, pool = len(q), [a for a, f in enumerate(q) if f == flat]
+    top = (1 - flat,) * n
+    if len(pool) == k:
+        down, up = _MOVES[flat]
+        shifts = map(sum, product(*((down * weights[a], up * weights[a]) for a in pool)))
+        return {top: tuple(zip(_along(n, pool), shifts))}
+    return {
+        tuple(f ^ (a in axes) for a, f in enumerate(q)): _step_table(
+            weights, tuple(flat ^ (a not in axes) for a in range(n)), flat, k
+        )[top]
+        for axes in combinations(pool, k)
+    }
 
 
 class _Tile:

@@ -4,11 +4,11 @@ An i-gap sits over an i-cell e when the object meets e's block in exactly two
 voxels that are strictly i-adjacent and intersect precisely in e; e is the
 gap's hub. A free (n-2)-cell that is not a hub is a nub.
 
-The (n-2)-gap count is computed three independent ways: by direct inspection
-of every (n-2)-cell, by the free-cell formula (n-1)*c*_{n-1} - c*_{n-2}, and
-by an equivalent formula over total cell counts and contained blocks. The
-three must agree on every object; a disagreement is an engine bug, never
-valid output.
+The (n-2)-gap count is computed three independent ways: by the vertex-window
+pass below, by the free-cell formula (n-1)*c*_{n-1} - c*_{n-2}, and by an
+equivalent formula over total cell counts and contained blocks. They must
+agree, and ``is_gap`` confirm each hub of the pass; a disagreement is an
+engine bug. ``count_gaps_oracle`` inspects every i-cell, for the tests.
 
 ``classify_cell`` tags one (n-2)-cell by probing its block.
 
@@ -162,10 +162,11 @@ def count_gaps_oracle(
     """Scan every i-cell of the object and collect the gap hubs.
 
     This is the reference counter: it works for every i in [0, n-2], the
-    dimensions below n-2 having no known closed form. It is the one loop
-    over ``is_gap``, and nothing is kept between calls. The scan covers all
-    i-cells, free or not, so its count never relies on the census's
-    freeness; only the i-cells are read from ``cen``.
+    dimensions below n-2 having no known closed form; the tests compare
+    the other routes with it, and ``verify`` does not call it. Nothing is
+    kept between calls. The scan covers all i-cells, free or not, so its
+    count never relies on the census's freeness; only the i-cells are read
+    from ``cen``.
     """
     n = obj.n
     if not 0 <= i <= n - 2:
@@ -356,8 +357,8 @@ def _window_counts(obj: DigitalObject) -> _WindowCounts:
     divided by 2^i. The (n-2)-cells' tags and hubs are read as
     ``classification_histogram`` reads them.
 
-    This is the route behind ``count``; ``census`` and ``count_gaps_oracle``
-    are the references ``verify`` compares it with.
+    This is the route behind ``count``; ``verify`` compares it with the
+    census and the two formulas, and confirms each hub with ``is_gap``.
     """
     n = obj.n
     fmt, windows = _windows(obj)

@@ -13,6 +13,8 @@ cell in witness order (tile key, class, bit). They name a step by its cell
 offset, as ``cells._offsets`` gives it; the bitmaps' step table
 (``_Bitmaps.steps``) says which class it reaches and how far it moves a
 bit, and ``_Bitmaps.at`` moves a bitmap that far.
+No identity scans cells with ``is_gap``; gap-triple-agreement runs it on
+the vertex-window pass's hubs alone.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .gaps import (
     _window_counts,
     count_gaps_block_formula,
     count_gaps_formula,
-    count_gaps_oracle,
+    is_gap,
 )
 # census stays bound here: perfbench's tracer wraps it and checks it is restored
 from .objects import CellCensus, DigitalObject, _census_of, census  # noqa: F401
@@ -236,25 +238,20 @@ def hub_nub_degree(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 
 @_identity("gap-triple-agreement", codim2=True)
 def gap_triple_agreement(obj: DigitalObject, cen: CellCensus) -> _Outcome:
-    """Direct scan, free-cell formula and block formula count the same gaps,
-    and the vertex-window pass behind ``count`` finds the scan's hubs. This
-    is the one identity that runs the ``is_gap`` scan; a listed cell it
-    refuses is this identity's failure."""
-    try:
-        scan = count_gaps_oracle(obj, obj.n - 2, cen).hubs
-    except ValueError as err:
-        return 1, str(err)
-    g = len(scan)
+    """The vertex-window pass behind ``count`` finds as many hubs as both
+    formulas count gaps, none twice, and ``is_gap`` confirms each, so they
+    are the object's gaps. A hub that ``is_gap`` would refuse fails here."""
+    n = obj.n
+    hubs = sorted(_window(obj, cen._bitmaps)[0].hubs)
     formula = count_gaps_formula(obj, cen)
     block_formula = count_gaps_block_formula(obj, cen)
-    if not g == formula == block_formula:
-        return 1, f"scan={g} formula={formula} block-formula={block_formula}"
-    hubs = _window(obj, cen._bitmaps)[0].hubs
-    if hubs != scan:
-        win_only, scan_only = (
-            sorted(map(tuple, set(a) - set(b)))[:3] for a, b in ((hubs, scan), (scan, hubs))
-        )
-        return 1, f"window hubs={len(hubs)} scan={g}; only window {win_only} only scan {scan_only}"
+    if not len(hubs) == formula == block_formula:
+        return 1, f"window hubs={len(hubs)} formula={formula} block-formula={block_formula}"
+    for e, before in zip(hubs, [None, *hubs]):
+        if e == before:
+            return 1, f"window hub {tuple(e)} is listed twice"
+        if len(e) != n or e.dim != n - 2 or not is_gap(obj, e, n - 2):
+            return 1, f"window hub {tuple(e)} is not a gap"
     return 1, None
 
 

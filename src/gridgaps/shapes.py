@@ -74,8 +74,9 @@ class ShapeSpec:
             raise ValueError(f"{self.kind} takes no density")
         elif self.seed is not None:
             raise ValueError(f"{self.kind} takes no seed")
-        if any(isinstance(x, bool) for x in (self.n, self.density, self.seed, *(self.extents or ()))):
-            raise TypeError(f"shape fields must not be bool: {self!r}")
+        ints = (self.n, self.seed, *(self.extents or ()))
+        if isinstance(self.density, bool) or any(x is not None and type(x) is not int for x in ints):
+            raise TypeError(f"n, extents and seed must be integers, and no field a bool: {self!r}")
 
 
 def _axis_unit(n: int, axis: int) -> tuple[int, ...]:

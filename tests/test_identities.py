@@ -1,12 +1,14 @@
-"""The identity suite's results, and its one (n-2)-gap scan.
+"""The identity suite's results, and its hubs from one vertex-window pass.
 
-Only gap-triple-agreement runs the ``is_gap`` scan; hub-nub-degree,
-detector-equivalence and classification-totality test hubness against the
-vertex-window pass's hubs, mapped into the census's bitmaps. The pass runs
-once per census and is kept with it, so an equal object checked with a
-census of its own runs its own pass. A failing identity names the first
-failing cell in witness order (tile key, class, bit; ``bitmaps._Bitmaps``).
-The census doctors come from ``references.py``.
+No identity scans the (n-2)-cells with ``is_gap``: gap-triple-agreement
+counts the pass's hubs against both formulas and runs ``is_gap`` on each
+hub alone; hub-nub-degree, detector-equivalence and
+classification-totality test hubness against those hubs, mapped into the
+census's bitmaps. The pass runs once per census and is kept with it, so
+an equal object checked with a census of its own runs its own pass. A
+failing identity names the first failing cell in witness order (tile
+key, class, bit; ``bitmaps._Bitmaps``). The census doctors come from
+``references.py``.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class TestFailureResults:
                 lambda cen: with_count_off(cen, "c_star", 2),
                 "gap-triple-agreement",
                 1,
-                "scan=1 formula=3 block-formula=1",
+                "window hubs=1 formula=3 block-formula=1",
             ),
             (
                 hub_nub_degree,
@@ -143,11 +145,11 @@ class TestFailureResults:
     @pytest.mark.parametrize(
         "hubs, detail",
         [
-            ((), "window hubs=0 scan=1; only window [] only scan [(1, 1, 0)]"),
-            (
-                (Cell((-1, 1, 0)), Cell((1, 1, 0))),
-                "window hubs=2 scan=1; only window [(-1, 1, 0)] only scan []",
-            ),
+            ((), "window hubs=0 formula=1 block-formula=1"),
+            ((Cell((-1, 1, 0)), Cell((1, 1, 0))), "window hubs=2 formula=1 block-formula=1"),
+            # the count holds, so only is_gap on each hub sees these
+            ((Cell((-1, 1, 0)),), "window hub (-1, 1, 0) is not a gap"),
+            ((Cell((1, 1, 1)),), "window hub (1, 1, 1) is not a gap"),
         ],
     )
     def test_window_hubs_disagree(self, monkeypatch, hubs, detail):
@@ -155,6 +157,15 @@ class TestFailureResults:
         monkeypatch.setattr(identities, "_window_counts", lambda obj: doctored)
         result = gap_triple_agreement(DIAG3, census(DIAG3))
         assert result == IdentityResult("gap-triple-agreement", False, 1, PREFIX + detail)
+
+    def test_window_hub_listed_twice(self, monkeypatch):
+        # DIAG3 and a far copy have two hubs; a pass that lists the first
+        # twice and drops the second has the right count of true gaps
+        obj = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (8, 7, 0), (9, 8, 0)])
+        doctored = gaps._window_counts(obj)._replace(hubs=(Cell((1, 1, 0)),) * 2)
+        monkeypatch.setattr(identities, "_window_counts", lambda obj: doctored)
+        result = gap_triple_agreement(obj, census(obj))
+        assert result.witness.partition("; ")[2] == "window hub (1, 1, 0) is listed twice"
 
     def test_detector_disagreement(self, monkeypatch):
         # the window pass loses its one hub, which the adjacency conditions
@@ -221,7 +232,7 @@ class TestFailureResults:
                 "gap-triple-agreement",
                 False,
                 1,
-                prefix + "window hubs=2 scan=1; only window [(17, 15, 0)] only scan []",
+                prefix + "window hubs=2 formula=1 block-formula=1",
             ),
             IdentityResult("detector-equivalence", True, 23),
             IdentityResult(
@@ -239,9 +250,9 @@ class TestFailureResults:
 
     def test_facet_listed_as_an_n_minus_2_cell(self):
         # the greatest facet of a random 4-D object listed among its
-        # 2-cells: it has one flat axis, so its class has no block corners,
-        # census-partition names its dimension, and the scan's refusal is a
-        # failure
+        # 2-cells: it has one flat axis, so its class has no block corners
+        # and census-partition names its dimension; gap-triple-agreement
+        # reads the window pass's hubs, not the listing, and passes
         cen = census(RANDOM4)
         doctored = with_listing(cen, 2, cells=cen.cells_by_dim[2] | {max(cen.cells_by_dim[3])})
         assert doctored._bitmaps.count("cells", 2) == 654
@@ -251,9 +262,7 @@ class TestFailureResults:
         assert got["census-partition"] == (
             False, 5, "dim 2: listed cell (5, 4, 2, 4) has dimension 3"
         )
-        assert got["gap-triple-agreement"] == (
-            False, 1, "Cell(5, 4, 2, 4) is not an 2-cell of the 4-lattice"
-        )
+        assert got["gap-triple-agreement"] == (True, 1, "")
         # its class (1, 0, 0, 0) comes after the three classes of 2-cells
         # that extend along axis 0 and before the three flat on it
         assert got["classification-totality"] == (
@@ -350,6 +359,8 @@ def _direct_hubs(obj: DigitalObject, cells) -> tuple[Cell, ...]:
 
 class TestOneScan:
     def test_check_object_scans_each_cell_once(self, monkeypatch):
+        # is_gap runs once per window hub, in order, and on no other cell;
+        # both bindings are counted, so a scan through either comes back here
         obj = DigitalObject.from_centers(
             3, [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 1), (7, 3, 5)]
         )
@@ -361,15 +372,16 @@ class TestOneScan:
             return real(*args)
 
         monkeypatch.setattr(gaps, "is_gap", counted)
-        cen = census(obj)
-        assert all(r.passed for r in check_object(obj, cen))
-        assert len(calls) == cen.c[1]
+        monkeypatch.setattr(identities, "is_gap", counted)
+        assert all(r.passed for r in check_object(obj))
+        assert calls == [Cell((1, 1, 0)), Cell((3, 1, 2))] == list(gaps._window_counts(obj).hubs)
 
     def test_hub_identities_run_no_scan(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("is_gap called")
 
         monkeypatch.setattr(gaps, "is_gap", refuse)
+        monkeypatch.setattr(identities, "is_gap", refuse)
         obj = DigitalObject.from_centers(3, [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 1)])
         cen = census(obj)
         for identity in (hub_nub_degree, detector_equivalence, classification_totality):

@@ -126,13 +126,18 @@ class TestDirectView:
             4, [(0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 0, 0), (2, 2, 1, 1), (3, 3, 1, 1)]
         )
         cen = census(obj)
+
+        def decoded():
+            return [
+                [i for i, cells in enumerate(sets._sets) if cells is not None]
+                for sets in (cen.cells_by_dim, cen.free_by_dim)
+            ]
+
+        # verify decodes no listing; the reference scan decodes the (n-2)-cells alone
         assert all(r.passed for r in check_object(obj, cen))
+        assert decoded() == [[], []]
         assert count_gaps_oracle(obj, obj.n - 2, cen).g == 1
-        decoded = [
-            [i for i, cells in enumerate(sets._sets) if cells is not None]
-            for sets in (cen.cells_by_dim, cen.free_by_dim)
-        ]
-        assert decoded == [[obj.n - 2], []]
+        assert decoded() == [[obj.n - 2], []]
 
 
 def test_census_is_freed_without_the_cycle_collector():

@@ -123,6 +123,20 @@ class TestSpecValidation:
         with pytest.raises(TypeError, match="bool"):
             ShapeSpec(**fields)
 
+    @pytest.mark.parametrize(
+        "args, fields",
+        [
+            (("box", 2.0), dict(extents=(2, 2))),
+            (("box", 2), dict(extents=(2.0, 2))),
+            (("random", 2, (2, 2), 0.5, 1.5), {}),
+        ],
+        ids=["n", "extents", "seed"],
+    )
+    def test_non_int_field_rejected(self, args, fields):
+        # each passes the range checks, so only the type check refuses it
+        with pytest.raises(TypeError, match="must be integers"):
+            ShapeSpec(*args, **fields)
+
     def test_diagonal_pair_needs_n2(self):
         with pytest.raises(ValueError):
             ShapeSpec("diagonal_pair", 1)
