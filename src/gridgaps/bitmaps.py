@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
 from math import prod
-from operator import add, floordiv, mul, rshift, sub
+from operator import contains, floordiv, itemgetter, mul, rshift, sub
 from typing import Callable, Iterable, Iterator
 
 from .cells import Cell, _along, _mk, _parity
@@ -40,6 +40,8 @@ Key = tuple[int, ...]
 Offset = tuple[int, ...]
 #: steps, each with its shift (``_Bitmaps.steps``)
 Steps = tuple[tuple[Offset, int], ...]
+#: indices or coordinates, a column per axis (``_Bitmaps.indices``)
+Columns = list[list[int]]
 #: the step rule: a -1 and a +1 step on an axis move a cell's index by 0 and
 #: 1 from a cell extending on the axis (0), by -1 and 0 from one flat on it (1)
 _MOVES = ((0, 1), (-1, 0))
@@ -47,9 +49,7 @@ _MOVES = ((0, 1), (-1, 0))
 
 def _bitmap(positions: list[int]) -> int:
     """The int with the bits at ``positions`` set, built in a byte buffer."""
-    if not positions:
-        return 0
-    buf = bytearray((max(positions) >> 3) + 1)
+    buf = bytearray((max(positions, default=-1) >> 3) + 1)
     for p in positions:
         buf[p >> 3] |= 1 << (p & 7)
     return int.from_bytes(buf, "little")
@@ -72,21 +72,19 @@ def _block(h: tuple[int, ...], q: Class) -> Iterator[tuple[int, ...]]:
     return product(*((x + down, x + up) if f else (x,) for x, f in zip(h, q)))
 
 
-def _sides(tops: tuple[int, ...], points: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _sides(tops: tuple[int, ...], columns: Columns) -> tuple[int, ...]:
     """The core side of the tiles on each axis, 0 where one tile spans it.
 
     Axis k's indices run 0..tops[k]. A spanning axis has radix top + 2 (one
     guard slot); an axis cut at side T has T + 3 (a halo slot either side
     and a guard). Each tile is charged its bits, but at least
     ``TILE_BITS``, and the layout charged least for the tiles that hold
-    ``points`` wins: one tile, or sides T = 1, 2, 4, ... on the axes longer
-    than T. Past the T whose tiles reach ``TILE_BITS`` bits, doubling T
-    doubles a tile's bits per cut axis and at best halves the tiles, so
-    the search stops there.
+    the points (``columns[k]`` holds their indices on axis k) wins: one
+    tile, or sides T = 1, 2, 4, ... on the axes longer than T. Past the T
+    whose tiles reach ``TILE_BITS`` bits, doubling T doubles a tile's bits
+    per cut axis and at best halves the tiles, so the search stops there.
     """
-    n = len(tops)
-    best, sides = max(prod(top + 2 for top in tops), TILE_BITS), (0,) * n
-    columns = list(zip(*points))
+    best, sides = max(prod(top + 2 for top in tops), TILE_BITS), (0,) * len(tops)
     side = 1
     while columns and side <= max(tops):
         cut = [top >= side for top in tops]
@@ -94,10 +92,9 @@ def _sides(tops: tuple[int, ...], points: list[tuple[int, ...]]) -> tuple[int, .
         charge = max(bits, TILE_BITS)
         # a core holds at most this many points, which bounds the tiles from below
         room = prod(side if c else top + 1 for c, top in zip(cut, tops))
-        if -(-len(points) // room) * charge < best:
+        if -(-len(columns[0]) // room) * charge < best:
             cols = (map(floordiv, col, repeat(side)) if c else repeat(0) for col, c in zip(columns, cut))
-            keys = zip(*cols)
-            charged = len(set(keys)) * charge
+            charged = len(set(zip(*cols))) * charge
             if charged < best:
                 best, sides = charged, tuple(side if c else 0 for c in cut)
         if bits >= TILE_BITS:
@@ -153,13 +150,14 @@ class _Tile:
     ``reach`` may also hold bits in the guard slot of a cut axis, which no
     step from an owned cell reads."""
 
-    __slots__ = ("voxels", "cells", "free", "reach")
+    __slots__ = ("base", "voxels", "cells", "free", "reach")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, base: int) -> None:
+        #: the dot product of the tile's origin with the weights
+        self.base = base
         self.voxels = 0
-        self.cells: list[dict[Class, int]] = [{} for _ in range(n + 1)]
-        self.free: list[dict[Class, int]] = [{} for _ in range(n + 1)]
-        self.reach: list[dict[Class, int]] = [{} for _ in range(n + 1)]
+        #: per dimension, each class's bitmap (``list[dict[Class, int]]``)
+        self.cells, self.free, self.reach = ([{} for _ in range(n + 1)] for _ in range(3))
 
 
 class _Bitmaps:
@@ -185,66 +183,98 @@ class _Bitmaps:
     An owned cell's block voxels, and each face and coface it steps to, lie
     in the owner's range.
 
+    Placement. A voxel or hub goes to the tile whose core holds it (on a
+    cut axis h // side, else 0), at its dot product with the weights less
+    the tile's ``base``. ``covering`` finds the neighbours whose halo also
+    holds it, and is called only for an index on a core face of a cut axis
+    (h % side is 0 or side - 1): never on one tile.
+
     Witness order. The identities walk cells in one order: by owning tile's
     key, then by class (its parity tuple), then by bit, so each names the
     first failing cell in that order. An object of one tile is ordered by
     class, then lexicographically.
     """
 
-    __slots__ = ("n", "lo", "tops", "sides", "radix", "weights", "_half", "tiles", "window")
+    __slots__ = ("n", "lo", "tops", "sides", "radix", "weights", "tiles", "window")
 
     def __init__(self, n: int, lows: Iterable[int], highs: Iterable[int]) -> None:
         """Bitmaps with no tile yet, whose index fits coordinates
         lows[k]..highs[k] on each axis k."""
         self.n = n
         self.lo = tuple((x - 1) | 1 for x in lows)
-        self._half = tuple((L + 1) >> 1 for L in self.lo)
         self.tops = self.h(highs)
-        self.tiles: dict[Key, _Tile] = {}
         #: (object, its window pass, the pass's hubs as bitmaps per (tile, class)), kept by ``identities``
         self.window: tuple | None = None
 
-    def _cut(self, points: list[tuple[int, ...]]) -> None:
-        """Choose the tiles for the indices ``points``, and their radix."""
-        self.sides = _sides(self.tops, points)
+    def _cut(self, columns: Columns) -> None:
+        """Choose the tiles for the indices ``columns`` (``indices``), and
+        make those whose cores hold them."""
+        self.sides = _sides(self.tops, columns)
         self.radix = tuple(side + 3 if side else top + 2 for side, top in zip(self.sides, self.tops))
-        weights = [1]
-        for r in reversed(self.radix[1:]):
-            weights.append(weights[-1] * r)
-        self.weights = tuple(reversed(weights))
+        self.weights = tuple(prod(self.radix[k + 1:]) for k in range(self.n))
+        self.tiles: dict[Key, _Tile] = {
+            key: _Tile(self.n, sum(map(mul, self.origin(key), self.weights))) for key in sorted(set(self._keys(columns)))
+        }
 
     def h(self, cell: Iterable[int]) -> tuple[int, ...]:
         """The cell's index: (x_k - L_k) >> 1 on each axis k."""
-        return tuple(map(sub, map(rshift, map(add, cell, repeat(1)), repeat(1)), self._half))
+        return tuple(map(rshift, map(sub, cell, self.lo), repeat(1)))
 
-    def key(self, h: tuple[int, ...]) -> Key:
-        """The tile whose core holds index h."""
-        return tuple(x // side if side else 0 for x, side in zip(h, self.sides))
+    def indices(self, columns: Iterable[Iterable[int]]) -> Columns:
+        """``h`` of cells given as a column per axis, a column per axis."""
+        return [list(map(rshift, map(sub, col, repeat(L)), repeat(1))) for col, L in zip(columns, self.lo)]
 
     def origin(self, key: Key) -> tuple[int, ...]:
         return tuple(t * side - 1 if side else 0 for t, side in zip(key, self.sides))
 
     def covering(self, h: tuple[int, ...]) -> Iterator[tuple[Key, int]]:
-        """Each tile whose range holds index h, with h's bit in it. On a cut
-        axis the candidates run from the tile whose core holds h - 1 to the
-        one whose core holds h + 1: h's own tile alone, unless h is on a core
-        face (h % side is 0 or side - 1), where a neighbour's halo may hold it."""
+        """Each tile whose range holds index h, in key order, with h's bit in
+        it. On a cut axis the candidates run from the tile whose core holds
+        h - 1 to the one whose core holds h + 1: h's own tile alone, unless h
+        is on a core face (h % side is 0 or side - 1), where a neighbour's
+        halo may hold it. It walks the candidates or the tiles, whichever
+        are fewer."""
         axes = [
             range(-(-x // side) - 1, (x + 1) // side + 1) if side else (0,) * (0 <= x <= top)
             for x, side, top in zip(h, self.sides, self.tops)
         ]
-        for key in filter(self.tiles.__contains__, product(*axes)):
-            yield key, self.position(h, key)
+        for key in self.tiles if prod(map(len, axes)) > len(self.tiles) else product(*axes):
+            if key in self.tiles and all(map(contains, axes, key)):
+                yield key, self.position(h, key)
 
     def position(self, h: tuple[int, ...], key: Key) -> int:
-        return sum(map(mul, map(sub, h, self.origin(key)), self.weights))
+        """Index h's bit in tile ``key``: its dot product with the weights,
+        less the tile's ``base``."""
+        return sum(map(mul, h, self.weights)) - self.tiles[key].base
+
+    def _keys(self, columns: Columns) -> Iterator[Key]:
+        """The key of the tile whose core holds each index: on a spanning
+        axis 0 inside 0..top, and no tile's outside it."""
+        return zip(*(
+            map(floordiv, col, repeat(side or top + 1)) for col, side, top in zip(columns, self.sides, self.tops)
+        ))
+
+    def _placed(self, columns: Columns) -> Iterator[tuple[Key, Iterable]]:
+        """Each index's own tile key, and the tiles whose range holds it with
+        its bit in each (as ``covering`` gives them). An index inside its own
+        tile's core is in that tile alone, at ``position``; only one on a
+        core face of a cut axis calls ``covering``."""
+        faces = [[x % side in (0, side - 1) for x in col] for col, side in zip(columns, self.sides) if side]
+        for h, key, face in zip(zip(*columns), self._keys(columns), map(any, zip(repeat(0), *faces))):
+            if face:
+                yield key, self.covering(h)
+            elif key in self.tiles:  # ``position``, without a call per index
+                yield key, ((key, sum(map(mul, h, self.weights)) - self.tiles[key].base),)
+            else:
+                yield key, ()
 
     def place(self, cells: Iterable[Cell]) -> dict[tuple[Key, Class], int]:
         """The cells as bitmaps, per tile and class, in every tile whose
-        range holds them; the rest are dropped."""
-        spots: dict[tuple[Key, Class], list[int]] = {}
-        for e in cells:
-            for key, p in self.covering(self.h(e)):
+        range holds them (``_placed``); the rest are dropped."""
+        cells = list(cells)
+        spots = {}
+        for e, (_, placed) in zip(cells, self._placed(self.indices(zip(*cells)))):
+            for key, p in placed:
                 spots.setdefault((key, _parity(e)), []).append(p)
         return {spot: _bitmap(positions) for spot, positions in spots.items()}
 
@@ -258,16 +288,16 @@ class _Bitmaps:
         way from the voxels of its core, less those from the voxels of
         tiles earlier in key order."""
         vox = list(voxels)
-        cols = list(zip(*vox)) or [(0,)] * n
+        # a column per axis: zip(*vox) would make an iterator per voxel, and
+        # that many new objects wake the garbage collector
+        cols = [list(map(itemgetter(k), vox)) for k in range(n)]
         # the cells reach one step past the voxels
-        maps = cls(n, map(min, cols), [max(col) + bool(vox) for col in cols])
-        hs = list(map(maps.h, vox))
-        maps._cut(hs)
-        owners = list(map(maps.key, hs))
-        maps.tiles = {key: _Tile(n) for key in sorted(set(owners))}
-        spots: dict[Key, tuple[list, list, list]] = {key: ([], [], []) for key in maps.tiles}
-        for h, own in zip(hs, owners):
-            for key, p in maps.covering(h):
+        maps = cls(n, [min(col, default=0) for col in cols], [max(col, default=-1) + 1 for col in cols])
+        columns = maps.indices(cols)
+        maps._cut(columns)
+        spots = {key: ([], [], []) for key in maps.tiles}
+        for own, placed in maps._placed(columns):
+            for key, p in placed:
                 every, core, earlier = spots[key]
                 every.append(p)
                 if key == own:
@@ -316,25 +346,23 @@ class _Bitmaps:
         listed = [list(cells) for cells in (*cells_by_dim, *free_by_dim)]
         cols = list(zip(*(e for cells in listed for e in cells))) or [(0,)] * n
         maps = cls(n, map(min, cols), map(max, cols))
-        zero = (0,) * n
-        voxels = [v for v in listed[n] if _parity(v) == zero]
+        voxels = [v for v in listed[n] if not any(_parity(v))]
         vox = list(map(maps.h, voxels))
         present = frozenset(vox)
         # each cell with its index and the indices of its block voxels present
         spots = [[(e, h, [v for v in _block(h, _parity(e)) if v in present])
                   for e, h in zip(cells, map(maps.h, cells))] for cells in listed]
-        # the tiles are chosen for the voxels and for the cells with none
-        maps._cut([*vox, *(h for cells in spots for _, h, block in cells if not block)])
+        # the tiles are chosen, and made, for the voxels and for the cells with none
+        maps._cut(list(zip(*vox, *(h for cells in spots for _, h, block in cells if not block))))
         # each cell is owned by the first tile holding one of its block
         # voxels, else by the tile holding it
-        owned: dict[tuple[str, int, Key, Class], list[int]] = {}
+        keyed = dict(zip(vox, maps._keys(list(zip(*vox)))))
+        owned = {}
         for s, cells in enumerate(spots):
             for e, h, block in cells:
-                key = min(map(maps.key, block), default=maps.key(h))
+                key = min(map(keyed.get, block)) if block else next(maps._keys(zip(h)))
                 spot = ("cells" if s <= n else "free", s % (n + 1), key, _parity(e))
                 owned.setdefault(spot, []).append(maps.position(h, key))
-        for key in sorted({key for _, _, key, _ in owned}):
-            maps.tiles[key] = _Tile(n)
         for (listing, i, key, q), positions in sorted(owned.items()):
             getattr(maps.tiles[key], listing)[i][q] = _bitmap(positions)
         for (key, _), bits in maps.place(voxels).items():

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import replace
 from math import prod
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from . import dvo
 from .gaps import (
@@ -63,11 +63,12 @@ def _load(path: str) -> DigitalObject:
     return dvo.load(path, _check_caps)
 
 
-def _emit(payload: dict[str, Any], as_json: bool, text: str) -> None:
+def _emit(payload: dict[str, Any], as_json: bool, text: Callable[[], str]) -> None:
+    """Write the payload as JSON, or else the text report, built only then."""
     if as_json:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text())
 
 
 def build_count_report(obj: DigitalObject, include_hubs: bool = False) -> dict[str, Any]:
@@ -134,7 +135,7 @@ def _count_text(report: dict[str, Any]) -> str:
 def cmd_count(args: argparse.Namespace) -> int:
     obj = _load(args.file)
     report = build_count_report(obj, include_hubs=args.hubs)
-    _emit(report, args.json, _count_text(report))
+    _emit(report, args.json, lambda: _count_text(report))
     return EXIT_OK if report["agreement"] else EXIT_DISAGREEMENT
 
 
@@ -147,13 +148,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "total": sum(hist.values()),
         "histogram": {tag.value: hist[tag] for tag in HubTag},
     }
-    lines = [
-        f"classification of {payload['cell_dim']}-cells"
-        f" (total {payload['total']}):"
-    ]
-    for tag in HubTag:
-        lines.append(f"  {tag.value:<18} {hist[tag]}")
-    _emit(payload, args.json, "\n".join(lines) + "\n")
+    def text() -> str:
+        lines = [
+            f"classification of {payload['cell_dim']}-cells"
+            f" (total {payload['total']}):"
+        ]
+        for tag in HubTag:
+            lines.append(f"  {tag.value:<18} {hist[tag]}")
+        return "\n".join(lines) + "\n"
+
+    _emit(payload, args.json, text)
     return EXIT_OK
 
 
@@ -217,17 +221,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "identities": summary,
         "passed": all_passed,
     }
-    lines = []
-    for name, agg in summary.items():
-        if agg["passed"]:
-            lines.append(f"PASS {name} (checked {agg['checked']})")
-        else:
-            lines.append(f"FAIL {name}: {agg['witness']}")
-    lines.append(
-        f"{'all identities hold' if all_passed else 'IDENTITY FAILURE'}"
-        f" on {objects} object(s)"
-    )
-    _emit(payload, args.json, "\n".join(lines) + "\n")
+    def text() -> str:
+        lines = []
+        for name, agg in summary.items():
+            if agg["passed"]:
+                lines.append(f"PASS {name} (checked {agg['checked']})")
+            else:
+                lines.append(f"FAIL {name}: {agg['witness']}")
+        lines.append(
+            f"{'all identities hold' if all_passed else 'IDENTITY FAILURE'}"
+            f" on {objects} object(s)"
+        )
+        return "\n".join(lines) + "\n"
+
+    _emit(payload, args.json, text)
     return EXIT_OK if all_passed else EXIT_DISAGREEMENT
 
 

@@ -1,7 +1,8 @@
 """The tiled bitmap census against the interval oracles, tilings against
 each other, the step table against the decode of the bits it moves to, and
-the tiles a cell is placed in (``_Bitmaps.covering``) against their
-definition.
+the tiles a cell is placed in (``_Bitmaps.covering``, ``of_voxels`` and
+``place``) against their definition, with the neighbour search
+(``covering``) called only for an index on a core face of a cut axis.
 
 A census's bitmaps are cut into tiles only where the object is sparse, so
 the small objects of the other tests are mostly one tile. Here the tiling
@@ -17,6 +18,7 @@ tiles of one the oracle and rebuilt-bitmap checks run here.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from math import prod
 
@@ -26,12 +28,15 @@ from hypothesis import strategies as st
 
 from gridgaps import (
     DigitalObject,
+    ShapeSpec,
     c_bounding,
     census,
     check_object,
     enumerate_all_objects,
+    generate,
 )
-from gridgaps import bitmaps
+from gridgaps import bitmaps, identities
+from gridgaps.gaps import _window_counts
 from gridgaps.cells import Cell, _mk, _offsets, _parity
 
 from oracles import o_b_boundary
@@ -243,3 +248,141 @@ def test_far_diagonal_pair_is_one_small_tile():
     # the box is spanned by the two voxels' cells alone, whatever their coordinates
     maps = census(FAR_DIAG3)._bitmaps
     assert (len(maps.tiles), maps.sides, maps.radix) == (1, (0, 0, 0), (4, 4, 3))
+
+
+def placed(maps: bitmaps._Bitmaps, cells) -> dict:
+    """``_Bitmaps.place`` from its definition: each cell's bit in each tile
+    whose range holds its index (``references.covering``), per tile and class."""
+    spots: dict = {}
+    for e in cells:
+        for key, p in covering(maps, index(maps, e)):
+            spots[key, _parity(e)] = spots.get((key, _parity(e)), 0) | 1 << p
+    return spots
+
+
+def assert_voxels_placed(obj: DigitalObject, maps: bitmaps._Bitmaps) -> None:
+    """``of_voxels`` against a placement from the definition: a tile for each
+    core that holds a voxel, in key order; each voxel in each tile whose
+    range holds it, and counted for that tile's core if the tile's core
+    holds it, or as an earlier tile's if its own tile comes first. A tile
+    built from these chains must hold the census tile's cells."""
+    assert list(maps.tiles) == sorted({tile_of(maps, v) for v in obj.voxels})
+    chains: dict = {}
+    for v in obj.voxels:
+        own = tile_of(maps, v)
+        for key, p in covering(maps, index(maps, v)):
+            chain = chains.setdefault(key, [0, 0, 0])
+            chain[0] |= 1 << p
+            if key == own:
+                chain[1] |= 1 << p
+            elif own < key:
+                chain[2] |= 1 << p
+    assert {key: tile.voxels for key, tile in maps.tiles.items()} == {key: c[0] for key, c in chains.items()}
+    for key, (every, core, earlier) in chains.items():
+        tile = bitmaps._Tile(maps.n, maps.tiles[key].base)
+        maps._count_classes(tile, (every, every, core, earlier))
+        got = maps.tiles[key]
+        assert (tile.cells, tile.free, tile.reach) == (got.cells, got.free, got.reach), key
+
+
+def on_core_face(maps: bitmaps._Bitmaps, e) -> bool:
+    """Whether the cell's index is on a core face of a cut axis."""
+    return any(x % s in (0, s - 1) for x, s in zip(index(maps, e), maps.sides) if s)
+
+
+RANDOM_ONE_TILE = [generate(ShapeSpec("random", n, (3,) * n, 0.5, 2)) for n in range(2, 7)]
+TILINGS = pytest.mark.parametrize("side", [None, 1, 2], ids=["own-tiling", "tiles-of-one", "tiles-of-two"])
+SPARSE = pytest.mark.parametrize(
+    "obj", [FAR, TWO_CLUSTERS, LINE40, DIAG8], ids=["far-corners", "two-clusters", "diagonal-n3", "diagonal-n8"]
+)
+
+
+class TestPlacement:
+    @TILINGS
+    @SPARSE
+    def test_sparse_objects_are_placed_by_the_definition(self, obj, side, monkeypatch):
+        if side:
+            monkeypatch.setattr(bitmaps, "_sides", tiled(side))
+        cen = census(obj)
+        maps = cen._bitmaps
+        assert_voxels_placed(obj, maps)
+        hubs = _window_counts(obj).hubs
+        assert maps.place(hubs) == placed(maps, hubs)
+        # every listed cell, of every class, in every tile whose range holds it
+        cells = [e for listing in cen.cells_by_dim for e in listing]
+        assert maps.place(cells) == placed(maps, cells)
+
+    @pytest.mark.parametrize("obj", RANDOM_ONE_TILE, ids=[f"n{n}" for n in range(2, 7)])
+    def test_one_tile_objects_are_placed_by_the_definition(self, obj):
+        cen = census(obj)
+        maps = cen._bitmaps
+        assert len(maps.tiles) == 1 and not any(maps.sides)
+        assert_voxels_placed(obj, maps)
+        hubs = _window_counts(obj).hubs
+        assert hubs
+        assert maps.place(hubs) == placed(maps, hubs)
+        cells = [e for listing in cen.cells_by_dim for e in listing]
+        assert maps.place(cells) == placed(maps, cells)
+
+    @pytest.mark.parametrize("obj", RANDOM_ONE_TILE, ids=[f"n{n}" for n in range(2, 7)])
+    def test_index_past_a_spanning_axis_is_dropped(self, obj):
+        # one step past either end of one axis, 0 on the others: no tile's
+        # range holds it, though its dot product falls inside the tile
+        maps = census(obj)._bitmaps
+        for k, top in enumerate(maps.tops):
+            for x in (-1, top + 1):
+                h = [0] * maps.n
+                h[k] = x
+                voxel = _mk(Cell, (2 * y + L + 1 for y, L in zip(h, maps.lo)))
+                assert maps.place([voxel]) == placed(maps, [voxel]) == {}, (k, x)
+
+    def test_empty_object_has_no_tile(self):
+        cen = census(DigitalObject(3))
+        assert cen._bitmaps.tiles == {}
+        assert replace(cen)._bitmaps.tiles == {}
+        assert cen._bitmaps.place([]) == {}
+
+
+def counted(monkeypatch, name: str) -> list:
+    """The arguments of each call to ``_Bitmaps.<name>`` from now on."""
+    calls: list = []
+    real = getattr(bitmaps._Bitmaps, name)
+    monkeypatch.setattr(bitmaps._Bitmaps, name, lambda self, *args: calls.append(args) or real(self, *args))
+    return calls
+
+
+class TestPlacementCalls:
+    @pytest.mark.parametrize(
+        "obj", [*RANDOM_ONE_TILE, FAR_DIAG3], ids=[*(f"n{n}" for n in range(2, 7)), "far-diagonal"]
+    )
+    def test_one_tile_makes_no_covering_call(self, obj, monkeypatch):
+        calls = {name: counted(monkeypatch, name) for name in ("covering", "origin", "position")}
+        maps = census(obj)._bitmaps
+        assert len(maps.tiles) == 1
+        identities._window(obj, maps)
+        assert maps.window[2]
+        # the one tile's origin, once; no per-voxel or per-hub lookup
+        assert {name: len(c) for name, c in calls.items()} == {"covering": 0, "origin": 1, "position": 0}
+
+    @TILINGS
+    @pytest.mark.parametrize("obj", [TWO_CLUSTERS, LINE40, FAR], ids=["two-clusters", "diagonal-n3", "far-corners"])
+    def test_covering_only_on_a_core_face(self, obj, side, monkeypatch):
+        if side:
+            monkeypatch.setattr(bitmaps, "_sides", tiled(side))
+        calls = {name: counted(monkeypatch, name) for name in ("covering", "origin")}
+        maps = census(obj)._bitmaps
+        faces = [v for v in obj.voxels if on_core_face(maps, v)]
+        assert sorted(calls["covering"]) == sorted((index(maps, v),) for v in faces)
+        assert len(calls["origin"]) == len(maps.tiles) > 1
+        hubs = _window_counts(obj).hubs
+        calls["covering"].clear()
+        identities._window(obj, maps)
+        assert sorted(calls["covering"]) == sorted((index(maps, e),) for e in hubs if on_core_face(maps, e))
+        assert len(calls["origin"]) == len(maps.tiles)
+        if side is None and obj is not FAR:
+            # in cores of side 4 or 8, some voxels are placed by their dot
+            # product alone and some through covering; in tiles of one or
+            # two every index is on a core face
+            assert 0 < len(faces) < len(obj)
+        elif side:
+            assert len(faces) == len(obj)

@@ -475,6 +475,22 @@ class TestReportBuilder:
         assert main(["count", diag_file, "--json", "--hubs"]) == EXIT_OK
         assert sorted(calls) == ["count_gaps_block_formula", "count_gaps_formula"]
 
+    @pytest.mark.parametrize("command", ["count", "classify", "verify"])
+    def test_text_report_is_built_only_without_json(self, command, diag_file, monkeypatch, capsys):
+        from gridgaps import cli as cli_mod
+
+        built = []
+        real = cli_mod._emit
+
+        def emit(payload, as_json, text):
+            real(payload, as_json, lambda: built.append(command) or text())
+
+        monkeypatch.setattr(cli_mod, "_emit", emit)
+        assert main([command, diag_file, "--json"]) == EXIT_OK
+        assert built == [] and json.loads(capsys.readouterr().out)
+        assert main([command, diag_file]) == EXIT_OK
+        assert built == [command] and capsys.readouterr().out
+
     def test_disagreement_is_impossible_on_valid_engine(self):
         # the agreement flag reflects the three counters; on a healthy build
         # it is always true, and the CLI would exit 3 otherwise
