@@ -72,31 +72,37 @@ def _block(h: tuple[int, ...], q: Class) -> Iterator[tuple[int, ...]]:
     return product(*((x + down, x + up) if f else (x,) for x, f in zip(h, q)))
 
 
+def _radix(sides: Iterable[int], tops: Iterable[int]) -> tuple[int, ...]:
+    """Each axis's radix: top + 1 where one tile spans the axis (its
+    indices 0..top), and T + 3 where it is cut at core side T (the core, a
+    halo slot either side and a guard slot)."""
+    return tuple(side + 3 if side else top + 1 for side, top in zip(sides, tops))
+
+
 def _sides(tops: tuple[int, ...], columns: Columns) -> tuple[int, ...]:
     """The core side of the tiles on each axis, 0 where one tile spans it.
 
-    Axis k's indices run 0..tops[k]. A spanning axis has radix top + 2 (one
-    guard slot); an axis cut at side T has T + 3 (a halo slot either side
-    and a guard). Each tile is charged its bits, but at least
-    ``TILE_BITS``, and the layout charged least for the tiles that hold
-    the points (``columns[k]`` holds their indices on axis k) wins: one
-    tile, or sides T = 1, 2, 4, ... on the axes longer than T. Past the T
-    whose tiles reach ``TILE_BITS`` bits, doubling T doubles a tile's bits
-    per cut axis and at best halves the tiles, so the search stops there.
+    Axis k's indices run 0..tops[k], and a tile has ``_radix`` slots on
+    each axis. Each tile is charged its bits, but at least ``TILE_BITS``,
+    and the layout charged least for the tiles that hold the points
+    (``columns[k]`` holds their indices on axis k) wins: one tile, or sides
+    T = 1, 2, 4, ... on the axes longer than T. Past the T whose tiles
+    reach ``TILE_BITS`` bits, doubling T doubles a tile's bits per cut axis
+    and at best halves the tiles, so the search stops there.
     """
-    best, sides = max(prod(top + 2 for top in tops), TILE_BITS), (0,) * len(tops)
+    best, sides = max(prod(_radix(repeat(0), tops)), TILE_BITS), (0,) * len(tops)
     side = 1
     while columns and side <= max(tops):
-        cut = [top >= side for top in tops]
-        bits = prod(side + 3 if c else top + 2 for c, top in zip(cut, tops))
+        cut = tuple(side if top >= side else 0 for top in tops)
+        bits = prod(_radix(cut, tops))
         charge = max(bits, TILE_BITS)
         # a core holds at most this many points, which bounds the tiles from below
-        room = prod(side if c else top + 1 for c, top in zip(cut, tops))
+        room = prod(c or top + 1 for c, top in zip(cut, tops))
         if -(-len(columns[0]) // room) * charge < best:
-            cols = (map(floordiv, col, repeat(side)) if c else repeat(0) for col, c in zip(columns, cut))
+            cols = (map(floordiv, col, repeat(c)) if c else repeat(0) for col, c in zip(columns, cut))
             charged = len(set(zip(*cols))) * charge
             if charged < best:
-                best, sides = charged, tuple(side if c else 0 for c in cut)
+                best, sides = charged, cut
         if bits >= TILE_BITS:
             break
         side *= 2
@@ -148,7 +154,8 @@ class _Tile:
     owns and ``reach[i]`` every free cell in the range, so each face,
     coface and block step from an owned cell reads a bit of the tile.
     ``reach`` may also hold bits in the guard slot of a cut axis, which no
-    step from an owned cell reads."""
+    step from an owned cell reads; a spanning axis has no guard slot
+    (``_radix``)."""
 
     __slots__ = ("base", "voxels", "cells", "free", "reach")
 
@@ -165,23 +172,40 @@ class _Bitmaps:
     one int with a bit for each cell.
 
     Index. A cell x has h_k = (x_k - L_k) >> 1 on axis k (``lo`` holds the
-    L_k, ``tops`` the greatest h_k over the census). A voxel's faces on an
-    extending axis are at h and h + 1 and a flat cell's cofaces at h and
-    h - 1, so every step moves a whole class by one shift (``steps``).
+    L_k). A voxel's faces on an extending axis are at h and h + 1 and a flat
+    cell's cofaces at h and h - 1, so every step moves a whole class by one
+    shift (``steps``). The index range reaches one step past the cells it is
+    built from (``__init__``): ``tops[k]`` is the index of x + 1 for the
+    greatest coordinate x on axis k, so a cell that extends on k sits at
+    h_k <= top - 1 and a cell flat on k at h_k <= top.
 
     Tiles. The indices are cut on a grid of tiles anchored at 0, with core
     side ``sides[k]`` on axis k (0 where one tile spans the axis; see
     ``_sides``), and only tiles whose core holds a voxel exist. A tile's
     bitmaps span its range, from ``origin(key)``: on a cut axis its core
     and a halo slot either side, else all the indices. Its index h sits at
-    bit sum((h_k - origin_k) * weights[k]), a tight mixed radix with a
-    guard slot at the top of each axis, which keeps a step from carrying
-    into the next axis; axis 0 is most significant, so within a class the
-    bits run in the lexicographic order of the cells. Each listed cell is
+    bit sum((h_k - origin_k) * weights[k]), a tight mixed radix
+    (``_radix``); axis 0 is most significant, so within a class the bits
+    run in the lexicographic order of the cells. Each listed cell is
     owned by one tile: the first, in key order, whose core holds a listed
     voxel of the cell's block, or else the one whose core holds the cell.
     An owned cell's block voxels, and each face and coface it steps to, lie
     in the owner's range.
+
+    No carry. A shift on axis k must not carry into the next axis. A cut
+    axis keeps a guard slot at its top for that. A spanning axis, radix
+    top + 1, needs none, as each shift site moves only cells that reach no
+    slot past top on it:
+    - ``_count_classes`` moves voxels, and cells extending on k, up one on k:
+      from at most top - 1 to at most top;
+    - ``_block_voxels`` moves voxels up one on each flat axis of a class: to
+      at most top;
+    - ``_cofaces_up`` moves free cells extending on k up one: to at most top;
+    - border-sum moves free cells up one on axes they extend on: to at most
+      top;
+    - free-face-heredity moves free faces flat on k down one: a bit at slot
+      0 wraps to slot top on k (or off the int), and is read only at free
+      cells extending on k, none of them at top.
 
     Placement. A voxel or hub goes to the tile whose core holds it (on a
     cut axis h // side, else 0), at its dot product with the weights less
@@ -197,12 +221,12 @@ class _Bitmaps:
 
     __slots__ = ("n", "lo", "tops", "sides", "radix", "weights", "tiles", "window")
 
-    def __init__(self, n: int, lows: Iterable[int], highs: Iterable[int]) -> None:
-        """Bitmaps with no tile yet, whose index fits coordinates
-        lows[k]..highs[k] on each axis k."""
+    def __init__(self, n: int, columns: Sequence[Sequence[int]]) -> None:
+        """Bitmaps with no tile yet, whose index range reaches one step past
+        the cell coordinates ``columns`` (a column per axis; empty, 0..0)."""
         self.n = n
-        self.lo = tuple((x - 1) | 1 for x in lows)
-        self.tops = self.h(highs)
+        self.lo = tuple((min(col, default=0) - 1) | 1 for col in columns)
+        self.tops = self.h(max(col, default=-1) + 1 for col in columns)
         #: (object, its window pass, the pass's hubs as bitmaps per (tile, class)), kept by ``identities``
         self.window: tuple | None = None
 
@@ -210,7 +234,7 @@ class _Bitmaps:
         """Choose the tiles for the indices ``columns`` (``indices``), and
         make those whose cores hold them."""
         self.sides = _sides(self.tops, columns)
-        self.radix = tuple(side + 3 if side else top + 2 for side, top in zip(self.sides, self.tops))
+        self.radix = _radix(self.sides, self.tops)
         self.weights = tuple(prod(self.radix[k + 1:]) for k in range(self.n))
         self.tiles: dict[Key, _Tile] = {
             key: _Tile(self.n, sum(map(mul, self.origin(key), self.weights))) for key in sorted(set(self._keys(columns)))
@@ -291,8 +315,7 @@ class _Bitmaps:
         # a column per axis: zip(*vox) would make an iterator per voxel, and
         # that many new objects wake the garbage collector
         cols = [list(map(itemgetter(k), vox)) for k in range(n)]
-        # the cells reach one step past the voxels
-        maps = cls(n, [min(col, default=0) for col in cols], [max(col, default=-1) + 1 for col in cols])
+        maps = cls(n, cols)
         columns = maps.indices(cols)
         maps._cut(columns)
         spots = {key: ([], [], []) for key in maps.tiles}
@@ -344,8 +367,7 @@ class _Bitmaps:
         is listed at and in its own class. The listed voxels are the block
         voxels; a listed non-voxel is no block voxel."""
         listed = [list(cells) for cells in (*cells_by_dim, *free_by_dim)]
-        cols = list(zip(*(e for cells in listed for e in cells))) or [(0,)] * n
-        maps = cls(n, map(min, cols), map(max, cols))
+        maps = cls(n, list(zip(*(e for cells in listed for e in cells))) or [()] * n)
         voxels = [v for v in listed[n] if not any(_parity(v))]
         vox = list(map(maps.h, voxels))
         present = frozenset(vox)

@@ -133,16 +133,19 @@ def census_partition(obj: DigitalObject, cen: CellCensus) -> _Outcome:
             return checked, f"dim {i}: c={cen.c[i]} c*={cen.c_star[i]} c'={cen.c_prime[i]}"
     maps = cen._bitmaps
     for i in range(n + 1):
+        walked = {}
         for listing in ("cells", "free"):
-            _, where = maps.first(listing, i, lambda key, tile, q, bits: bits if n - sum(q) != i else 0)
+            got, where = maps.first(listing, i, lambda key, tile, q, bits: bits if n - sum(q) != i else 0)
             if where:
                 cell = maps.cell(*where)
                 return checked, f"dim {i}: listed cell {tuple(cell)} has dimension {cell.dim}"
+            # with no failing cell, the walk counted every cell listed
+            walked[listing] = got
         _, where = maps.first("free", i, lambda key, tile, q, bits: bits & ~tile.cells[i].get(q, 0))
         if where:
             return checked, f"dim {i}: free cell {tuple(maps.cell(*where))} is not a listed cell"
         for listing, label, want in (("cells", "c", cen.c[i]), ("free", "c*", cen.c_star[i])):
-            got = maps.count(listing, i)
+            got = walked[listing]
             if got != want:
                 return checked, f"dim {i}: {got} {listing} listed but {label}={want}"
     win = _window(obj, maps)[0]

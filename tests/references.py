@@ -446,6 +446,17 @@ def reaching_past(cen: CellCensus) -> CellCensus:
     return replace(cen, cells_by_dim=tuple(cells))
 
 
+def without_greatest_on(cen: CellCensus, k: int) -> CellCensus:
+    """The census with every listed cell at the greatest coordinate on axis
+    k dropped, from ``cells_by_dim`` and ``free_by_dim``: on a census those
+    are faces flat on k, so the voxels below them, and the cells that
+    extend on k with them, are left at the listed maximum on k."""
+    listings = (cen.cells_by_dim, cen.free_by_dim)
+    top = max((e[k] for listing in listings for cells in listing for e in cells), default=0)
+    cells, free = (tuple(frozenset(e for e in c if e[k] != top) for c in listing) for listing in listings)
+    return replace(cen, cells_by_dim=cells, free_by_dim=free)
+
+
 def listing_free_outside(cen: CellCensus) -> CellCensus:
     """The census with a free vertex near +2**60 and, from n = 2, a free
     (n-2)-cell at -2**60, neither listed in ``cells_by_dim``: the bitmaps

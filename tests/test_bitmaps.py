@@ -2,7 +2,9 @@
 each other, the step table against the decode of the bits it moves to, and
 the tiles a cell is placed in (``_Bitmaps.covering``, ``of_voxels`` and
 ``place``) against their definition, with the neighbour search
-(``covering``) called only for an index on a core face of a cut axis.
+(``covering``) called only for an index on a core face of a cut axis; and
+censuses doctored to hold voxels at the top of a spanning axis, which has
+no guard slot, against the identities' references.
 
 A census's bitmaps are cut into tiles only where the object is sparse, so
 the small objects of the other tests are mostly one tile. Here the tiling
@@ -46,16 +48,21 @@ from references import (
     RANDOM3,
     assert_bitmaps_match_rebuilt,
     assert_census_matches_oracle,
+    assert_identities_match,
     assert_probes_decode,
     box_222,
     covering,
     face_side_sums,
+    held,
     in_order,
     index,
+    listed,
     ones,
     oracle_sets,
+    reaching_past,
     tile_of,
     with_stray,
+    without_greatest_on,
 )
 
 
@@ -184,7 +191,11 @@ class TestSparseObjects:
         cen = census(DIAG8)
         c = tuple(3 * (c_bounding(i, 8) if i < 8 else 1) - 2 * (i == 0) for i in range(9))
         assert (cen.c, cen.c_star) == (c, c[:8] + (0,))
-        assert len(cen._bitmaps.tiles) == 3
+        # one tile of 4^8 bits is charged less than three side-1 tiles of
+        # 4^8 bits each; the tilings of side 1 and 2 are forced in
+        # test_tilings_agree and TestCovering
+        maps = cen._bitmaps
+        assert (len(maps.tiles), maps.sides, maps.radix) == (1, (0,) * 8, (4,) * 8)
         assert all(r.passed for r in check_object(DIAG8, cen))
 
     @pytest.mark.parametrize(
@@ -244,10 +255,66 @@ class TestCovering:
         assert maps.place([voxel]) == {}
 
 
+def assert_no_bit_past_the_tiles(maps: bitmaps._Bitmaps) -> None:
+    """No bitmap of any tile has a bit at or past the tile's last slot."""
+    past = prod(maps.radix)
+    for key, tile in maps.tiles.items():
+        listings = (tile.cells, tile.free, tile.reach)
+        classes = [bits for listing in listings for by_class in listing for bits in by_class.values()]
+        assert all(bits >> past == 0 for bits in [tile.voxels, *classes]), key
+
+
+#: objects with one tile, and with an axis that tiles of two leave spanning
+#: (the last, of one voxel, least significant: a carry out of it would land
+#: in the next slot of a cut axis)
+TOP_VOXEL_OBJECTS = {
+    (n, side): generate(ShapeSpec("random", n, (3,) * (n - 1) + ((1,) if side else (3,)), 0.6, 3))
+    for n in (2, 3, 4)
+    for side in (None, 2)
+}
+
+
+class TestSpanningAxis:
+    """A spanning axis has no guard slot: the index range reaches one step
+    past the listed cells, so no shift carries out of it. A census doctored
+    so that voxels sit at the listed maximum on an axis must still step
+    every class onto its own cells."""
+
+    @pytest.mark.parametrize("side", [None, 2], ids=["one-tile", "tiles-of-two"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_voxels_at_the_top_of_an_axis(self, n, side, monkeypatch):
+        if side:
+            monkeypatch.setattr(bitmaps, "_sides", tiled(side))
+        obj = TOP_VOXEL_OBJECTS[n, side]
+        cen = census(obj)
+        for k in range(n):
+            doctored = without_greatest_on(cen, k)
+            maps = doctored._bitmaps
+            listed_top = max(e[k] for cells in doctored.cells_by_dim for e in cells)
+            assert any(v.is_voxel and v[k] == listed_top for v in doctored.cells_by_dim[n]), k
+            # the greatest index on k is one step past those voxels
+            assert maps.tops[k] == index(maps, (listed_top + 1,) * n)[k]
+            # the last axis spans; with tiles of two, the others are cut
+            assert maps.sides == ((0,) * n if side is None else (2,) * (n - 1) + (0,))
+            assert all(r == top + 1 for r, top, s in zip(maps.radix, maps.tops, maps.sides) if not s)
+            assert_identities_match(obj, doctored, listed(doctored))
+            assert_identities_match(obj, doctored, held(doctored))
+            assert_probes_decode(doctored)
+            assert_no_bit_past_the_tiles(maps)
+
+    def test_no_bit_past_the_last_slot(self):
+        for _, cen, _ in box_222():
+            copies = [cen, reaching_past(cen), *(without_greatest_on(cen, k) for k in range(3))]
+            for c in copies:
+                maps = c._bitmaps
+                assert not any(maps.sides) and maps.radix == tuple(top + 1 for top in maps.tops)
+                assert_no_bit_past_the_tiles(maps)
+
+
 def test_far_diagonal_pair_is_one_small_tile():
     # the box is spanned by the two voxels' cells alone, whatever their coordinates
     maps = census(FAR_DIAG3)._bitmaps
-    assert (len(maps.tiles), maps.sides, maps.radix) == (1, (0, 0, 0), (4, 4, 3))
+    assert (len(maps.tiles), maps.sides, maps.radix) == (1, (0, 0, 0), (3, 3, 2))
 
 
 def placed(maps: bitmaps._Bitmaps, cells) -> dict:
