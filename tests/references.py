@@ -18,6 +18,8 @@ one listing or count changed; the copy's bitmaps are built from its sets.
 A check family takes the census it checks and, where it compares with the
 interval oracles, the object's oracle sets (``oracle_sets``), so a caller
 builds each once and runs every family on them.
+
+``counted_reads`` counts what the .dvo reader reads of a file.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from gridgaps import (
     census,
     check_object,
     cofaces,
+    dvo,
     enumerate_all_objects,
     faces,
     generate,
@@ -662,3 +665,29 @@ def assert_border_sum_on_doctored(
         for copy, countable in copies:
             assert_border_sums_agree(obj, copy, tuples and countable)
         assert not border_sum(obj, copies[0][0]).passed
+
+
+def counted_reads(monkeypatch) -> tuple[list[int], list[int]]:
+    """Make ``dvo`` open files that count the lines read from them and
+    record, as each closes, how many bytes were read; returns the line
+    count (one item) and the bytes read per file closed."""
+    lines_read, bytes_read = [0], []
+
+    class Counted:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __iter__(self):
+            for line in self.fh:
+                lines_read[0] += 1
+                yield line
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            bytes_read.append(self.fh.buffer.tell())
+            self.fh.close()
+
+    monkeypatch.setattr(dvo, "open", lambda *args, **kw: Counted(open(*args, **kw)), raising=False)
+    return lines_read, bytes_read

@@ -24,6 +24,7 @@ from gridgaps.cli import (
 )
 from gridgaps.identities import check_object
 from gridgaps.objects import CellCensus
+from references import counted_reads
 
 
 @pytest.fixture
@@ -150,6 +151,27 @@ class TestCount:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: 4 voxels exceed the cap of 3\n"
+
+    def test_voxel_cap_is_checked_on_the_block_route(self, tmp_path, monkeypatch, capsys):
+        # a clean file of many blocks is refused at voxel line 4, and read no
+        # further than the end of that line's block
+        from gridgaps import cli as cli_mod
+        from gridgaps import dvo
+
+        monkeypatch.setattr(cli_mod, "MAX_VOXELS", 3)
+        block = dvo._BLOCK
+        lines = ["dvo 8\n"] + [f"{k} " + "576460752303423488 " * 6 + "-1\n" for k in range(20 * block)]
+        path = tmp_path / "many.dvo"
+        path.write_text("".join(lines), encoding="utf-8")
+        lines_read, bytes_read = counted_reads(monkeypatch)
+        assert main(["count", str(path)]) == EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 4 voxels exceed the cap of 3\n"
+        assert lines_read[0] <= 4 + block
+        head = len("".join(lines[: 4 + block]))
+        assert len(bytes_read) == 1 and bytes_read[0] <= head + 64 * 1024
+        assert path.stat().st_size > head + 128 * 1024
 
     def test_count_runs_no_census_and_no_scan(self, tmp_path, monkeypatch, capsys):
         from gridgaps import cli as cli_mod

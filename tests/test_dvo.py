@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridgaps import DigitalObject, dvo
 from gridgaps.dvo import DvoError, dumps, load, loads
+from references import counted_reads
 
 
 class TestParse:
@@ -223,30 +226,7 @@ class TestLoadMatchesLoads:
         # never decoded
         path = tmp_path / "big.dvo"
         path.write_bytes(b"dvo 9\n" + b"0 0 0 0 0 0 0 0 0\n" * 10_000 + b"\xff\n")
-        bytes_read = []
-
-        class Counted:
-            """An open file that records, as it closes, how many bytes were read."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __getattr__(self, name):
-                return getattr(self.fh, name)
-
-            def __iter__(self):
-                return iter(self.fh)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                bytes_read.append(self.fh.buffer.tell())
-                self.fh.close()
-
-        monkeypatch.setattr(
-            dvo, "open", lambda *args, **kw: Counted(open(*args, **kw)), raising=False
-        )
+        _, bytes_read = counted_reads(monkeypatch)
 
         class Refused(Exception):
             pass
@@ -321,3 +301,184 @@ class TestLoadMatchesLoads:
             load(str(path))
         assert err.value.lineno == lineno
         assert str(err.value) == f"line {lineno}: byte 0x{byte:02x} is not UTF-8"
+
+
+B = dvo._BLOCK
+#: a body pattern that matches no block, so every block takes the per-token route
+NO_BLOCK = re.compile("(?!)")
+
+
+def _routes(parse, source):
+    """Run ``parse(source, check)`` by the block route and by the per-token
+    route alone, and assert both give the same object, or the same error
+    message and line number, after the same check calls; return the block
+    route's result and the number of blocks it parsed whole."""
+    runs = []
+    for clean in (dvo._clean, lambda n: NO_BLOCK):
+        calls, whole = [], []
+        real = dvo._whole
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dvo, "_clean", clean)
+            mp.setattr(dvo, "_whole", lambda *args: whole.append(1) or real(*args))
+            result = _parsed(lambda s: parse(s, lambda n, k: calls.append((n, k))), source)
+        runs.append((result, calls, len(whole)))
+    (result, calls, whole), (by_token, token_calls, none) = runs
+    assert none == 0
+    assert result == by_token and calls == token_calls
+    return result, whole
+
+
+def _both(tmp_path, text):
+    """The routes of ``load`` on text's bytes and of ``loads`` on text agree,
+    and ``load`` reads the file as ``loads`` reads the text; the result and
+    the blocks ``load`` parsed whole."""
+    path = tmp_path / "obj.dvo"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    loaded, whole = _routes(load, str(path))
+    assert _routes(lambda s, check: loads(s), text)[0] == loaded
+    return loaded, whole
+
+
+def _voxel_lines(count):
+    return [f"{k} {-k} {-2 * k}" for k in range(count)]
+
+
+def _text(body, n=3, end="\n"):
+    return "".join(line + end for line in [f"dvo {n}", *body])
+
+
+#: a token of a clean line, written as the block pattern takes it
+CLEAN = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.integers(0, 9).map("+{}".format),
+    st.integers(-(1 << 59), 1 << 59).map(str),
+    st.sampled_from(["00000000000000000007", "-00000000000000000000", str(1 << 59), str(-(1 << 59))]),
+)
+#: a token the block pattern refuses, or one that is out of range
+BAD = st.sampled_from(
+    [
+        "1_0", "\u0663", "\uff11", "0x1", "+-1", "x", "",
+        "000000000000000000007",  # 21 digits, in range past its zeros
+        "100000000000000000000",  # 21 significant digits
+        str((1 << 59) + 1), str(-(1 << 59) - 1),
+    ]
+)
+
+
+class TestBlockRoute:
+    """The block route gives what the per-token route gives: the object, or
+    the same error on the same line, after the same check calls."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(st.lists(CLEAN, min_size=n - 1, max_size=n - 1), min_size=1, max_size=5)
+        ),
+        st.one_of(st.integers(0, 2 * B + 2), st.sampled_from([B - 1, B, B + 1])),
+        st.sampled_from(["{}", "+{}", "-{}", "000{}"]),
+    )
+    def test_clean_bodies(self, tmp_path, tails, lines, first):
+        # line k starts with k, so its center is new
+        body = [" ".join([first.format(k), *tails[k % len(tails)]]) for k in range(lines)]
+        n = len(tails[0]) + 1
+        loaded, whole = _both(tmp_path, _text(body, n))
+        assert loaded == DigitalObject.from_centers(n, (map(int, line.split()) for line in body))
+        assert whole == -(-lines // B)
+
+    @pytest.mark.parametrize("lines", [B - 1, B, B + 1, 2 * B, 2 * B + 1])
+    def test_block_sizes(self, tmp_path, lines):
+        loaded, whole = _both(tmp_path, _text(_voxel_lines(lines)))
+        assert len(loaded) == lines and whole == -(-lines // B)
+
+    @pytest.mark.parametrize(
+        "edit, lineno",
+        [
+            (lambda body: body.__setitem__(B, "1_0 0 0"), B + 2),  # first in a block
+            (lambda body: body.__setitem__(B - 1, "1 2"), B + 1),  # last in a block
+            (lambda body: body.__setitem__(B + 3, body[2]), B + 5),  # first copy a block before
+            (lambda body: body.__setitem__(5, body[3]), 7),
+            (lambda body: body.__setitem__(B + 2, f"{(1 << 59) + 1} 0 0"), B + 4),
+            (lambda body: body.__setitem__(2 * B, "1 0 100000000000000000000"), 2 * B + 2),
+            (lambda body: body.__setitem__(0, "0 \u0663 0"), 2),
+            (lambda body: body.__setitem__(B + 1, "0 0 \udcff"), B + 3),  # a byte not UTF-8
+            # a form feed makes raw line 5 two lines, so the bad one is a line later
+            (lambda body: body.__setitem__(slice(3, B + 3, B - 1), ["5 5 5\x0c6 6 6", "x 0 0"]), B + 5),
+        ],
+        ids=[
+            "bad-first-in-block", "bad-last-in-block", "duplicate-across-blocks",
+            "duplicate-in-block", "out-of-range", "21-digits", "non-ascii-digit", "not-utf8",
+            "after-a-form-feed",
+        ],
+    )
+    def test_errors_keep_their_line(self, tmp_path, edit, lineno):
+        body = _voxel_lines(2 * B + 1)
+        edit(body)
+        error, _ = _both(tmp_path, _text(body))
+        assert error[1] == lineno
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda body: body.insert(B + 5, "# a comment"),
+            lambda body: body.insert(7, ""),
+            lambda body: body.__setitem__(B, "00000000000000000000003 0 0"),
+            lambda body: body.__setitem__(B - 1, " 9 9  9 "),
+            lambda body: body.__setitem__(3, "5 5 5\x0c6 6 6"),  # two lines in one
+        ],
+        ids=["comment", "blank", "21-digits-in-range", "spaces", "form-feed"],
+    )
+    def test_other_lines_take_the_per_token_route(self, tmp_path, edit):
+        body = _voxel_lines(2 * B + 1)
+        edit(body)
+        loaded, whole = _both(tmp_path, _text(body))
+        assert isinstance(loaded, DigitalObject) and whole == 2
+
+    @pytest.mark.parametrize("n, whole", [(1 << 16, 1), ((1 << 16) + 1, 0)])
+    def test_wide_bodies(self, tmp_path, n, whole):
+        body = [" ".join([str(k)] + ["0"] * (n - 1)) for k in range(2)]
+        loaded, blocks = _both(tmp_path, _text(body, n))
+        assert len(loaded) == 2 and blocks == whole
+
+    @pytest.mark.parametrize("n", [5_000_000_000, 10**20 - 1])
+    def test_dimension_past_any_pattern(self, tmp_path, n):
+        # past 2**32 - 2 a pattern's repeat count is refused by re
+        assert _both(tmp_path, _text(["0 0"], n)) == ((f"line 2: expected {n} coordinates, got 2", 2), 0)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_carriage_returns(self, tmp_path, end):
+        # a file reads either end as "\n", so its blocks are clean; loads
+        # sees the "\r" and takes the per-token route
+        text = _text(_voxel_lines(B + 1), end=end)
+        path = tmp_path / "obj.dvo"
+        path.write_bytes(text.encode())
+        (loaded, whole), (read, none) = _routes(load, str(path)), _routes(
+            lambda s, check: loads(s), text
+        )
+        assert loaded == read and len(loaded) == B + 1
+        assert (whole, none) == (2, 0)
+
+    def test_missing_final_newline(self, tmp_path):
+        text = _text(_voxel_lines(2 * B + 1)).removesuffix("\n")
+        loaded, whole = _both(tmp_path, text)
+        assert len(loaded) == 2 * B + 1 and whole == 2
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 2 * B + 1), st.sampled_from([0, B - 1, B, B + 1, 2 * B - 1, 2 * B])),
+                st.one_of(
+                    st.lists(st.one_of(CLEAN, BAD), min_size=2, max_size=4).map(" ".join),
+                    st.sampled_from(["# c", "", "  ", "0 0 0", "1 -1 -2", "0 0 0\r"]),
+                ),
+            ),
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_mixed_bodies(self, tmp_path, edits, final_newline):
+        body = _voxel_lines(2 * B + 2)
+        for at, line in edits:
+            body[at] = line
+        text = _text(body)
+        _both(tmp_path, text if final_newline else text.removesuffix("\n"))
