@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
 from math import prod
-from operator import contains, floordiv, itemgetter, mul, rshift, sub
+from operator import and_, contains, floordiv, itemgetter, mul, rshift, sub
 from typing import Callable, Iterable, Iterator
 
 from .cells import Cell, _along, _mk, _parity
@@ -132,7 +132,12 @@ def _step_table(weights: tuple[int, ...], q: Class, flat: int, k: int) -> dict[C
     for each k of q's axes of parity ``flat``, the class reached and the +-1
     steps on those axes (``cells._along``), each with its shift (``_MOVES``
     times the weights). The steps on some axes are built once, as the one
-    entry of the class whose only axes of parity ``flat`` they are."""
+    entry of the class whose only axes of parity ``flat`` they are.
+
+    It recurses so that every class stepping on the same axes shares that
+    one tuple. A table built per class directly holds a tuple per class:
+    for one radix's whole table at n = 8 (every class, both parities,
+    k = 1..8), 26.5 MiB against 5.4 MiB, by ``tracemalloc``."""
     n, pool = len(q), [a for a, f in enumerate(q) if f == flat]
     top = (1 - flat,) * n
     if len(pool) == k:
@@ -294,12 +299,14 @@ class _Bitmaps:
 
     def place(self, cells: Iterable[Cell]) -> dict[tuple[Key, Class], int]:
         """The cells as bitmaps, per tile and class, in every tile whose
-        range holds them (``_placed``); the rest are dropped."""
-        cells = list(cells)
+        range holds them (``_placed``); the rest are dropped. A cell's class
+        is read off its coordinate columns, ``x & 1`` on each axis."""
+        columns = list(zip(*cells))
+        classes = zip(*(map(and_, col, repeat(1)) for col in columns))
         spots = {}
-        for e, (_, placed) in zip(cells, self._placed(self.indices(zip(*cells)))):
+        for q, (_, placed) in zip(classes, self._placed(self.indices(columns))):
             for key, p in placed:
-                spots.setdefault((key, _parity(e)), []).append(p)
+                spots.setdefault((key, q), []).append(p)
         return {spot: _bitmap(positions) for spot, positions in spots.items()}
 
     @classmethod

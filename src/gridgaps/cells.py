@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product, repeat
-from operator import add, and_, mul
+from operator import add, and_
 from typing import Iterable, Iterator, NamedTuple
 
 #: Construction rejects components beyond this magnitude. Face/coface offsets
@@ -231,47 +231,6 @@ def _offsets(parity: tuple[int, ...], flat: int, k: int) -> tuple[tuple[int, ...
 
 def _parity(cell) -> tuple[int, ...]:
     return tuple(map(and_, cell, repeat(1)))
-
-
-# Packed cells, for the vertex windows of ``gaps``. One origin lo and one
-# field width w serve a whole set of cells: axis k of a cell is stored in
-# bits [w*k, w*k + w) as x_k - lo + 2. With lo and hi the least and
-# greatest coordinate in the set and w the bit length of hi - lo + 4, every
-# field of a listed cell lies in [2, hi - lo + 2], so a step of up to +-2 on
-# any axes stays in [0, 2^w): one int add, never carrying into a
-# neighbouring field, and still exact at +-2^60.
-
-
-class _Packing:
-    """The packed format of one set of cells: n axes, origin lo and width
-    w, with every field reaching 2 steps past the set. ``lanes`` holds the
-    weight of each axis, so a step d packs as the sum of d_k * lanes[k]."""
-
-    __slots__ = ("n", "w", "lanes", "_off", "_shifts", "_field", "_base")
-
-    def __init__(self, n: int, lo: int, w: int) -> None:
-        self.n, self.w = n, w
-        self._off = lo - 2  # field k holds x_k - off
-        self.lanes = tuple(1 << w * k for k in range(n))
-        self._shifts = tuple(w * k for k in range(n))
-        self._field = (1 << w) - 1
-        self._base = self._off * sum(self.lanes)
-
-    @classmethod
-    def spanning(cls, n: int, cells: Iterable[Cell]) -> "_Packing":
-        """The format that fits every coordinate of the cells and 2 steps
-        beyond it (origin 0 with no cells). Each coordinate is read once,
-        into the set of distinct values."""
-        coords = set(chain.from_iterable(cells)) or {0}
-        lo = min(coords)
-        return cls(n, lo, (max(coords) - lo + 4).bit_length())
-
-    def pack(self, cell: Iterable[int]) -> int:
-        return sum(map(mul, cell, self.lanes)) - self._base
-
-    def unpack(self, p: int) -> Cell:
-        field, off = self._field, self._off
-        return _mk(Cell, [(p >> s & field) + off for s in self._shifts])
 
 
 def faces(f: Cell, i: int) -> frozenset[Cell]:

@@ -97,13 +97,11 @@ def build_count_report(obj: DigitalObject, include_hubs: bool = False) -> dict[s
         }
         report["gaps"] = counts
         report["agreement"] = len(set(counts.values())) == 1
-        if include_hubs:
-            report["hubs"] = [list(e) for e in win.hubs]
     else:
         report["gaps"] = None
         report["agreement"] = True
-        if include_hubs:
-            report["hubs"] = []
+    if include_hubs:  # the window pass finds no hubs below n = 2
+        report["hubs"] = [list(e) for e in win.hubs]
     return report
 
 
@@ -164,6 +162,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _verify_objects(args: argparse.Namespace) -> Iterator[tuple[str, DigitalObject]]:
     """The labelled objects to verify, each built only when it is wanted;
     every argument is checked before the first is built."""
+    if args.random is not None and args.file is not None:
+        raise ValueError("give verify a FILE or --random, not both")
     if args.random is not None:
         raw_n, raw_extent, raw_density, raw_seed, raw_trials = args.random
         try:
@@ -193,13 +193,7 @@ def _verify_objects(args: argparse.Namespace) -> Iterator[tuple[str, DigitalObje
     return iter([(args.file, _load(args.file))])
 
 
-def _reject_both_sources(args: argparse.Namespace) -> None:
-    if args.random is not None and args.file is not None:
-        raise ValueError("give verify a FILE or --random, not both")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    _reject_both_sources(args)
     summary: dict[str, dict[str, Any]] = {}
     objects = 0
     for label, obj in _verify_objects(args):
@@ -310,9 +304,6 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except dvo.DvoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -181,11 +181,8 @@ def _parse(
             block = text.splitlines()  # "\x0c" or "\r" can split a raw line
             _by_token(_significant(block, lineno), n, seen, check)
         lineno += len(block)
-    # each voxel is checked as cells.voxel checks it, so DigitalObject's
-    # own check of every voxel is skipped
-    obj = object.__new__(DigitalObject)
-    obj._n, obj._voxels = n, frozenset(seen)
-    return obj
+    # each voxel is checked as cells.voxel checks it, so not again
+    return DigitalObject._of(n, frozenset(seen))
 
 
 def loads(text: str) -> DigitalObject:

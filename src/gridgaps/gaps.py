@@ -15,8 +15,8 @@ engine bug. ``count_gaps_oracle`` inspects every i-cell, for the tests.
 ``_window_counts``, the route behind the ``count`` command, reads the census
 counts and the (n-2)-hubs off the masks of the lattice vertices' 2^n-voxel
 windows, with no census and no ``is_gap`` scan. ``_windows`` builds the
-masks one axis at a time on vertices packed as ints (``cells._Packing``);
-only the hubs are unpacked to cells. Each (n-2)-cell's 4-bit block trace,
+masks one axis at a time on vertices packed as ints (``_Packing``); only
+the hubs are unpacked to cells. Each (n-2)-cell's 4-bit block trace,
 one bit per block voxel present, sits in the mask of its lowest vertex:
 one table (``_block_traces``) reads it off the mask and ``_TRACE_TAG``
 names its tag. So the same masks give the tag histogram;
@@ -30,14 +30,14 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, compress, repeat
-from operator import add, and_, or_, sub
-from typing import NamedTuple
+from itertools import chain, combinations, compress, repeat
+from operator import add, and_, mul, or_, sub
+from typing import Iterable, NamedTuple
 
 from .cells import (
     Cell,
+    _mk,
     _offsets,
-    _Packing,
     _parity,
     adjacency,
     adjacent_voxels,
@@ -257,6 +257,42 @@ def _block_traces(lanes: tuple[int, ...]) -> tuple[tuple[int, int, dict[int, int
         }
         out.append((t, sum(block), traces))
     return tuple(out)
+
+
+class _Packing:
+    """The packed format of one set of cells, for the vertex windows: axis
+    k of a cell is stored in bits [w*k, w*k + w) as x_k - lo + 2, for one
+    origin lo and one field width w. With lo and hi the least and greatest
+    coordinate in the set and w the bit length of hi - lo + 4, every field
+    of a listed cell lies in [2, hi - lo + 2], so a step of up to +-2 on any
+    axes stays in [0, 2^w): one int add, never carrying into a neighbouring
+    field, and still exact at +-2^60. ``lanes`` holds the weight of each
+    axis, so a step d packs as the sum of d_k * lanes[k]."""
+
+    __slots__ = ("lanes", "_off", "_shifts", "_field", "_base")
+
+    def __init__(self, n: int, lo: int, w: int) -> None:
+        self._off = lo - 2  # field k holds x_k - off
+        self.lanes = tuple(1 << w * k for k in range(n))
+        self._shifts = tuple(w * k for k in range(n))
+        self._field = (1 << w) - 1
+        self._base = self._off * sum(self.lanes)
+
+    @classmethod
+    def spanning(cls, n: int, cells: Iterable[Cell]) -> _Packing:
+        """The format that fits every coordinate of the cells and 2 steps
+        beyond it (origin 0 with no cells). Each coordinate is read once,
+        into the set of distinct values."""
+        coords = set(chain.from_iterable(cells)) or {0}
+        lo = min(coords)
+        return cls(n, lo, (max(coords) - lo + 4).bit_length())
+
+    def pack(self, cell: Iterable[int]) -> int:
+        return sum(map(mul, cell, self.lanes)) - self._base
+
+    def unpack(self, p: int) -> Cell:
+        field, off = self._field, self._off
+        return _mk(Cell, [(p >> s & field) + off for s in self._shifts])
 
 
 def _windows(obj: DigitalObject) -> tuple[_Packing, dict[int, int]]:

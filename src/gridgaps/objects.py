@@ -57,6 +57,14 @@ class DigitalObject:
         self._voxels = vox
 
     @classmethod
+    def _of(cls, n: int, voxels: frozenset[Cell]) -> DigitalObject:
+        """The object of voxels already checked as ``__init__`` checks them,
+        each a voxel of n coordinates in range: they are not checked again."""
+        obj = object.__new__(cls)
+        obj._n, obj._voxels = n, voxels
+        return obj
+
+    @classmethod
     def from_centers(
         cls, n: int, centers: Iterable[Sequence[int]]
     ) -> "DigitalObject":
@@ -91,8 +99,8 @@ class DigitalObject:
     def permute_axes(self, perm: Sequence[int]) -> "DigitalObject":
         if sorted(perm) != list(range(self._n)):
             raise ValueError("not a permutation of the axes")
-        return DigitalObject(
-            self._n, (_mk(Cell, (v[k] for k in perm)) for v in self._voxels)
+        return DigitalObject._of(
+            self._n, frozenset(_mk(Cell, (v[k] for k in perm)) for v in self._voxels)
         )
 
     def __len__(self) -> int:

@@ -67,6 +67,12 @@ class TestCount:
         out = capsys.readouterr().out
         assert "agreement=yes" in out
 
+    def test_hubs_text_lines(self, diag_file, single_file, capsys):
+        assert main(["count", diag_file, "--hubs"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "hubs: (1,1,0)"
+        assert main(["count", single_file, "--hubs"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "hubs: none"
+
     def test_malformed_line_cited(self, tmp_path, capsys):
         path = tmp_path / "bad.dvo"
         path.write_text("dvo 3\n1 2\n", encoding="utf-8")
@@ -101,6 +107,14 @@ class TestCount:
         assert main(["count", str(path), "--json"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["gaps"] is None and report["agreement"] is True
+
+    def test_n1_object_text_and_hubs(self, tmp_path, capsys):
+        path = tmp_path / "line.dvo"
+        path.write_text("dvo 1\n0\n1\n5\n", encoding="utf-8")
+        assert main(["count", str(path)]) == EXIT_OK
+        assert "gaps: not defined for n=1\n" in capsys.readouterr().out
+        assert main(["count", str(path), "--json", "--hubs"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["hubs"] == []
 
     def test_dimension_cap(self, tmp_path, capsys):
         path = tmp_path / "big.dvo"
@@ -283,6 +297,10 @@ class TestVerify:
     def test_bad_random_values(self, capsys):
         assert main(["verify", "--random", "3", "3", "x", "1", "5"]) == EXIT_INPUT
 
+    def test_random_needs_a_trial(self, capsys):
+        assert main(["verify", "--random", "3", "3", "0.5", "1", "0"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: --random needs at least one trial\n"
+
     def test_random_extent_cap(self, capsys):
         assert main(["verify", "--random", "3", "1000", "0.5", "1", "1"]) == EXIT_CAP
 
@@ -425,6 +443,10 @@ class TestGen:
         assert main(["gen", "--shape", "box", "--n", "2"]) == EXIT_INPUT
         assert main(["gen", "--shape", "bogus", "--n", "2"]) == EXIT_INPUT
 
+    def test_bad_extents(self, capsys):
+        assert main(["gen", "--shape", "box", "--n", "2", "--extents", "3,x"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: bad extents '3,x'\n"
+
     def test_site_cap(self, capsys):
         code = main(
             ["gen", "--shape", "box", "--n", "2", "--extents", "2000,2000"]
@@ -461,16 +483,29 @@ class TestUsageErrors:
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "obj.dvo"
         path.write_text("dvo 2\n0 0\n1 1\n", encoding="utf-8")
-        # the child imports the package this process imported, from its source root
-        paths = [str(Path(gridgaps.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "gridgaps", "count", str(path), "--json"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
-        )
+        proc = _child("-m", "gridgaps", "count", str(path), "--json")
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["gaps"]["oracle"] == 1
+
+    @pytest.mark.parametrize("command, imported", [("count", False), ("classify", False), ("verify", True)])
+    def test_only_verify_imports_bitmaps(self, command, imported, diag_file):
+        # a fresh interpreter, since this one imported every module long ago
+        code = "import sys; from gridgaps.cli import main; main(sys.argv[1:]); print('gridgaps.bitmaps' in sys.modules)"
+        proc = _child("-c", code, command, diag_file, "--json")
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.splitlines()[-1] == str(imported)
+
+
+def _child(*args: str) -> subprocess.CompletedProcess:
+    """Run Python with ``args`` in a child process that imports the package
+    this process imported, from its source root."""
+    paths = [str(Path(gridgaps.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
 
 
 class TestReportBuilder:

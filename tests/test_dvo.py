@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gridgaps import DigitalObject, dvo
+from gridgaps import DigitalObject, dvo, voxel
 from gridgaps.dvo import DvoError, dumps, load, loads
 from references import counted_reads
 
@@ -384,6 +384,16 @@ class TestBlockRoute:
         loaded, whole = _both(tmp_path, _text(body, n))
         assert loaded == DigitalObject.from_centers(n, (map(int, line.split()) for line in body))
         assert whole == -(-lines // B)
+
+    @pytest.mark.parametrize("head", [[], ["# a note"]], ids=["whole-blocks", "a-block-line-by-line"])
+    def test_object_is_the_checked_object(self, head):
+        # the parse skips the per-voxel check of DigitalObject(n, voxels),
+        # so on either route it must give the object that check gives
+        body = _voxel_lines(2 * B + 1)
+        obj = loads(_text(head + body))
+        checked = DigitalObject(3, (voxel(map(int, line.split())) for line in body))
+        assert (obj, hash(obj)) == (checked, hash(checked))
+        assert type(obj.voxels) is frozenset
 
     @pytest.mark.parametrize("lines", [B - 1, B, B + 1, 2 * B, 2 * B + 1])
     def test_block_sizes(self, tmp_path, lines):

@@ -103,6 +103,21 @@ class TestConstruction:
             return
         assert loads(dumps(moved)) == moved
 
+    @pytest.mark.parametrize("perm", [(0, 1, 2), (2, 0, 1), (1, 0, 2)])
+    def test_permute_axes_is_the_checked_object(self, perm):
+        # permute_axes skips the per-voxel check of DigitalObject(n, voxels),
+        # so it must give the object that check gives
+        obj = DigitalObject.from_centers(3, [(0, -2, 5), (1, 1, 0), (3, 0, 0)])
+        moved = obj.permute_axes(perm)
+        checked = DigitalObject(3, (Cell(v[k] for k in perm) for v in obj.voxels))
+        assert (moved, hash(moved)) == (checked, hash(checked))
+        assert type(moved.voxels) is frozenset
+        assert moved.centers() == sorted(tuple(c[k] for k in perm) for c in obj.centers())
+
+    def test_permute_axes_refuses_a_non_permutation(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            SINGLE3.permute_axes((0, 0, 1))
+
     def test_value_semantics(self):
         a = DigitalObject.from_centers(2, [(0, 0), (1, 1)])
         b = DigitalObject.from_centers(2, [(1, 1), (0, 0)])
