@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import chain
 from math import prod
 from typing import Any, Callable, Iterator
 
@@ -63,10 +64,42 @@ def _load(path: str) -> DigitalObject:
     return dvo.load(path, _check_caps)
 
 
+def _rows(rows: list[list[int]], first: str, sep: str, last: str, between: str) -> str:
+    """Rows of ints of one length, each written as ``first``, its ints
+    joined by ``sep`` and ``last``, the rows joined by ``between``: one
+    ``%d`` template formats them all."""
+    row = first + sep.join(["%d"] * len(rows[0])) + last
+    return between.join([row] * len(rows)) % tuple(chain.from_iterable(rows))
+
+
+def _json(value: Any, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
+    value whose lines start with ``pad``. A dict with str keys is written
+    key by key, and a list of equal-length int rows (count's hubs) through
+    ``_rows``; each key and every other value goes to ``json.dumps``, its
+    lines indented by ``pad``, which is exact since JSON escapes every
+    newline inside a string. ``%d`` would print a bool as a digit, so each
+    row entry must be exactly an int."""
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        inner = pad + "  "
+        items = (json.dumps(k) + ": " + _json(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if (
+        type(value) is list
+        and set(map(type, value)) == {list}
+        and len(set(map(len, value))) == 1
+        and set(map(type, chain.from_iterable(value))) == {int}
+    ):
+        inner, entry = pad + "  ", pad + "    "
+        rows = _rows(value, "[" + entry, "," + entry, inner + "]", "," + inner)
+        return "[" + inner + rows + pad + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def _emit(payload: dict[str, Any], as_json: bool, text: Callable[[], str]) -> None:
     """Write the payload as JSON, or else the text report, built only then."""
     if as_json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json(payload) + "\n")
     else:
         sys.stdout.write(text())
 
@@ -125,8 +158,8 @@ def _count_text(report: dict[str, Any]) -> str:
             f" agreement={agree}"
         )
     if "hubs" in report:
-        shown = " ".join("(" + ",".join(map(str, h)) + ")" for h in report["hubs"])
-        lines.append(f"hubs: {shown}" if shown else "hubs: none")
+        hubs = report["hubs"]
+        lines.append("hubs: " + (_rows(hubs, "(", ",", ")", " ") if hubs else "none"))
     return "\n".join(lines) + "\n"
 
 

@@ -15,8 +15,10 @@ engine bug. ``count_gaps_oracle`` inspects every i-cell, for the tests.
 ``_window_counts``, the route behind the ``count`` command, reads the census
 counts and the (n-2)-hubs off the masks of the lattice vertices' 2^n-voxel
 windows, with no census and no ``is_gap`` scan. ``_windows`` builds the
-masks one axis at a time on vertices packed as ints (``_Packing``); only
-the hubs are unpacked to cells. Each (n-2)-cell's 4-bit block trace,
+masks one axis at a time on vertices packed as ints (``_Packing``), axis 0
+in the highest field, so that int order is cell order: the hubs are sorted
+as ints and only then unpacked to cells, all at once, a column of
+coordinates at a time. Each (n-2)-cell's 4-bit block trace,
 one bit per block voxel present, sits in the mask of its lowest vertex:
 one table (``_block_traces``) reads it off the mask and ``_TRACE_TAG``
 names its tag. So the same masks give the tag histogram;
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, combinations, compress, repeat
-from operator import add, and_, mul, or_, sub
-from typing import Iterable, NamedTuple
+from operator import add, and_, lshift, or_, rshift, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .cells import (
     Cell,
@@ -261,21 +263,25 @@ def _block_traces(lanes: tuple[int, ...]) -> tuple[tuple[int, int, dict[int, int
 
 class _Packing:
     """The packed format of one set of cells, for the vertex windows: axis
-    k of a cell is stored in bits [w*k, w*k + w) as x_k - lo + 2, for one
-    origin lo and one field width w. With lo and hi the least and greatest
-    coordinate in the set and w the bit length of hi - lo + 4, every field
-    of a listed cell lies in [2, hi - lo + 2], so a step of up to +-2 on any
-    axes stays in [0, 2^w): one int add, never carrying into a neighbouring
-    field, and still exact at +-2^60. ``lanes`` holds the weight of each
-    axis, so a step d packs as the sum of d_k * lanes[k]."""
+    k of an n-cell is stored in bits [w*(n-1-k), w*(n-k)) as x_k - lo + 2,
+    for one origin lo and one field width w. With lo and hi the least and
+    greatest coordinate in the set and w the bit length of hi - lo + 4,
+    every field of a listed cell lies in [2, hi - lo + 2], so a step of up
+    to +-2 on any axes stays in [0, 2^w): one int add, never carrying into
+    a neighbouring field, and still exact at +-2^60. Axis 0 takes the
+    highest field, so packed ints sort as their cells do: a sorted list of
+    ints unpacks to sorted cells. ``lanes`` holds the weight of each axis,
+    so a step d packs as the sum of d_k * lanes[k].
 
-    __slots__ = ("lanes", "_off", "_shifts", "_field", "_base")
+    Cells are packed and unpacked in bulk, one column of coordinates at a
+    time, with ``map`` over C-level operators."""
+
+    __slots__ = ("lanes", "_w", "_off", "_base")
 
     def __init__(self, n: int, lo: int, w: int) -> None:
+        self._w = w
         self._off = lo - 2  # field k holds x_k - off
-        self.lanes = tuple(1 << w * k for k in range(n))
-        self._shifts = tuple(w * k for k in range(n))
-        self._field = (1 << w) - 1
+        self.lanes = tuple(1 << w * k for k in reversed(range(n)))
         self._base = self._off * sum(self.lanes)
 
     @classmethod
@@ -287,12 +293,27 @@ class _Packing:
         lo = min(coords)
         return cls(n, lo, (max(coords) - lo + 4).bit_length())
 
-    def pack(self, cell: Iterable[int]) -> int:
-        return sum(map(mul, cell, self.lanes)) - self._base
+    def pack(self, cells: Iterable[Cell]) -> list[int]:
+        """Each cell packed, in order: the columns of coordinates folded by
+        Horner's rule, field by field from axis 0 down, less the origin's
+        offset in every field."""
+        columns = zip(*cells)
+        packed = next(columns, None)
+        if packed is None:  # no cells give no columns to fold
+            return []
+        w = self._w
+        for column in columns:
+            packed = map(add, map(lshift, packed, repeat(w)), column)
+        return list(map(sub, packed, repeat(self._base)))
 
-    def unpack(self, p: int) -> Cell:
-        field, off = self._field, self._off
-        return _mk(Cell, [(p >> s & field) + off for s in self._shifts])
+    def unpack(self, packed: Sequence[int]) -> list[Cell]:
+        """The cell of each packed int, in order, read a field at a time."""
+        field, off, w = (1 << self._w) - 1, self._off, self._w
+        columns = [
+            map(add, map(and_, map(rshift, packed, repeat(w * k)), repeat(field)), repeat(off))
+            for k in reversed(range(len(self.lanes)))
+        ]
+        return list(map(_mk, repeat(Cell), zip(*columns)))
 
 
 def _windows(obj: DigitalObject) -> tuple[_Packing, dict[int, int]]:
@@ -307,7 +328,7 @@ def _windows(obj: DigitalObject) -> tuple[_Packing, dict[int, int]]:
     p + lane_k as m and to p - lane_k as ``m << 2^k`` (the + side).
     """
     fmt = _Packing.spanning(obj.n, obj.voxels)
-    windows = dict.fromkeys(map(fmt.pack, obj.voxels), 1)
+    windows = dict.fromkeys(fmt.pack(obj.voxels), 1)
     for k, lane in enumerate(fmt.lanes):
         shift = 1 << k
         folded = {p + lane: m for p, m in windows.items()}
@@ -400,12 +421,12 @@ def _window_counts(obj: DigitalObject) -> _WindowCounts:
     fmt, windows = _windows(obj)
     masks = Counter(windows.values())
     histogram, hub_offsets = _read_blocks(fmt.lanes, masks)
-    hubs = sorted(
-        fmt.unpack(p + t)
+    hubs = fmt.unpack(sorted(
+        p + t
         for p, mask in windows.items()
         if mask in hub_offsets
         for t in hub_offsets[mask]
-    )
+    ))
     del windows  # the halving reads only the distinct masks
     sums = []
     for flat in (or_, and_):  # present cells, then covered ones

@@ -11,14 +11,18 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridgaps
-from gridgaps import DigitalObject, census
+from gridgaps import DigitalObject, ShapeSpec, census, generate
 from gridgaps.cli import (
     EXIT_CAP,
     EXIT_DISAGREEMENT,
     EXIT_INPUT,
     EXIT_OK,
+    _count_text,
+    _json,
     build_count_report,
     main,
 )
@@ -72,6 +76,14 @@ class TestCount:
         assert capsys.readouterr().out.splitlines()[-1] == "hubs: (1,1,0)"
         assert main(["count", single_file, "--hubs"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1] == "hubs: none"
+
+    def test_hubs_text_line_of_many_hubs(self):
+        # one %d template per row gives what joining each hub's str gave
+        obj = generate(ShapeSpec("random", 3, (5, 5, 5), 0.5, 1)).translate((-7, 0, 3))
+        report = build_count_report(obj, include_hubs=True)
+        shown = " ".join("(" + ",".join(map(str, h)) + ")" for h in report["hubs"])
+        assert len(report["hubs"]) > 10 and min(min(report["hubs"])) < 0
+        assert _count_text(report).splitlines()[-1] == "hubs: " + shown
 
     def test_malformed_line_cited(self, tmp_path, capsys):
         path = tmp_path / "bad.dvo"
@@ -494,6 +506,76 @@ class TestUsageErrors:
         proc = _child("-c", code, command, diag_file, "--json")
         assert proc.returncode == EXIT_OK
         assert proc.stdout.splitlines()[-1] == str(imported)
+
+
+#: values of every kind JSON takes: int rows of equal and unequal length,
+#: with bools among the ints, ints past 64 bits, and any text as keys
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70)
+    | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.integers(0, 3).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers() | st.booleans(), min_size=m, max_size=m), max_size=4
+        )
+    ),
+    max_leaves=30,
+)
+
+FIXED_JSON = {
+    "nested": {"a": {}, "b": [], "c": {"d": [[], {}, [[]]], "e": {"f": [1, [2]]}}},
+    "unequal-rows": [[1, 2], [3], [4, 5, 6], []],
+    "bools": {"rows": [[True, 1], [0, False]], "flat": [True, 1, 0]},
+    "big-ints": [[-1, 2**64 + 1], [-(2**70), 0], [2**64, -(2**64)]],
+    "none": {"gaps": None, "rows": [[None, 1], [2, 3]]},
+    "strings": {
+        'q"uote': "back\\slash",
+        "ctl\x00\x1f\n\t\u2028": "naïve ∑ \U0001f600",
+        "": "",
+    },
+}
+
+
+def assert_writes_as_json_dumps(value: object) -> None:
+    # beside each case sits a bool in a row of ints, which ``%d`` would
+    # print as 1: a writer that took bools for ints fails every case
+    flagged = {"case": value, "flagged": [[2, True, -3], [False, 0, 1]]}
+    assert _json(flagged) == json.dumps(flagged, indent=2, sort_keys=True)
+
+
+class TestJsonWriter:
+    """``_json`` against ``json.dumps(value, indent=2, sort_keys=True)``."""
+
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("case", list(FIXED_JSON))
+    def test_fixed_cases(self, case):
+        assert_writes_as_json_dumps(FIXED_JSON[case])
+
+    @pytest.mark.parametrize("command", ["count", "classify", "verify"])
+    def test_command_payloads(self, command, tmp_path, monkeypatch):
+        from gridgaps import cli as cli_mod
+        from gridgaps import dvo
+
+        obj = generate(ShapeSpec("random", 3, (4, 4, 4), 0.5, 1))
+        path = tmp_path / "r3.dvo"
+        dvo.dump(obj, str(path))
+        payloads = []
+        monkeypatch.setattr(cli_mod, "_emit", lambda payload, as_json, text: payloads.append(payload))
+        assert main([command, str(path), "--json", *(["--hubs"] if command == "count" else [])]) == EXIT_OK
+        if command == "count":
+            assert len(payloads[0]["hubs"]) > 1
+        assert_writes_as_json_dumps(payloads[0])
+
+    def test_count_hubs_are_int_rows(self, diag_file, capsys):
+        assert main(["count", diag_file, "--json", "--hubs"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert '"hubs": [\n    [\n      1,\n      1,\n      0\n    ]\n  ],' in out
 
 
 def _child(*args: str) -> subprocess.CompletedProcess:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 from itertools import product
-from operator import add
+from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridgaps import (
@@ -29,7 +29,8 @@ from gridgaps import (
     is_gap_by_adjacency,
 )
 from gridgaps.cli import main
-from gridgaps.gaps import _window_counts, _windows
+from gridgaps.cells import COORD_LIMIT
+from gridgaps.gaps import _Packing, _window_counts, _windows
 from gridgaps.objects import CellCensus
 
 from oracles import o_gap_count
@@ -185,7 +186,7 @@ def corner_windows(obj: DigitalObject) -> dict[tuple[int, ...], int]:
 def assert_masks_match_corners(obj: DigitalObject) -> None:
     """The axis-by-axis masks of ``_windows``, unpacked, are the direct ones."""
     fmt, windows = _windows(obj)
-    unpacked = {fmt.unpack(p): mask for p, mask in windows.items()}
+    unpacked = dict(zip(fmt.unpack(list(windows)), windows.values()))
     assert len(unpacked) == len(windows)
     assert unpacked == corner_windows(obj)
 
@@ -269,6 +270,51 @@ class TestWindowPass:
         obj = generate(ShapeSpec("random", n, (2,) * n, 0.5, seed))
         assert len(obj)
         assert_masks_match_corners(obj)
+
+
+#: coordinates for the packing tests: small ones, so that cells repeat and
+#: tie on leading axes, and any in the +-2**60 range of doubled coordinates
+PACKED_COORDS = st.integers(-3, 3) | st.integers(-COORD_LIMIT, COORD_LIMIT)
+
+
+class TestPacking:
+    """``_Packing``'s bulk pack and unpack against the per-cell sum of
+    fields, with axis 0 in the highest field."""
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.tuples(*[PACKED_COORDS] * n), max_size=12),
+                st.tuples(*[st.integers(-2, 2)] * n),
+            )
+        )
+    )
+    @example(([], (0, 0, 0)))  # no cells give zip no columns to fold
+    @example(([(5,)], (-2,)))
+    @example(([(-COORD_LIMIT,) * 8, (COORD_LIMIT,) * 8], (2,) * 8))
+    @example(([(COORD_LIMIT, -COORD_LIMIT), (-COORD_LIMIT, COORD_LIMIT)], (-2, 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_bulk_pack_sorts_and_unpacks_as_cells(self, drawn):
+        cells, step = drawn
+        n = len(step)
+        fmt = _Packing.spanning(n, cells)
+        packed = fmt.pack(cells)
+        coords = [x for cell in cells for x in cell] or [0]
+        lo, w = min(coords), (max(coords) - min(coords) + 4).bit_length()
+        assert packed == [
+            sum((x - lo + 2) << w * (n - 1 - k) for k, x in enumerate(cell))
+            for cell in cells
+        ]
+        unpacked = fmt.unpack(packed)
+        assert unpacked == cells and all(type(c) is Cell for c in unpacked)
+        assert fmt.unpack(sorted(packed)) == sorted(cells)
+        # a step of up to +-2 on every axis is one add of its lane weights
+        moved = [p + sum(map(mul, step, fmt.lanes)) for p in packed]
+        assert fmt.unpack(moved) == [tuple(map(add, cell, step)) for cell in cells]
+
+    def test_empty_object_has_no_windows(self):
+        for n in (1, 3, 8):
+            assert _windows(DigitalObject(n))[1] == {}
 
 
 class TestIsGap:
