@@ -198,15 +198,16 @@ def _verify_objects(args: argparse.Namespace) -> Iterator[tuple[str, DigitalObje
     if args.random is not None and args.file is not None:
         raise ValueError("give verify a FILE or --random, not both")
     if args.random is not None:
-        raw_n, raw_extent, raw_density, raw_seed, raw_trials = args.random
-        try:
-            n, extent = int(raw_n), int(raw_extent)
-            density = float(raw_density)
-            seed, trials = int(raw_seed), int(raw_trials)
-        except ValueError:
-            raise ValueError(
-                "--random expects integers n, extent, seed, trials and a float density"
-            ) from None
+        values = []
+        for raw, kind in zip(args.random, (int, int, float, int, int)):
+            try:
+                values.append(kind(raw))
+            except ValueError:
+                raise ValueError(
+                    "--random expects integers n, extent, seed, trials and a float"
+                    f" density, got {raw!r}"
+                ) from None
+        n, extent, density, seed, trials = values
         if trials < 1:
             raise ValueError("--random needs at least one trial")
         _check_caps(n=n)
@@ -281,12 +282,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     )
     _check_caps(n=spec.n, sites=spec.extents or ())
     obj = generate(spec)
-    text = dvo.dumps(obj, comments=[describe(spec)])
+    comments = [describe(spec)]
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(dvo.dumps(obj, comments))
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        dvo.dump(obj, args.out, comments)
     return EXIT_OK
 
 

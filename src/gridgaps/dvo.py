@@ -217,5 +217,7 @@ def dumps(obj: DigitalObject, comments: list[str] | None = None) -> str:
 
 
 def dump(obj: DigitalObject, path: str, comments: list[str] | None = None) -> None:
+    """Write :func:`dumps`'s text to ``path``, built before the file is opened."""
+    text = dumps(obj, comments)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(obj, comments))
+        fh.write(text)

@@ -54,22 +54,22 @@ class ShapeSpec:
         if self.n < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {self.n}")
         if self.kind in ("diagonal_pair", "l_block") and self.n < 2:
-            raise ValueError(f"{self.kind} needs n >= 2")
+            raise ValueError(f"{self.kind} needs n >= 2, got n={self.n}")
         if self.kind in _EXTENT_KINDS:
             if self.extents is None:
                 raise ValueError(f"{self.kind} needs extents")
             object.__setattr__(self, "extents", tuple(self.extents))
             if len(self.extents) != self.n:
-                raise ValueError("extents length must equal n")
+                raise ValueError(f"extents length must equal n, got {self.extents} for n={self.n}")
             if any(e < 1 for e in self.extents):
-                raise ValueError("extents must be positive")
+                raise ValueError(f"extents must be positive, got {self.extents}")
         elif self.extents is not None:
             raise ValueError(f"{self.kind} takes no extents")
         if self.kind == "random":
             if self.density is None or not 0 <= self.density <= 1:
-                raise ValueError("random shape needs density in [0, 1]")
+                raise ValueError(f"random shape needs density in [0, 1], got {self.density!r}")
             if self.seed is None or not 0 <= self.seed < 1 << 64:
-                raise ValueError("random shape needs a 64-bit unsigned seed")
+                raise ValueError(f"random shape needs a 64-bit unsigned seed, got {self.seed!r}")
         elif self.density is not None:
             raise ValueError(f"{self.kind} takes no density")
         elif self.seed is not None:

@@ -316,10 +316,26 @@ class TestVerify:
     def test_random_extent_cap(self, capsys):
         assert main(["verify", "--random", "3", "1000", "0.5", "1", "1"]) == EXIT_CAP
 
-    @pytest.mark.parametrize("n, extent", [("2", "-2000"), ("4", "-1000"), ("3", "0")])
-    def test_random_non_positive_extent_is_an_input_error(self, n, extent, capsys):
+    @pytest.mark.parametrize(
+        "n, extent, extents",
+        [
+            pytest.param("2", "-2000", "(-2000, -2000)", id="2--2000"),
+            pytest.param("4", "-1000", "(-1000, -1000, -1000, -1000)", id="4--1000"),
+            pytest.param("3", "0", "(0, 0, 0)", id="3-0"),
+        ],
+    )
+    def test_random_non_positive_extent_is_an_input_error(self, n, extent, extents, capsys):
         assert main(["verify", "--random", n, extent, "0.5", "1", "1"]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: extents must be positive\n"
+        assert capsys.readouterr().err == f"error: extents must be positive, got {extents}\n"
+
+    @pytest.mark.parametrize("args, bad", [("3 3 0.5 1 1e3", "'1e3'"), ("3 x y 1 2", "'x'")])
+    def test_random_value_not_a_number_is_named(self, args, bad, capsys):
+        # the first value that does not parse is named
+        assert main(["verify", "--random", *args.split()]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: --random expects integers n, extent, seed, trials and a float"
+            f" density, got {bad}\n"
+        )
 
     def test_random_dimension_cap_exits_4(self, capsys):
         assert main(["verify", "--random", "9", "-2", "0.5", "1", "1"]) == EXIT_CAP
@@ -455,6 +471,31 @@ class TestGen:
         assert main(["gen", "--shape", "box", "--n", "2"]) == EXIT_INPUT
         assert main(["gen", "--shape", "bogus", "--n", "2"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--shape box --n 2 --extents 3", "extents length must equal n, got (3,) for n=2"),
+            (
+                "--shape random --n 2 --extents 2,2 --density 1.5 --seed 1",
+                "random shape needs density in [0, 1], got 1.5",
+            ),
+            (
+                "--shape random --n 2 --extents 2,2 --density nan --seed 1",
+                "random shape needs density in [0, 1], got nan",
+            ),
+            (
+                "--shape random --n 2 --extents 2,2 --density 0.5 --seed -1",
+                "random shape needs a 64-bit unsigned seed, got -1",
+            ),
+            ("--shape diagonal_pair --n 1", "diagonal_pair needs n >= 2, got n=1"),
+        ],
+    )
+    def test_spec_error_names_the_value(self, flags, message, capsys):
+        assert main(["gen", *flags.split()]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_bad_extents(self, capsys):
         assert main(["gen", "--shape", "box", "--n", "2", "--extents", "3,x"]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: bad extents '3,x'\n"
@@ -473,6 +514,17 @@ class TestGen:
         captured = capsys.readouterr()
         assert captured.err == f"error: n={n} exceeds the full-census cap n <= 8\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_out_of_memory_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # the file is opened only once its text is built
+        def exhausted(obj, comments=None):
+            raise MemoryError
+
+        monkeypatch.setattr(gridgaps.dvo, "dumps", exhausted)
+        out = tmp_path / "obj.dvo"
+        assert main(["gen", "--shape", "single", "--n", "2", "--out", str(out)]) == EXIT_CAP
+        assert capsys.readouterr().err == "error: out of memory; try a smaller object\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
