@@ -6,9 +6,15 @@ with L_k odd and at most the least cell coordinate: a voxel and its face
 below share an index, and its face above is one index up. So the cells of
 one parity class (the axes they are flat on) fill a sublattice, and a
 face, coface or block step is a shift of a whole class. This module alone
-turns a step into a shift (``_Bitmaps.steps``, ``_Bitmaps.at``); the
-identities speak only of cell offsets. The ints are cut into tiles, a
-sparse map of small dense boxes after VDB (Museth 2013, "VDB:
+turns a step into a shift: ``_Bitmaps.read`` gives, for each step, the
+class it reaches moved back onto the stepping class's bits, and the
+identities speak only of cell offsets. The one exception is border-sum,
+which moves each free j-class forward itself (``_Bitmaps.steps``,
+``_Bitmaps.at``): a -1 step on an axis the class extends on keeps the
+index, so its 3^j - 1 face steps have only 2^j distinct shifts, and one
+forward move per shift serves every i-class those steps reach, where
+reading back moves each reached class once per step. The ints are cut
+into tiles, a sparse map of small dense boxes after VDB (Museth 2013, "VDB:
 High-resolution sparse volumes with dynamic topology"): only tiles that
 hold a voxel exist, so clusters far apart and long diagonals cost about
 what their cells cost, not what their bounding box does. A dense object
@@ -24,7 +30,7 @@ from math import prod
 from operator import and_, contains, floordiv, itemgetter, mul, rshift, sub
 from typing import Callable, Iterable, Iterator
 
-from .cells import Cell, _along, _mk, _parity
+from .cells import Cell, _along, _mk, _parity, block
 
 #: the least bits a tile is charged when the tiles are chosen (``_sides``):
 #: about the big-int work that a tile's own Python overhead costs
@@ -63,13 +69,6 @@ def _levels(n: int) -> tuple[tuple[tuple[Class, int], ...], ...]:
     for q in product((0, 1), repeat=n):
         levels[sum(q)].append((q, max((k for k in range(n) if q[k]), default=-1)))
     return tuple(map(tuple, levels))
-
-
-def _block(h: tuple[int, ...], q: Class) -> Iterator[tuple[int, ...]]:
-    """The indices of the block voxels of the cell at index h in class q:
-    on each flat axis, its -1 and +1 steps' index moves (``_MOVES``)."""
-    down, up = _MOVES[1]
-    return product(*((x + down, x + up) if f else (x,) for x, f in zip(h, q)))
 
 
 def _radix(sides: Iterable[int], tops: Iterable[int]) -> tuple[int, ...]:
@@ -203,12 +202,11 @@ class _Bitmaps:
     slot past top on it:
     - ``_count_classes`` moves voxels, and cells extending on k, up one on k:
       from at most top - 1 to at most top;
-    - ``_block_voxels`` moves voxels up one on each flat axis of a class: to
-      at most top;
-    - ``_cofaces_up`` moves free cells extending on k up one: to at most top;
     - border-sum moves free cells up one on axes they extend on: to at most
       top;
-    - free-face-heredity moves free faces flat on k down one: a bit at slot
+    - ``read`` moves a reached class back. For block voxels and cofaces it
+      moves voxels, and free cells extending on k, up one on k: to at most
+      top. For faces it moves free faces flat on k down one: a bit at slot
       0 wraps to slot top on k (or off the int), and is read only at free
       cells extending on k, none of them at top.
 
@@ -231,7 +229,7 @@ class _Bitmaps:
         the cell coordinates ``columns`` (a column per axis; empty, 0..0)."""
         self.n = n
         self.lo = tuple((min(col, default=0) - 1) | 1 for col in columns)
-        self.tops = self.h(max(col, default=-1) + 1 for col in columns)
+        (self.tops,) = zip(*self.indices([max(col, default=-1) + 1] for col in columns))
         #: (object, its window pass, the pass's hubs as bitmaps per (tile, class)), kept by ``identities``
         self.window: tuple | None = None
 
@@ -245,12 +243,9 @@ class _Bitmaps:
             key: _Tile(self.n, sum(map(mul, self.origin(key), self.weights))) for key in sorted(set(self._keys(columns)))
         }
 
-    def h(self, cell: Iterable[int]) -> tuple[int, ...]:
-        """The cell's index: (x_k - L_k) >> 1 on each axis k."""
-        return tuple(map(rshift, map(sub, cell, self.lo), repeat(1)))
-
     def indices(self, columns: Iterable[Iterable[int]]) -> Columns:
-        """``h`` of cells given as a column per axis, a column per axis."""
+        """The indices of cells given as a column per axis, a column per
+        axis: (x_k - L_k) >> 1 on each axis k."""
         return [list(map(rshift, map(sub, col, repeat(L)), repeat(1))) for col, L in zip(columns, self.lo)]
 
     def origin(self, key: Key) -> tuple[int, ...]:
@@ -375,26 +370,25 @@ class _Bitmaps:
         voxels; a listed non-voxel is no block voxel."""
         listed = [list(cells) for cells in (*cells_by_dim, *free_by_dim)]
         maps = cls(n, list(zip(*(e for cells in listed for e in cells))) or [()] * n)
-        voxels = [v for v in listed[n] if not any(_parity(v))]
-        vox = list(map(maps.h, voxels))
-        present = frozenset(vox)
-        # each cell with its index and the indices of its block voxels present
-        spots = [[(e, h, [v for v in _block(h, _parity(e)) if v in present])
-                  for e, h in zip(cells, map(maps.h, cells))] for cells in listed]
+        present = frozenset(v for v in listed[n] if not any(_parity(v)))
+        # each cell with its index and its block voxels present
+        spots = [[(e, h, [v for v in block(e) if v in present])
+                  for e, h in zip(cells, zip(*maps.indices(zip(*cells))))] for cells in listed]
+        vox = {e: h for e, h, _ in spots[n] if e in present}
         # the tiles are chosen, and made, for the voxels and for the cells with none
-        maps._cut(list(zip(*vox, *(h for cells in spots for _, h, block in cells if not block))))
+        maps._cut(list(zip(*vox.values(), *(h for cells in spots for _, h, held in cells if not held))))
         # each cell is owned by the first tile holding one of its block
         # voxels, else by the tile holding it
-        keyed = dict(zip(vox, maps._keys(list(zip(*vox)))))
+        keyed = dict(zip(vox, maps._keys(list(zip(*vox.values())))))
         owned = {}
         for s, cells in enumerate(spots):
-            for e, h, block in cells:
-                key = min(map(keyed.get, block)) if block else next(maps._keys(zip(h)))
+            for e, h, held in cells:
+                key = min(map(keyed.get, held)) if held else next(maps._keys(zip(h)))
                 spot = ("cells" if s <= n else "free", s % (n + 1), key, _parity(e))
                 owned.setdefault(spot, []).append(maps.position(h, key))
         for (listing, i, key, q), positions in sorted(owned.items()):
             getattr(maps.tiles[key], listing)[i][q] = _bitmap(positions)
-        for (key, _), bits in maps.place(voxels).items():
+        for (key, _), bits in maps.place(vox).items():
             maps.tiles[key].voxels = bits
         for i, cells in enumerate(free_by_dim):
             for (key, q), bits in sorted(maps.place(cells).items()):
@@ -423,6 +417,15 @@ class _Bitmaps:
         """The steps ``cells._offsets(q, flat, k)`` from a class-q cell, in
         order and by the class each reaches, each with its shift."""
         return _step_table(self.weights, q, flat, k)
+
+    def read(self, by_class: dict[Class, int], q: Class, flat: int, k: int) -> Iterator[tuple[Offset, int]]:
+        """Each step of ``steps(q, flat, k)``, in order, with ``by_class``'s
+        bitmap of the class it reaches moved back by its shift: each class-q
+        cell's bit reads the cell the step reaches."""
+        for p, steps in self.steps(q, flat, k).items():
+            bits = by_class.get(p, 0)
+            for d, shift in steps:
+                yield d, self.at(bits, -shift)
 
     @staticmethod
     def at(bits: int, shift: int) -> int:

@@ -10,9 +10,12 @@ The census-side identities run on the census's bitmaps (``bitmaps._Bitmaps``):
 each steps a whole parity class at once with ANDs and bit counts, and walks
 a class cell by cell only to name a failure's witness, the first failing
 cell in witness order (tile key, class, bit). They name a step by its cell
-offset, as ``cells._offsets`` gives it; the bitmaps' step table
-(``_Bitmaps.steps``) says which class it reaches and how far it moves a
-bit, and ``_Bitmaps.at`` moves a bitmap that far.
+offset, as ``cells._offsets`` gives it: ``_Bitmaps.read`` yields each step
+of a class with the bitmap of the class it reaches moved back onto the
+class's bits, so a cell's bit there reads the cell the step reaches. Only
+border-sum moves bitmaps itself, forward by each distinct shift of the
+step table (``_Bitmaps.steps``, ``_Bitmaps.at``), which serves several
+steps with one move.
 No identity scans cells with ``is_gap``; gap-triple-agreement runs it on
 the vertex-window pass's hubs alone.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
 from operator import add, sub
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from .cells import Cell, _mk
 from .counting import c_bounding
@@ -82,10 +85,10 @@ def _identity(name: str, codim2: bool = False) -> Callable[[_Check], _Identity]:
 
 def _block_voxels(maps: _Bitmaps, voxels: int, q: Class) -> dict[Offset, int]:
     """The block voxels of a class-q cell, each by its offset with the voxel
-    bitmap moved so that each cell's bit reads it: +-1 on the cell's two
-    flat axes. A cell with more or fewer flat axes has no (n-2)-block voxel."""
-    block = maps.steps(q, 1, 2).get((0,) * len(q), ())
-    return {d: maps.at(voxels, -shift) for d, shift in block}
+    bitmap read at each cell's bit (``_Bitmaps.read``): +-1 on the cell's
+    two flat axes. A cell with more or fewer flat axes has no (n-2)-block
+    voxel: it has no such step, or its steps reach no voxel."""
+    return dict(maps.read({(0,) * len(q): voxels}, q, 1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -133,19 +136,16 @@ def census_partition(obj: DigitalObject, cen: CellCensus) -> _Outcome:
             return checked, f"dim {i}: c={cen.c[i]} c*={cen.c_star[i]} c'={cen.c_prime[i]}"
     maps = cen._bitmaps
     for i in range(n + 1):
-        walked = {}
         for listing in ("cells", "free"):
-            got, where = maps.first(listing, i, lambda key, tile, q, bits: bits if n - sum(q) != i else 0)
+            _, where = maps.first(listing, i, lambda key, tile, q, bits: bits if n - sum(q) != i else 0)
             if where:
                 cell = maps.cell(*where)
                 return checked, f"dim {i}: listed cell {tuple(cell)} has dimension {cell.dim}"
-            # with no failing cell, the walk counted every cell listed
-            walked[listing] = got
         _, where = maps.first("free", i, lambda key, tile, q, bits: bits & ~tile.cells[i].get(q, 0))
         if where:
             return checked, f"dim {i}: free cell {tuple(maps.cell(*where))} is not a listed cell"
         for listing, label, want in (("cells", "c", cen.c[i]), ("free", "c*", cen.c_star[i])):
-            got = walked[listing]
+            got = maps.count(listing, i)
             if got != want:
                 return checked, f"dim {i}: {got} {listing} listed but {label}={want}"
     win = _window(obj, maps)[0]
@@ -210,10 +210,7 @@ def border_sum(obj: DigitalObject, cen: CellCensus) -> _Outcome:
 def _cofaces_up(maps: _Bitmaps, tile: _Tile, q: Class, i: int) -> _Counts:
     """Bit slices of how many free (i + 1)-cells of the tile each class-q
     cell bounds: its cofaces one +-1 step along a flat axis."""
-    facets = tile.reach[i + 1]
-    return maps.tally(
-        maps.at(facets.get(p, 0), -shift) for p, steps in maps.steps(q, 1, 1).items() for _, shift in steps
-    )
+    return maps.tally(bits for _, bits in maps.read(tile.reach[i + 1], q, 1, 1))
 
 
 @_identity("hub-nub-degree", codim2=True)
@@ -365,16 +362,9 @@ def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> _Outcome:
     checked = 0
     for j in range(1, n):
 
-        def faces(tile: _Tile, q: Class) -> Iterator[tuple[Offset, int]]:
-            """Each face step of class q, with the free faces read at its bits."""
-            for p, steps in maps.steps(q, 0, 1).items():
-                below = tile.reach[j - 1].get(p, 0)
-                for d, shift in steps:
-                    yield d, maps.at(below, -shift)
-
         def fail(key: Key, tile: _Tile, q: Class, free: int) -> int:
             kept = free
-            for _, below in faces(tile, q):
+            for _, below in maps.read(tile.reach[j - 1], q, 0, 1):
                 kept &= below
             return free ^ kept
 
@@ -384,7 +374,9 @@ def free_face_heredity(obj: DigitalObject, cen: CellCensus) -> _Outcome:
             key, q, bit = where
             f = maps.cell(*where)
             missing = [
-                _mk(Cell, map(add, f, d)) for d, below in faces(maps.tiles[key], q) if not below >> bit & 1
+                _mk(Cell, map(add, f, d))
+                for d, below in maps.read(maps.tiles[key].reach[j - 1], q, 0, 1)
+                if not below >> bit & 1
             ]
             return checked, f"free cell {tuple(f)} has non-free face {tuple(min(missing))}"
     return checked, None

@@ -84,8 +84,10 @@ def assert_steps_land(maps: bitmaps._Bitmaps) -> Counter:
     every flat value and every k: the table lists exactly the steps of
     ``cells._offsets`` under the class each reaches, and a one-bit bitmap
     moved by a step's shift is the one bit that decodes to the cell plus
-    the step, wherever that cell lies in the tile's bitmaps. Returns how
-    many steps moved a bit down, kept it and moved it up."""
+    the step, wherever that cell lies in the tile's bitmaps; and ``read``,
+    given that one bit in the class reached, yields for the step a bitmap
+    with the cell's bit set. Returns how many steps moved a bit down, kept
+    it and moved it up."""
     n, seen, every = maps.n, Counter(), (1 << prod(maps.radix)) - 1
     classes = list(product((0, 1), repeat=n))
     for key, tile in maps.tiles.items():
@@ -101,6 +103,7 @@ def assert_steps_land(maps: bitmaps._Bitmaps) -> Counter:
                     assert _parity(target) == p, (e, d)
                     if target in slots[p]:
                         assert bitmaps._Bitmaps.at(1 << b, shift) == 1 << slots[p][target], (e, d)
+                        assert dict(maps.read({p: 1 << slots[p][target]}, q, flat, k))[d] >> b & 1, (e, d)
                         seen[(shift > 0) - (shift < 0)] += 1
     return seen
 

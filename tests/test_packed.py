@@ -55,6 +55,7 @@ from references import (
     face_side_sums,
     held,
     in_order,
+    index,
     listing_free_outside,
     oracle_sets,
     reaching_past,
@@ -202,7 +203,7 @@ def with_bitmaps(cen: CellCensus, dropped: set, voxels: bool = False) -> CellCen
     copy = replace(cen)
     maps = copy._bitmaps
     for e in dropped:
-        for key, bit in maps.covering(maps.h(e)):
+        for key, bit in maps.covering(index(maps, e)):
             tile = maps.tiles[key]
             if voxels:
                 tile.voxels &= ~(1 << bit)
