@@ -56,51 +56,9 @@ from .shapes import ShapeSpec, enumerate_all_objects, generate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Adjacency",
-    "Cell",
-    "CellCensus",
-    "DigitalObject",
-    "DualCell",
-    "GapReport",
-    "HubClass",
-    "HubTag",
-    "IdentityResult",
-    "ShapeSpec",
-    "adjacency",
-    "adjacent_voxels",
-    "b_in_voxel",
-    "block",
-    "block_cell_count",
-    "block_free_facets",
-    "bounds",
-    "c_bounded",
-    "c_bounding",
-    "census",
-    "check_object",
-    "classification_histogram",
-    "classify_cell",
-    "cofaces",
-    "count_gaps_block_formula",
-    "count_gaps_formula",
-    "count_gaps_oracle",
-    "degrees_from_relation",
-    "dimension",
-    "dual",
-    "dual_bounds",
-    "dual_incident",
-    "enumerate_all_objects",
-    "faces",
-    "from_point_direction",
-    "generate",
-    "hub_nub_partition",
-    "incidence_sum_check",
-    "incident",
-    "is_gap",
-    "is_gap_by_adjacency",
-    "lblock_cell_count",
-    "lblock_free_facets",
-    "representative",
-    "voxel",
-    "voxel_intersection",
-]
+# every class and function imported above from a submodule is public
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(__name__ + ".")
+)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gridgaps import (
     Cell,
+    DualCell,
     adjacency,
     adjacent_voxels,
     block,
@@ -46,6 +47,7 @@ class TestEncoding:
     def test_dimension(self, coords, dim):
         assert dimension(Cell(coords)) == dim
         assert Cell(coords).dim == dim
+        assert Cell(coords).n == len(coords)
 
     def test_voxel_constructor_doubles(self):
         assert voxel((1, -2, 0)) == Cell((2, -4, 0))
@@ -276,17 +278,29 @@ class TestAdjacency:
             {Cell((2, 0, 0)), Cell((2, 2, 0))}
         )
 
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_adjacent_voxels_order_outside_range(self, i):
+        with pytest.raises(ValueError) as err:
+            adjacent_voxels(Cell((0, 0, 0)), i)
+        assert str(err.value) == f"adjacency order {i} outside [0, 2]"
+
 
 class TestDuality:
     def test_dual_dimension(self):
         assert dual(Cell((1, 1))).dim == 2
         assert dual(Cell((0, 0, 0))).dim == 0
         assert dual(Cell((1, 0, 1))).dim == 2
+        assert dual(Cell((1, 0, 1))).n == 3
 
     def test_dual_type_is_separate(self):
         d = dual(Cell((1, 0)))
         assert d != Cell((1, 0))
         assert d.coords == (1, 0)
+
+    def test_empty_dual_cell_rejected(self):
+        with pytest.raises(ValueError) as err:
+            DualCell(())
+        assert str(err.value) == "a dual cell needs at least one coordinate"
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dual_reverses_bounding_exhaustively(self, n):
@@ -306,3 +320,51 @@ def test_package_attribute_cells_is_the_submodule():
     assert gridgaps.cells is sys.modules["gridgaps.cells"]
     assert gridgaps.cells.faces is faces
     assert not {"cells", "border", "is_free", "b_boundary"} & set(gridgaps.__all__)
+
+
+def test_package_all_is_sorted_and_star_binds_exactly_it():
+    import gridgaps
+
+    namespace: dict = {}
+    exec("from gridgaps import *", namespace)
+    del namespace["__builtins__"]
+    assert gridgaps.__all__ == sorted(gridgaps.__all__)
+    assert sorted(namespace) == gridgaps.__all__
+    assert all(namespace[name] is getattr(gridgaps, name) for name in namespace)
+
+
+def test_each_package_name_is_its_submodule_attribute():
+    import sys
+
+    import gridgaps
+
+    for name in gridgaps.__all__:
+        value = getattr(gridgaps, name)
+        assert value.__module__.startswith("gridgaps.")
+        assert getattr(sys.modules[value.__module__], name) is value
+
+
+@pytest.mark.parametrize("module", ["cells", "counting", "gaps", "objects"])
+def test_package_exports_every_public_definition_of(module):
+    import importlib
+    import inspect
+
+    import gridgaps
+
+    mod = importlib.import_module(f"gridgaps.{module}")
+    defined = {
+        name
+        for name, value in vars(mod).items()
+        if not name.startswith("_")
+        and (inspect.isclass(value) or inspect.isfunction(value))
+        and value.__module__ == mod.__name__
+    }
+    assert defined and defined <= set(gridgaps.__all__)
+
+
+def test_check_object_returns_package_identity_results():
+    import gridgaps
+    from gridgaps.identities import check_object
+
+    results = check_object(gridgaps.DigitalObject.from_centers(2, [(0, 0), (1, 1)]))
+    assert results and all(type(r) is gridgaps.IdentityResult for r in results)

@@ -559,6 +559,35 @@ class TestUsageErrors:
         assert proc.returncode == EXIT_OK
         assert proc.stdout.splitlines()[-1] == str(imported)
 
+    @pytest.mark.parametrize(
+        "command, loaded",
+        [
+            ([], ()),
+            (["count", "FILE", "--json"], ("cli", "dvo")),
+            (["classify", "FILE", "--json"], ("cli", "dvo")),
+            (["gen", "--shape", "single", "--n", "2"], ("cli", "dvo")),
+            (["verify", "FILE", "--json"], ("bitmaps", "cli", "dvo")),
+        ],
+        ids=["import", "count", "classify", "gen", "verify"],
+    )
+    def test_modules_each_command_loads(self, command, loaded, diag_file):
+        # a fresh interpreter: `import gridgaps` alone, or one command through main
+        code = (
+            "import sys\n"
+            "if sys.argv[1:]:\n"
+            "    from gridgaps.cli import main\n"
+            "    main(sys.argv[1:])\n"
+            "else:\n"
+            "    import gridgaps\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'gridgaps'))"
+        )
+        args = [diag_file if arg == "FILE" else arg for arg in command]
+        proc = _child("-c", code, *args)
+        assert proc.returncode == EXIT_OK
+        package = ("cells", "counting", "gaps", "identities", "objects", "shapes")
+        expected = ["gridgaps"] + sorted(f"gridgaps.{m}" for m in package + loaded)
+        assert proc.stdout.splitlines()[-1].split() == expected
+
 
 #: values of every kind JSON takes: int rows of equal and unequal length,
 #: with bools among the ints, ints past 64 bits, and any text as keys

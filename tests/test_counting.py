@@ -163,6 +163,14 @@ class TestBlockCensusForms:
                 if n >= 2:
                     lblock_cell_count(i, n)
 
+    def test_inexact_division_raises(self):
+        from gridgaps.counting import _exact_div
+
+        assert _exact_div(12, 4) == 3
+        with pytest.raises(ArithmeticError) as err:
+            _exact_div(7, 2)
+        assert str(err.value) == "7 is not divisible by 2"
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             block_cell_count(4, 3)

@@ -43,6 +43,7 @@ from references import (
     EDGE,
     EMPTY3,
     LBLOCK3,
+    LINE1,
     SINGLE3,
     SQUARE22,
 )
@@ -344,6 +345,21 @@ class TestIsGap:
             is_gap(DIAG3, Cell((1, 1, 0)), 0)  # dimension mismatch with i
 
 
+@pytest.mark.parametrize("detector", [classify_cell, is_gap_by_adjacency])
+@pytest.mark.parametrize(
+    "obj, e, message",
+    [
+        (LINE1, Cell((1,)), "(n-2)-cells need ambient dimension n >= 2"),
+        (DIAG3, Cell((1, 1)), "cell and object ambient dimensions differ"),
+    ],
+    ids=["n1", "other-n"],
+)
+def test_codim2_detectors_refuse(detector, obj, e, message):
+    with pytest.raises(ValueError) as err:
+        detector(obj, e)
+    assert str(err.value) == message
+
+
 class TestAdjacencyDetector:
     def test_hub_edge_detected(self):
         assert is_gap_by_adjacency(DIAG3, HUB_EDGE)
@@ -397,6 +413,11 @@ class TestCounts:
         vox = frozenset(tuple(v) for v in obj.voxels)
         assert count_gaps_oracle(obj, 0).g == o_gap_count(2, vox, 0) == 4
         assert count_gaps_formula(obj) == 4
+
+    def test_block_formula_needs_n2(self):
+        with pytest.raises(ValueError) as err:
+            count_gaps_block_formula(LINE1)
+        assert str(err.value) == "gap formulas need ambient dimension n >= 2"
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_triple_agreement_matches_interval_oracle(self, n):
@@ -479,6 +500,11 @@ class TestCounts:
 
 
 class TestHubNubPartition:
+    def test_needs_n2(self):
+        with pytest.raises(ValueError) as err:
+            hub_nub_partition(LINE1)
+        assert str(err.value) == "hub/nub partition needs ambient dimension n >= 2"
+
     @pytest.mark.parametrize(
         "obj, hubs, nubs",
         [(DIAG3, 1, 22), (DOMINO3, 0, 20), (SINGLE3, 0, 12), (SQUARE22, 0, 8)],

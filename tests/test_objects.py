@@ -123,6 +123,23 @@ class TestConstruction:
         b = DigitalObject.from_centers(2, [(1, 1), (0, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != DigitalObject.from_centers(2, [(0, 0)])
+        assert a.__eq__(a.voxels) is NotImplemented and a != a.voxels
+
+    def test_dimension_zero_rejected(self):
+        with pytest.raises(ValueError) as err:
+            DigitalObject(0)
+        assert str(err.value) == "ambient dimension must be >= 1, got 0"
+
+    def test_translate_wrong_length_rejected(self):
+        with pytest.raises(ValueError) as err:
+            SINGLE3.translate((1, 0))
+        assert str(err.value) == "translation vector has wrong length"
+
+    def test_container_protocol_and_repr(self):
+        obj = DigitalObject.from_centers(2, [(1, 1), (0, 0), (0, 1)])
+        assert Cell((0, 2)) in obj and Cell((2, 0)) not in obj
+        assert list(obj) == [Cell((0, 0)), Cell((0, 2)), Cell((2, 2))]
+        assert repr(obj) == "DigitalObject(n=2, voxels=3)"
 
 
 class TestCellEnumeration:
@@ -213,6 +230,13 @@ class TestCensus:
         for i in range(n + 1):
             assert cen.c[i] == cen.c_star[i] + cen.c_prime[i]
         assert cen.c[n - 1] == 2 * n * cen.c[n] - cen.c_prime[n - 1]
+
+    def test_cell_sets_slice_and_compare_as_tuples(self):
+        cells = census(LBLOCK3).cells_by_dim
+        assert cells[1:] == tuple(cells)[1:] and type(cells[1:]) is tuple
+        assert cells == tuple(cells)
+        assert cells.__eq__(list(cells)) is NotImplemented
+        assert cells != list(cells)
 
     def test_cached_sets_match_counts(self):
         cen = census(LBLOCK3)

@@ -87,6 +87,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ShapeSpec("blob", 2)
 
+    def test_dimension_zero(self):
+        with pytest.raises(ValueError) as err:
+            ShapeSpec("single", 0)
+        assert str(err.value) == "ambient dimension must be >= 1, got 0"
+
     def test_missing_extents(self):
         with pytest.raises(ValueError):
             ShapeSpec("box", 2)
