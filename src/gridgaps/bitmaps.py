@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import combinations, compress, product, repeat
+from itertools import chain, combinations, compress, product, repeat
 from math import prod
 from operator import and_, contains, floordiv, itemgetter, mul, rshift, sub
 from typing import Callable, Iterable, Iterator
 
-from .cells import Cell, _along, _mk, _parity, block
+from .cells import Cell, _along, _mk, _parity, faces
 
 #: the least bits a tile is charged when the tiles are chosen (``_sides``):
 #: about the big-int work that a tile's own Python overhead costs
@@ -366,24 +366,26 @@ class _Bitmaps:
         cls, n: int, cells_by_dim: Sequence[Iterable[Cell]], free_by_dim: Sequence[Iterable[Cell]]
     ) -> _Bitmaps:
         """The bitmaps of listed cell sets, each cell under the dimension it
-        is listed at and in its own class. The listed voxels are the block
-        voxels; a listed non-voxel is no block voxel."""
+        is listed at and in its own class. The listed voxels, and no listed
+        non-voxel, are the block voxels, and owners are found from their
+        side: a voxel's closure holds the cells it is a block voxel of."""
         listed = [list(cells) for cells in (*cells_by_dim, *free_by_dim)]
         maps = cls(n, list(zip(*(e for cells in listed for e in cells))) or [()] * n)
-        present = frozenset(v for v in listed[n] if not any(_parity(v)))
-        # each cell with its index and its block voxels present
-        spots = [[(e, h, [v for v in block(e) if v in present])
-                  for e, h in zip(cells, zip(*maps.indices(zip(*cells))))] for cells in listed]
-        vox = {e: h for e, h, _ in spots[n] if e in present}
-        # the tiles are chosen, and made, for the voxels and for the cells with none
-        maps._cut(list(zip(*vox.values(), *(h for cells in spots for _, h, held in cells if not held))))
-        # each cell is owned by the first tile holding one of its block
-        # voxels, else by the tile holding it
-        keyed = dict(zip(vox, maps._keys(list(zip(*vox.values())))))
+        # each cell with its index
+        spots = [list(zip(cells, zip(*maps.indices(zip(*cells))))) for cells in listed]
+        vox = {e: h for e, h in spots[n] if not any(_parity(e))}
+        closure = {v: [f for i in range(n + 1) for f in faces(v, i)] for v in vox}
+        owners = dict.fromkeys(chain.from_iterable(closure.values()))
+        # the tiles are chosen, and made, for the voxels and for the cells in no closure
+        maps._cut(list(zip(*vox.values(), *(h for cells in spots for e, h in cells if e not in owners))))
+        # a closure cell is owned by the first tile holding one of its block voxels (the
+        # voxels go last to first, so that tile writes last), any other by the tile holding it
+        for key, v in sorted(zip(maps._keys(list(zip(*vox.values()))), vox), reverse=True):
+            owners.update(zip(closure[v], repeat(key)))
         owned = {}
         for s, cells in enumerate(spots):
-            for e, h, held in cells:
-                key = min(map(keyed.get, held)) if held else next(maps._keys(zip(h)))
+            for e, h in cells:
+                key = owners[e] if e in owners else next(maps._keys(zip(h)))
                 spot = ("cells" if s <= n else "free", s % (n + 1), key, _parity(e))
                 owned.setdefault(spot, []).append(maps.position(h, key))
         for (listing, i, key, q), positions in sorted(owned.items()):

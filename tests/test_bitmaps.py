@@ -201,6 +201,14 @@ class TestSparseObjects:
         assert (len(maps.tiles), maps.sides, maps.radix) == (1, (0,) * 8, (4,) * 8)
         assert all(r.passed for r in check_object(DIAG8, cen))
 
+    def test_rebuilt_bitmaps_match_in_tiles_of_one_at_n8(self, monkeypatch):
+        # neighbouring voxels share a vertex, which both their tiles hold:
+        # the rebuilt copy must give it to the first, as the census does
+        monkeypatch.setattr(bitmaps, "_sides", tiled(1))
+        cen = census(DIAG8)
+        assert len(cen._bitmaps.tiles) == 3
+        assert_bitmaps_match_rebuilt(cen)
+
     @pytest.mark.parametrize(
         "obj",
         [FAR, TWO_CLUSTERS, LINE40, DIAG8],
