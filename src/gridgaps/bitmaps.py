@@ -85,26 +85,29 @@ def _sides(tops: tuple[int, ...], columns: Columns) -> tuple[int, ...]:
     each axis. Each tile is charged its bits, but at least ``TILE_BITS``,
     and the layout charged least for the tiles that hold the points
     (``columns[k]`` holds their indices on axis k) wins: one tile, or sides
-    T = 1, 2, 4, ... on the axes longer than T. Past the T whose tiles
-    reach ``TILE_BITS`` bits, doubling T doubles a tile's bits per cut axis
-    and at best halves the tiles, so the search stops there.
+    T = 1, 2, 4, ... up to max(tops) on the axes longer than T. Doubling T
+    can make a tile smaller on an axis it stops cutting, so no side stops
+    the search; a side whose tiles cannot beat the best charge found is
+    skipped unread. A point's key at side T is its indices shifted right by
+    log2(T), so each side's key set comes from the last one read, halved,
+    and only the first from the points.
     """
     best, sides = max(prod(_radix(repeat(0), tops)), TILE_BITS), (0,) * len(tops)
-    side = 1
-    while columns and side <= max(tops):
+    keys, read = None, 0  # the last key set read, at side 1 << read
+    for shift in range(max(tops).bit_length() if columns else 0):
+        side = 1 << shift
         cut = tuple(side if top >= side else 0 for top in tops)
-        bits = prod(_radix(cut, tops))
-        charge = max(bits, TILE_BITS)
+        charge = max(prod(_radix(cut, tops)), TILE_BITS)
         # a core holds at most this many points, which bounds the tiles from below
         room = prod(c or top + 1 for c, top in zip(cut, tops))
         if -(-len(columns[0]) // room) * charge < best:
-            cols = (map(floordiv, col, repeat(c)) if c else repeat(0) for col, c in zip(columns, cut))
-            charged = len(set(zip(*cols))) * charge
-            if charged < best:
-                best, sides = charged, cut
-        if bits >= TILE_BITS:
-            break
-        side *= 2
+            if keys is None:
+                keys = set(zip(*(map(rshift, col, repeat(shift)) for col in columns)))
+            else:
+                keys = {tuple(map(rshift, key, repeat(shift - read))) for key in keys}
+            read = shift
+            if len(keys) * charge < best:
+                best, sides = len(keys) * charge, cut
     return sides
 
 

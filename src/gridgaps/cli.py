@@ -108,10 +108,11 @@ def build_count_report(obj: DigitalObject, include_hubs: bool = False) -> dict[s
     """The count report as plain data; keys are part of the format.
 
     Every number comes from one pass over vertex windows: "oracle" is its
-    count of (n-2)-hubs, each read off the cell's own block trace, and the
-    two formulas are evaluated on its c, c* and beta.
+    count of (n-2)-hubs, the gap tandems of its tag histogram, each read off
+    the cell's own block trace, and the two formulas are evaluated on its
+    c, c* and beta. The hubs are decoded only to be listed.
     """
-    win = _window_counts(obj)
+    win = _window_counts(obj, decode_hubs=include_hubs)
     report: dict[str, Any] = {
         "n": obj.n,
         "voxels": len(obj),
@@ -124,7 +125,7 @@ def build_count_report(obj: DigitalObject, include_hubs: bool = False) -> dict[s
     }
     if obj.n >= 2:
         counts = {
-            "oracle": len(win.hubs),
+            "oracle": win.histogram[HubTag.GAP_TANDEM],
             "formula": count_gaps_formula(obj, win),
             "block_formula": count_gaps_block_formula(obj, win),
         }

@@ -19,11 +19,14 @@ masks one axis at a time on vertices packed as ints (``_Packing``), axis 0
 in the highest field, so that int order is cell order: the hubs are sorted
 as ints and only then unpacked to cells, all at once, a column of
 coordinates at a time. Each (n-2)-cell's 4-bit block trace,
-one bit per block voxel present, sits in the mask of its lowest vertex:
-one table (``_block_traces``) reads it off the mask and ``_TRACE_TAG``
-names its tag. So the same masks give the tag histogram;
-``classification_histogram``, behind ``classify``, reads only that, with
-neither the census counts nor the hubs.
+one bit per block voxel present, sits in the mask of its lowest vertex
+(``_block_traces`` names its four mask bits), and ``_TRACE_TAG`` names its
+tag. ``_read_blocks`` reads the traces of one pair of flat axes from every
+distinct mask at once, as byte planes. So the same masks give the tag
+histogram; ``classification_histogram``, behind ``classify``, reads only
+that, with neither the census counts nor the hubs. The hubs are decoded
+only for a caller that lists them: ``count`` without ``--hubs`` prints their
+number, the histogram's gap tandems.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from io import BytesIO
 from itertools import chain, combinations, compress, repeat
 from operator import add, and_, lshift, or_, rshift, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -237,28 +241,27 @@ _TRACE_TAG = tuple(
     for mask in range(16)
 )
 
+#: the tags in the order ``_read_blocks`` numbers them, from 1 (0 is no cell)
+_TAGS = tuple(HubTag)
+#: ``bytes.translate`` tables: ``_BIT[k]`` maps a byte to its bit k, and
+#: ``_TANDEM`` a tag number to 1 at a gap tandem, else to 0
+_BIT = tuple(bytes(v >> k & 1 for v in range(256)) for k in range(8))
+_TANDEM = bytes(v == _TAGS.index(HubTag.GAP_TANDEM) + 1 for v in range(256))
+
 
 @lru_cache(maxsize=None)
-def _block_traces(lanes: tuple[int, ...]) -> tuple[tuple[int, int, dict[int, int]], ...]:
-    """Each (n-2)-cell at its lowest vertex w, one per pair a < b of flat
-    axes: its offset from w (+1 on every other axis) packed with ``lanes``,
-    its block's window mask bits, and the 4-bit trace (``_TRACE_TAG``'s
-    index) of each way those bits can be set. Trace bit 2*ha + hb is the
-    block voxel's on the + side (h = 1) or - side (h = 0) of axis a and b.
+def _block_traces(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Each pair a < b of an (n-2)-cell's flat axes, with the window mask
+    bit of each of its block's voxels, in trace bit order: trace bit
+    2*ha + hb is the voxel on the + side (h = 1) or - side (h = 0) of axis
+    a and b. The cell is read at its lowest vertex w, so it is +1 from w on
+    every other axis, and so are its block voxels.
     """
-    n = len(lanes)
     full = (1 << n) - 1
-    out = []
-    for a, b in combinations(range(n), 2):
-        t = sum(lanes) - lanes[a] - lanes[b]
-        base = full ^ (1 << a) ^ (1 << b)
-        block = [1 << (base | ha << a | hb << b) for ha in (0, 1) for hb in (0, 1)]
-        traces = {
-            sum(bit for j, bit in enumerate(block) if trace >> j & 1): trace
-            for trace in range(16)
-        }
-        out.append((t, sum(block), traces))
-    return tuple(out)
+    return tuple(
+        (a, b, tuple(full ^ 1 << a ^ 1 << b | ha << a | hb << b for ha in (0, 1) for hb in (0, 1)))
+        for a, b in combinations(range(n), 2)
+    )
 
 
 class _Packing:
@@ -341,29 +344,60 @@ def _windows(obj: DigitalObject) -> tuple[_Packing, dict[int, int]]:
 
 
 def _read_blocks(
-    lanes: tuple[int, ...], masks: Counter[int]
+    lanes: tuple[int, ...], masks: Counter[int], hubs: bool
 ) -> tuple[dict[HubTag, int], dict[int, list[int]]]:
-    """The (n-2)-cells' tag histogram and the packed hub offsets at each
-    mask, from the windows per distinct mask: each cell is read at its
-    lowest vertex, a hub where ``_TRACE_TAG`` calls its trace a gap tandem.
+    """The (n-2)-cells' tag histogram and, if ``hubs``, the packed hub
+    offsets at each mask, from the windows per distinct mask: each cell is
+    read at its lowest vertex, a hub where ``_TRACE_TAG`` calls its trace a
+    gap tandem.
 
-    Traces are tallied by index and tagged once at the end, since hashing a
-    ``HubTag`` per window costs a Python call.
+    Each pair of flat axes reads every distinct mask at once, a byte per
+    mask (SWAR: Lamport 1975, "Multiple byte processing with full-word
+    instructions"). The masks lie end to end in one ``bytes``, 2^n/8 bytes
+    each (at least 1), written one at a time so that no ``bytes`` per mask
+    stays alive. A window mask bit becomes a byte plane, a byte per mask
+    holding that bit, by one strided slice and one ``translate``; a pair's
+    four block-voxel planes, as ints, are shifted to their trace bits and
+    ORed, a trace byte per mask, and one more ``translate`` numbers each
+    trace's tag. ``bytes.count`` tallies each tag, and a loop over the
+    repeated masks alone adds their extra windows. The hubs at a mask are
+    read off the tandem plane with ``compress``.
     """
-    tallies = [0] * 16  # windows per trace; trace 0 is no cell
+    n = len(lanes)
+    width = max(1 << n >> 3, 1)  # bytes per mask
+    order = list(masks)
+    distinct = len(order)
+    repeated = [i for i, count in enumerate(masks.values()) if count > 1]
+    extra = [count - 1 for count in masks.values() if count > 1]
+    out = BytesIO()
+    out.writelines(map(int.to_bytes, order, repeat(width), repeat("little")))
+    buf = out.getvalue()
+    del out
+    table = _block_traces(n)
+    planes = {
+        p: int.from_bytes(buf[p >> 3::width].translate(_BIT[p & 7]), "little")
+        for p in {p for _, _, block in table for p in block}
+    }
+    del buf
+    # each trace's tag number, from ``_TRACE_TAG`` as it stands at the call
+    numbers = bytes(_TAGS.index(tag) + 1 if tag else 0 for tag in _TRACE_TAG).ljust(256, b"\0")
+    tallies = [0] * (len(_TAGS) + 1)  # windows per tag number
     hub_offsets: dict[int, list[int]] = {}
-    table = _block_traces(lanes)
-    tandem = HubTag.GAP_TANDEM
-    for mask, count in masks.items():
-        for t, block_bits, traces in table:
-            trace = traces[mask & block_bits]
-            tallies[trace] += count
-            if _TRACE_TAG[trace] is tandem:
+    total = sum(lanes)
+    for a, b, block in table:
+        trace = 0
+        for j, p in enumerate(block):
+            trace |= planes[p] << j
+        tagged = trace.to_bytes(distinct, "little").translate(numbers)
+        for number in range(1, len(tallies)):
+            tallies[number] += tagged.count(number)
+        for number, count in zip(map(tagged.__getitem__, repeated), extra):
+            tallies[number] += count
+        if hubs:
+            t = total - lanes[a] - lanes[b]
+            for mask in compress(order, tagged.translate(_TANDEM)):
                 hub_offsets.setdefault(mask, []).append(t)
-    hist = {tag: 0 for tag in HubTag}
-    for trace in range(1, 16):
-        hist[_TRACE_TAG[trace]] += tallies[trace]
-    return hist, hub_offsets
+    return dict(zip(_TAGS, tallies[1:])), hub_offsets
 
 
 def classification_histogram(obj: DigitalObject) -> dict[HubTag, int]:
@@ -379,29 +413,34 @@ def classification_histogram(obj: DigitalObject) -> dict[HubTag, int]:
     if obj.n < 2:
         raise ValueError("classification needs ambient dimension n >= 2")
     fmt, windows = _windows(obj)
-    return _read_blocks(fmt.lanes, Counter(windows.values()))[0]
+    masks = Counter(windows.values())
+    del windows  # freed before the read, which may reuse its memory
+    return _read_blocks(fmt.lanes, masks, hubs=False)[0]
 
 
 class _WindowCounts(NamedTuple):
     """What one pass over vertex windows gives: the census counts, the tag
     histogram of the (n-2)-cells and their sorted hubs (neither below
-    n = 2). The formulas read it as a census."""
+    n = 2), or None for hubs not decoded. The formulas read it as a
+    census."""
 
     n: int
     c: tuple[int, ...]
     c_star: tuple[int, ...]
     c_prime: tuple[int, ...]
     histogram: dict[HubTag, int]
-    hubs: tuple[Cell, ...]
+    hubs: tuple[Cell, ...] | None
 
     @property
     def beta(self) -> tuple[int, ...]:
         return self.c_prime
 
 
-def _window_counts(obj: DigitalObject) -> _WindowCounts:
-    """c, c*, c', the (n-2)-cell tags and hubs from one pass over vertex
-    windows.
+def _window_counts(obj: DigitalObject, decode_hubs: bool = True) -> _WindowCounts:
+    """c, c*, c', the (n-2)-cell tags and, if ``decode_hubs``, the hubs
+    from one pass over vertex windows. The hubs number the histogram's gap
+    tandems, since each (n-2)-cell is read once, so a caller that prints
+    only their number need not decode them.
 
     A cell incident to a vertex is present when the vertex's mask meets the
     cell's block, and non-free when the mask covers it. Halving a mask along
@@ -420,13 +459,13 @@ def _window_counts(obj: DigitalObject) -> _WindowCounts:
     n = obj.n
     fmt, windows = _windows(obj)
     masks = Counter(windows.values())
-    histogram, hub_offsets = _read_blocks(fmt.lanes, masks)
-    hubs = fmt.unpack(sorted(
+    histogram, hub_offsets = _read_blocks(fmt.lanes, masks, hubs=decode_hubs)
+    hubs = tuple(fmt.unpack(sorted(
         p + t
         for p, mask in windows.items()
         if mask in hub_offsets
         for t in hub_offsets[mask]
-    ))
+    ))) if decode_hubs else None
     del windows  # the halving reads only the distinct masks
     sums = []
     for flat in (or_, and_):  # present cells, then covered ones
@@ -446,5 +485,5 @@ def _window_counts(obj: DigitalObject) -> _WindowCounts:
         sums.append(tuple(hist.get(1, 0) >> i for i, hist in enumerate(hists)))
     c, c_prime = sums
     return _WindowCounts(
-        n, c, tuple(map(sub, c, c_prime)), c_prime, histogram, tuple(hubs)
+        n, c, tuple(map(sub, c, c_prime)), c_prime, histogram, hubs
     )

@@ -178,6 +178,34 @@ LINE40 = DigitalObject.from_centers(3, [(t, t, t) for t in range(40)])
 DIAG8 = DigitalObject.from_centers(8, [(t,) * 8 for t in range(3)])
 
 
+#: a random 24^3 blob and its copy 2**40 away along every axis: the tiles
+#: of side 32 are charged less than those of side 16, where the tiles first
+#: reach ``TILE_BITS`` bits
+BLOB24 = generate(ShapeSpec("random", 3, (24,) * 3, 0.5, 1))
+FAR_BLOBS = DigitalObject(3, [*BLOB24.voxels, *BLOB24.translate((1 << 40,) * 3).voxels])
+
+
+class TestSides:
+    @pytest.mark.parametrize("obj", [FAR_BLOBS, DIAG8], ids=["far-blobs", "diagonal-n8"])
+    def test_least_charge_of_every_side(self, obj, monkeypatch):
+        # one tile and every power-of-two side up to the longest axis,
+        # each charged its tiles that hold a voxel times its tile's bits
+        calls = []
+        real = bitmaps._sides
+        monkeypatch.setattr(bitmaps, "_sides", lambda tops, cols: calls.append((tops, cols)) or real(tops, cols))
+        chosen = census(obj)._bitmaps.sides
+        ((tops, columns),) = calls
+
+        def charge(cut):
+            keys = set(zip(*([h // side if side else 0 for h in col] for col, side in zip(columns, cut))))
+            return len(keys) * max(prod(bitmaps._radix(cut, tops)), bitmaps.TILE_BITS)
+
+        layouts = [(0,) * obj.n] + [
+            tuple(1 << s if top >= 1 << s else 0 for top in tops) for s in range(max(tops).bit_length())
+        ]
+        assert charge(chosen) == min(map(charge, layouts))
+
+
 class TestSparseObjects:
     @pytest.mark.parametrize(
         "obj", [FAR, TWO_CLUSTERS, LINE40], ids=["far-corners", "two-clusters", "diagonal-n3"]

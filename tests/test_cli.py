@@ -232,7 +232,7 @@ class TestCount:
     def assert_out_of_memory(command, route, path, monkeypatch, capsys):
         from gridgaps import cli as cli_mod
 
-        def exhausted(obj):
+        def exhausted(obj, **options):
             raise MemoryError
 
         monkeypatch.setattr(cli_mod, route, exhausted)

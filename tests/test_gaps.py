@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import fields, replace
 from itertools import product
 from operator import add, mul
@@ -203,6 +204,11 @@ def assert_window_pass_matches_references(obj: DigitalObject) -> None:
     tally = classify_cell_tally(obj, cen) if obj.n >= 2 else {tag: 0 for tag in HubTag}
     assert win.histogram == tally
     assert win.histogram[HubTag.GAP_TANDEM] == len(win.hubs)
+    # the pass that decodes no hubs, as ``count`` without --hubs and
+    # ``classify`` run it
+    assert _window_counts(obj, decode_hubs=False) == win._replace(hubs=None)
+    if obj.n >= 2:
+        assert classification_histogram(obj) == win.histogram
 
 
 #: cluster anchors far apart; with +-2 jitter and +-1 offsets the clusters
@@ -259,10 +265,40 @@ class TestWindowPass:
             ),
             DigitalObject(1),
             EMPTY3,
+            DigitalObject(8),
         ],
-        ids=["corners-n2", "corners-n3-with-hubs", "line-n1", "corners-n8", "empty-n1", "empty-n3"],
+        ids=["corners-n2", "corners-n3-with-hubs", "line-n1", "corners-n8", "empty-n1", "empty-n3", "empty-n8"],
     )
     def test_range_corners_line_and_empty(self, obj):
+        assert_window_pass_matches_references(obj)
+
+    @pytest.mark.parametrize(
+        "n, extent, seed",
+        [(2, 6, 1), (3, 5, 1), (3, 5, 2), (4, 4, 1), (5, 3, 1), (6, 3, 1), (7, 2, 1), (8, 2, 1), (8, 2, 2)],
+    )
+    def test_dense_boxes_repeat_masks(self, n, extent, seed):
+        # the block reader reads each distinct mask once and adds the
+        # repeated masks' extra windows apart
+        obj = generate(ShapeSpec("random", n, (extent,) * n, 0.5, seed))
+        assert max(Counter(_windows(obj)[1].values()).values()) > 1
+        assert_window_pass_matches_references(obj)
+
+    @pytest.mark.parametrize(
+        "centers",
+        [[(EDGE,) * 8], [(0, 1, 2, 2, 0, 1, 0, 2), (1, 1, 2, 2, 0, 1, 0, 2)]],
+        ids=["far-voxel", "facet-pair"],
+    )
+    def test_sparse_n8_every_mask_distinct(self, centers):
+        # masks of 2^8 bits, 32 bytes each, none repeated
+        obj = DigitalObject.from_centers(8, centers)
+        assert max(Counter(_windows(obj)[1].values()).values()) == 1
+        assert_window_pass_matches_references(obj)
+
+    def test_mask_repeated_past_a_byte(self):
+        # a solid 8^3 box has 7^3 full windows; the voxel off its edge
+        # meets it in a gap tandem
+        obj = DigitalObject.from_centers(3, [*product(range(8), repeat=3), (8, 8, 3)])
+        assert max(Counter(_windows(obj)[1].values()).values()) > 255
         assert_window_pass_matches_references(obj)
 
     @pytest.mark.parametrize("n, seed", [(7, 1), (7, 2), (8, 1), (8, 2)])
