@@ -18,15 +18,15 @@ windows, with no census and no ``is_gap`` scan. ``_windows`` builds the
 masks one axis at a time on vertices packed as ints (``_Packing``), axis 0
 in the highest field, so that int order is cell order: the hubs are sorted
 as ints and only then unpacked to cells, all at once, a column of
-coordinates at a time. Each (n-2)-cell's 4-bit block trace,
-one bit per block voxel present, sits in the mask of its lowest vertex
-(``_block_traces`` names its four mask bits), and ``_TRACE_TAG`` names its
-tag. ``_read_blocks`` reads the traces of one pair of flat axes from every
-distinct mask at once, as byte planes. So the same masks give the tag
-histogram; ``classification_histogram``, behind ``classify``, reads only
-that, with neither the census counts nor the hubs. The hubs are decoded
-only for a caller that lists them: ``count`` without ``--hubs`` prints their
-number, the histogram's gap tandems.
+coordinates at a time. Every cell is read once, at its lowest vertex, from
+bit planes over all distinct masks at once (``_planes``), each plane
+weighed by the masks' window counts: the cells of every dimension by one
+superset fold of the planes, and each (n-2)-cell's 4-bit block trace from
+the four planes that ``_block_traces`` names, its tag from ``_TRACE_TAG``.
+``classification_histogram``, behind ``classify``, reads only the tags,
+with neither the census counts nor the hubs. The hubs are decoded only for
+a caller that lists them: ``count`` without ``--hubs`` prints their number,
+the histogram's gap tandems.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from enum import Enum
 from functools import lru_cache
 from io import BytesIO
 from itertools import chain, combinations, compress, repeat
-from operator import add, and_, lshift, or_, rshift, sub
-from typing import Iterable, NamedTuple, Sequence
+from operator import add, and_, lshift, rshift, sub
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import (
     Cell,
@@ -241,12 +241,10 @@ _TRACE_TAG = tuple(
     for mask in range(16)
 )
 
-#: the tags in the order ``_read_blocks`` numbers them, from 1 (0 is no cell)
-_TAGS = tuple(HubTag)
-#: ``bytes.translate`` tables: ``_BIT[k]`` maps a byte to its bit k, and
-#: ``_TANDEM`` a tag number to 1 at a gap tandem, else to 0
-_BIT = tuple(bytes(v >> k & 1 for v in range(256)) for k in range(8))
-_TANDEM = bytes(v == _TAGS.index(HubTag.GAP_TANDEM) + 1 for v in range(256))
+#: ``bytes.translate`` tables: ``_DIGIT[k]`` maps a byte to the ASCII digit
+#: of its bit k, and ``_UNDIGIT`` an ASCII digit back to its bit
+_DIGIT = tuple(bytes(b"01"[v >> k & 1] for v in range(256)) for k in range(8))
+_UNDIGIT = bytes.maketrans(b"01", b"\0\1")
 
 
 @lru_cache(maxsize=None)
@@ -343,86 +341,98 @@ def _windows(obj: DigitalObject) -> tuple[_Packing, dict[int, int]]:
     return fmt, windows
 
 
-def _read_blocks(
-    lanes: tuple[int, ...], masks: Counter[int], hubs: bool
-) -> tuple[dict[HubTag, int], dict[int, list[int]]]:
-    """The (n-2)-cells' tag histogram and, if ``hubs``, the packed hub
-    offsets at each mask, from the windows per distinct mask: each cell is
-    read at its lowest vertex, a hub where ``_TRACE_TAG`` calls its trace a
-    gap tandem.
-
-    Each pair of flat axes reads every distinct mask at once, a byte per
-    mask (SWAR: Lamport 1975, "Multiple byte processing with full-word
-    instructions"). The masks lie end to end in one ``bytes``, 2^n/8 bytes
-    each (at least 1), written one at a time so that no ``bytes`` per mask
-    stays alive. A window mask bit becomes a byte plane, a byte per mask
-    holding that bit, by one strided slice and one ``translate``; a pair's
-    four block-voxel planes, as ints, are shifted to their trace bits and
-    ORed, a trace byte per mask, and one more ``translate`` numbers each
-    trace's tag. ``bytes.count`` tallies each tag, and a loop over the
-    repeated masks alone adds their extra windows. The hubs at a mask are
-    read off the tandem plane with ``compress``.
+def _planes(values: Sequence[int], bits: Iterable[int]) -> list[int]:
+    """The plane of each bit k in ``bits``: an int whose bit j is bit k of
+    ``values[j]``, so that one int operation acts on every value at once
+    (SWAR: Lamport 1975, "Multiple byte processing with full-word
+    instructions"). The values lie end to end in one ``bytes``, last first,
+    each in the bytes up to the highest bit asked for, which must hold it,
+    written one at a time so that no ``bytes`` per value stays alive. Each
+    byte column a bit needs is cut out once by a strided slice; a plane is
+    its column ``translate``d to ASCII digits and parsed in base 2, a
+    linear parse that Python's limit on int string digits does not reach.
     """
-    n = len(lanes)
-    width = max(1 << n >> 3, 1)  # bytes per mask
-    order = list(masks)
-    distinct = len(order)
-    repeated = [i for i, count in enumerate(masks.values()) if count > 1]
-    extra = [count - 1 for count in masks.values() if count > 1]
+    bits = list(bits)
+    width = (max(bits, default=0) >> 3) + 1
     out = BytesIO()
-    out.writelines(map(int.to_bytes, order, repeat(width), repeat("little")))
+    out.writelines(map(int.to_bytes, reversed(values), repeat(width), repeat("little")))
     buf = out.getvalue()
     del out
-    table = _block_traces(n)
-    planes = {
-        p: int.from_bytes(buf[p >> 3::width].translate(_BIT[p & 7]), "little")
-        for p in {p for _, _, block in table for p in block}
-    }
+    columns = {j: buf[j::width] for j in {k >> 3 for k in bits}}
     del buf
-    # each trace's tag number, from ``_TRACE_TAG`` as it stands at the call
-    numbers = bytes(_TAGS.index(tag) + 1 if tag else 0 for tag in _TRACE_TAG).ljust(256, b"\0")
-    tallies = [0] * (len(_TAGS) + 1)  # windows per tag number
+    return [int(columns[k >> 3].translate(_DIGIT[k & 7]) or b"0", 2) for k in bits]
+
+
+def _distinct_masks(windows: dict[int, int]) -> tuple[list[int], Callable[[int], int]]:
+    """The distinct window masks, and the rule that weighs a plane over
+    them by their window counts: bit j of slice t is bit t of mask j's
+    count, so a plane's windows are the sum of its bits shared with slice
+    t, shifted by t."""
+    masks = Counter(windows.values())
+    slices = _planes(list(masks.values()), range(max(masks.values(), default=0).bit_length()))
+    return list(masks), lambda plane: sum((plane & s).bit_count() << t for t, s in enumerate(slices))
+
+
+def _read_blocks(
+    lanes: tuple[int, ...], order: list[int], planes: Sequence[int] | dict[int, int],
+    weigh: Callable[[int], int], hubs: bool,
+) -> tuple[dict[HubTag, int], dict[int, list[int]]]:
+    """The (n-2)-cells' tag histogram and, if ``hubs``, the packed hub
+    offsets at each mask, from the planes (indexed by window bit) over the
+    distinct masks ``order``: each cell is read at its lowest vertex, a hub
+    where ``_TRACE_TAG`` calls its trace a gap tandem.
+
+    For a pair of flat axes, the plane of a trace is the AND of its four
+    block voxels' planes, each complemented where the trace lacks that
+    voxel; a tag's plane, the OR of its traces', is weighed by ``weigh``.
+    The hubs at a mask are read off the tandem plane's binary digits.
+    """
+    histogram = dict.fromkeys(HubTag, 0)
     hub_offsets: dict[int, list[int]] = {}
+    full = (1 << len(order)) - 1
     total = sum(lanes)
-    for a, b, block in table:
-        trace = 0
-        for j, p in enumerate(block):
-            trace |= planes[p] << j
-        tagged = trace.to_bytes(distinct, "little").translate(numbers)
-        for number in range(1, len(tallies)):
-            tallies[number] += tagged.count(number)
-        for number, count in zip(map(tagged.__getitem__, repeated), extra):
-            tallies[number] += count
+    for a, b, block in _block_traces(len(lanes)):
+        p0, p1, p2, p3 = map(planes.__getitem__, block)
+        q0, q1, q2, q3 = p0 ^ full, p1 ^ full, p2 ^ full, p3 ^ full
+        low = (q0 & q1, p0 & q1, q0 & p1, p0 & p1)  # by trace bits 0 and 1
+        high = (q2 & q3, p2 & q3, q2 & p3, p2 & p3)  # by trace bits 2 and 3
+        tagged: dict[HubTag, int] = {}
+        for trace, tag in enumerate(_TRACE_TAG):
+            if tag:
+                tagged[tag] = tagged.get(tag, 0) | low[trace & 3] & high[trace >> 2]
+        for tag, plane in tagged.items():
+            histogram[tag] += weigh(plane)
         if hubs:
             t = total - lanes[a] - lanes[b]
-            for mask in compress(order, tagged.translate(_TANDEM)):
+            digits = f"{tagged.get(HubTag.GAP_TANDEM, 0):0{len(order)}b}".encode()
+            for mask in compress(reversed(order), digits.translate(_UNDIGIT)):
                 hub_offsets.setdefault(mask, []).append(t)
-    return dict(zip(_TAGS, tallies[1:])), hub_offsets
+    return histogram, hub_offsets
 
 
 def classification_histogram(obj: DigitalObject) -> dict[HubTag, int]:
     """Tag counts over all (n-2)-cells of the object; totals to c_{n-2}.
 
-    Read off the lattice vertices' window masks, as ``count`` reads its
-    hubs, with no census and no per-cell block probe: each (n-2)-cell's
-    4-bit block trace sits in the mask of its lowest vertex, and
-    ``_TRACE_TAG`` names its tag. ``classify_cell`` is the independent
-    per-cell route that the tests and the classification-totality identity
-    compare this against.
+    Read off the lattice vertices' window masks as ``count`` reads them,
+    with no census and no per-cell block probe, from the planes of the
+    traces' mask bits alone; the tests and the classification-totality
+    identity compare it with ``classify_cell``, the independent route.
     """
     if obj.n < 2:
         raise ValueError("classification needs ambient dimension n >= 2")
     fmt, windows = _windows(obj)
-    masks = Counter(windows.values())
+    order, weigh = _distinct_masks(windows)
     del windows  # freed before the read, which may reuse its memory
-    return _read_blocks(fmt.lanes, masks, hubs=False)[0]
+    bits = {p for _, _, block in _block_traces(obj.n) for p in block}
+    planes = dict(zip(bits, _planes(order, bits)))
+    return _read_blocks(fmt.lanes, order, planes, weigh, hubs=False)[0]
 
 
 class _WindowCounts(NamedTuple):
-    """What one pass over vertex windows gives: the census counts, the tag
-    histogram of the (n-2)-cells and their sorted hubs (neither below
-    n = 2), or None for hubs not decoded. The formulas read it as a
-    census."""
+    """What one pass over vertex windows gives, each cell read once at its
+    lowest vertex: the census counts, the tag histogram of the (n-2)-cells
+    and their sorted hubs (neither below n = 2), or None for hubs not
+    decoded. The formulas read it as a census."""
 
     n: int
     c: tuple[int, ...]
@@ -439,51 +449,40 @@ class _WindowCounts(NamedTuple):
 def _window_counts(obj: DigitalObject, decode_hubs: bool = True) -> _WindowCounts:
     """c, c*, c', the (n-2)-cell tags and, if ``decode_hubs``, the hubs
     from one pass over vertex windows. The hubs number the histogram's gap
-    tandems, since each (n-2)-cell is read once, so a caller that prints
-    only their number need not decode them.
+    tandems, so a caller that prints only their number need not decode them.
 
-    A cell incident to a vertex is present when the vertex's mask meets the
-    cell's block, and non-free when the mask covers it. Halving a mask along
-    its top axis gives two masks one axis down: each half holds the blocks
-    of the cells that extend along that axis (one dimension up), their union
-    the blocks of the flat cells present and their intersection those of the
-    flat cells covered. The pass halves the histogram of distinct masks down
-    to single voxels, so each distinct sub-mask is read once per dimension.
-    An i-cell is seen from its 2^i vertices, so each per-dimension sum is
-    divided by 2^i. The (n-2)-cells' tags and hubs are read as
-    ``classification_histogram`` reads them.
+    Each cell is read once, at its lowest vertex w. The cell that extends
+    from w on the axes S (bit k of S for axis k) has as its block the
+    window bits that contain S: it is present where w's mask meets that
+    block and covered (non-free) where the mask holds all of it. So one
+    superset fold of the 2^n planes (Yates 1937), ORing each plane with the
+    plane one axis up, gives the present cells' planes, and one ANDing
+    gives the covered ones'; an i-cell's S has i bits. The tags and hubs
+    are read as ``classification_histogram`` reads them.
 
     This is the route behind ``count``; ``verify`` compares it with the
     census and the two formulas, and confirms each hub with ``is_gap``.
     """
     n = obj.n
     fmt, windows = _windows(obj)
-    masks = Counter(windows.values())
-    histogram, hub_offsets = _read_blocks(fmt.lanes, masks, hubs=decode_hubs)
+    order, weigh = _distinct_masks(windows)
+    planes = _planes(order, range(1 << n))
+    histogram, hub_offsets = _read_blocks(fmt.lanes, order, planes, weigh, hubs=decode_hubs)
     hubs = tuple(fmt.unpack(sorted(
         p + t
         for p, mask in windows.items()
         if mask in hub_offsets
         for t in hub_offsets[mask]
     ))) if decode_hubs else None
-    del windows  # the halving reads only the distinct masks
-    sums = []
-    for flat in (or_, and_):  # present cells, then covered ones
-        hists = [masks]  # hists[j]: windows per mask, for cells j dimensions up
-        for k in range(n, 0, -1):
-            half = 1 << (k - 1)
-            low = (1 << half) - 1
-            halved: list[dict[int, int]] = [{} for _ in range(len(hists) + 1)]
-            for here, up, hist in zip(halved, halved[1:], hists):
-                for mask, count in hist.items():
-                    lo, hi = mask & low, mask >> half
-                    m = flat(lo, hi)
-                    here[m] = here.get(m, 0) + count
-                    up[lo] = up.get(lo, 0) + count
-                    up[hi] = up.get(hi, 0) + count
-            hists = halved
-        sums.append(tuple(hist.get(1, 0) >> i for i, hist in enumerate(hists)))
-    c, c_prime = sums
-    return _WindowCounts(
-        n, c, tuple(map(sub, c, c_prime)), c_prime, histogram, hubs
-    )
+    del windows  # the fold reads only the planes
+    present, covered = planes, planes[:]
+    for k in range(n):
+        for s in range(1 << n):
+            if not s >> k & 1:
+                present[s] |= present[s | 1 << k]
+                covered[s] &= covered[s | 1 << k]
+    c, c_prime = [0] * (n + 1), [0] * (n + 1)
+    for s in range(1 << n):
+        c[s.bit_count()] += weigh(present[s])
+        c_prime[s.bit_count()] += weigh(covered[s])
+    return _WindowCounts(n, tuple(c), tuple(map(sub, c, c_prime)), tuple(c_prime), histogram, hubs)

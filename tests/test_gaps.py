@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import fields, replace
 from itertools import product
 from operator import add, mul
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +32,7 @@ from gridgaps import (
 )
 from gridgaps.cli import main
 from gridgaps.cells import COORD_LIMIT
-from gridgaps.gaps import _Packing, _window_counts, _windows
+from gridgaps.gaps import _Packing, _planes, _window_counts, _windows
 from gridgaps.objects import CellCensus
 
 from oracles import o_gap_count
@@ -277,8 +278,8 @@ class TestWindowPass:
         [(2, 6, 1), (3, 5, 1), (3, 5, 2), (4, 4, 1), (5, 3, 1), (6, 3, 1), (7, 2, 1), (8, 2, 1), (8, 2, 2)],
     )
     def test_dense_boxes_repeat_masks(self, n, extent, seed):
-        # the block reader reads each distinct mask once and adds the
-        # repeated masks' extra windows apart
+        # each distinct mask is read once, and every tally weighs it by
+        # the number of windows that have it
         obj = generate(ShapeSpec("random", n, (extent,) * n, 0.5, seed))
         assert max(Counter(_windows(obj)[1].values()).values()) > 1
         assert_window_pass_matches_references(obj)
@@ -307,6 +308,29 @@ class TestWindowPass:
         obj = generate(ShapeSpec("random", n, (2,) * n, 0.5, seed))
         assert len(obj)
         assert_masks_match_corners(obj)
+
+
+class TestPlanes:
+    """``_planes`` against its definition: bit j of plane k is bit k of
+    ``values[j]``."""
+
+    @pytest.mark.parametrize(
+        "values, bits",
+        [
+            ([], range(3)),
+            ([], []),
+            ([0, 1, 2, 3], range(4)),
+            # window counts past a byte, and bits asked for out of order
+            ([256, 1, 300, 65535, 70000], [16, 0, 8, 3, 20]),
+            # masks of 2^8 bits, more values than Python 3.11+ lets
+            # int() parse in base 10 (4,300 digits); base 2 is linear
+            ([Random(1).getrandbits(256) for _ in range(4500)], range(256)),
+        ],
+        ids=["empty", "empty-no-bits", "two-bits", "past-a-byte", "past-4300-values"],
+    )
+    def test_bit_j_of_plane_k_is_bit_k_of_value_j(self, values, bits):
+        expected = [sum((v >> k & 1) << j for j, v in enumerate(values)) for k in bits]
+        assert _planes(values, bits) == expected
 
 
 #: coordinates for the packing tests: small ones, so that cells repeat and
